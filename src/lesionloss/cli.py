@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 data error.  Numeric output is
 printed with 6 significant digits.  A --config file (flat key=value
 lines, # comments allowed) supplies parameter defaults; explicit flags
-win.  --threads caps internal parallelism; the engine computes serially
-so results never depend on it.
+win.  --threads is validated (>= 1) and has no effect while the engine
+computes serially, so results never depend on it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ _PARAMS = {
     "a_shift": (float, weighting.DEFAULT_A_SHIFT),
     "alpha": (float, 0.3),
     "beta": (float, 1.0),
-    "smooth": (float, None),           # per-kind default, see _smooth_default
+    "smooth": (float, None),           # per-kind default from the loss table
     "ce_weight": (float, 0.5),
     "clamp": (float, loss.CE_CLAMP_DEFAULT),
     "step": (float, 1e-4),
@@ -144,15 +144,13 @@ def _curve(args) -> weighting.WeightCurveParams:
     )
 
 
-def _smooth_default(kind: str) -> float:
-    return 1.0 if kind == "tversky" else loss.WLT_SMOOTH_DEFAULT
-
-
-def _tversky(args, kind: str) -> loss.TverskyParams:
+def _tversky(args, kind: str, kinds=loss.LOSS_KINDS) -> loss.TverskyParams:
+    """Tversky flags over kind's defaults; rejects a kind outside kinds."""
+    default = loss.objective(kind, kinds).tversky
     return loss.TverskyParams(
         alpha=_resolve(args, "alpha"),
         beta=_resolve(args, "beta"),
-        smooth=_resolve(args, "smooth", _smooth_default(kind)),
+        smooth=_resolve(args, "smooth", default.smooth),
     )
 
 
@@ -193,13 +191,12 @@ def _cmd_weights(args) -> int:
 
 def _cmd_loss(args) -> int:
     kind = _resolve(args, "kind")
-    if kind not in loss.LOSS_KINDS:
-        raise ValueError(f"loss kind must be one of {loss.LOSS_KINDS}, got {kind!r}")
+    tversky = _tversky(args, kind)
     gt = volume.load_mask(args.gt)
     pred = volume.load_volume(args.pred)
     report = loss.evaluate_loss(
         kind, gt, pred,
-        tversky=_tversky(args, kind),
+        tversky=tversky,
         curve=_curve(args),
         ce_weight=_resolve(args, "ce_weight"),
         want_grad=bool(args.grad_out),
@@ -215,14 +212,13 @@ def _cmd_loss(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     kind = _resolve(args, "kind")
-    if kind not in loss.LOSS_KINDS:
-        raise ValueError(f"loss kind must be one of {loss.LOSS_KINDS}, got {kind!r}")
+    tversky = _tversky(args, kind)
     gt = volume.load_mask(args.gt)
     pred = volume.load_volume(args.pred)
     err = loss.grad_check(
         kind, gt, pred,
         step=_resolve(args, "step"),
-        tversky=_tversky(args, kind),
+        tversky=tversky,
         curve=_curve(args),
         ce_weight=_resolve(args, "ce_weight"),
         connectivity=_connectivity(args),
@@ -318,7 +314,7 @@ def _cmd_train(args) -> int:
     val_count = _resolve(args, "val_count")
     cfg = trainer.TrainConfig(
         loss_kind=kind,
-        tversky=_tversky(args, "tversky" if kind == "tversky" else "wlt"),
+        tversky=_tversky(args, kind, trainer.TRAIN_LOSS_KINDS),
         curve=_curve(args),
         ce_weight=_resolve(args, "ce_weight"),
         learning_rate=_resolve(args, "learning_rate"),
@@ -373,7 +369,8 @@ def _cmd_eval(args) -> int:
 def _add_common(p):
     p.add_argument("--config", help="flat key=value parameter file; flags win")
     p.add_argument("--threads", type=int, default=None,
-                   help="cap internal parallelism (results never depend on it)")
+                   help="validated (>= 1); no effect while the engine runs "
+                        "serially")
 
 
 def _add_curve_flags(p):

@@ -76,16 +76,13 @@ def label_components(
     return LesionLabeling(mask.shape, labels, tuple(int(v) for v in volumes))
 
 
-def lesion_volume_mm3(
-    labeling: LesionLabeling, lesion_id: int, shape: GridShape | None = None
-) -> float:
+def lesion_volume_mm3(labeling: LesionLabeling, lesion_id: int) -> float:
     """Physical volume of one lesion: voxel count times voxel volume."""
     if not 1 <= lesion_id <= labeling.lesion_count:
         raise ValueError(
             f"lesion id {lesion_id} out of range 1..{labeling.lesion_count}"
         )
-    shape = labeling.shape if shape is None else shape
-    return labeling.volumes[lesion_id - 1] * shape.voxel_volume_mm3
+    return labeling.volumes[lesion_id - 1] * labeling.shape.voxel_volume_mm3
 
 
 def labeling_to_volume(labeling: LesionLabeling) -> Volume:

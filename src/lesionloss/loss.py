@@ -6,12 +6,17 @@ one).  Per-voxel confusion terms for ground truth p and prediction q:
 
     TP = p * q        FN = p * (1 - q)        FP = (1 - p) * q
 
-Ratio losses divide global sums of these terms.  The lesion-weighted
-variant multiplies the numerator TP sum and the denominator FN sum by
-the per-voxel weight map while the denominator TP sum stays unweighted;
-that asymmetry is deliberate and preserved as published (a keyword flag
-weights both for sensitivity studies).  Its value is a negated ratio in
-roughly [-w_max, 0], unlike the "1 - ratio" Tversky form.
+Every loss kind, of this API and of the trainer, is a row of one table
+(_TERMS): a cross-entropy term, a ratio term of global sums, or both,
+mixed as ce_weight * CE + (1 - ce_weight) * ratio.  The ratio term is
+plain Tversky, 1 - (s + TP) / (s + TP + a*FP + b*FN), or its
+lesion-weighted form (WLT), whose numerator TP sum and denominator FN sum
+carry the per-voxel weight map while the denominator TP sum stays
+unweighted; that asymmetry is deliberate and preserved as published (a
+keyword flag weights both for sensitivity studies).  WLT's value is a
+negated ratio in roughly [-w_max, 0], unlike the "1 - ratio" form.  One
+core (_objective_core) evaluates any row for the public loss functions,
+evaluate_loss, grad_check and the trainer.
 
 Gradients are analytic (quotient rule over the three global sums); the
 grad_check harness cross-checks them against central finite differences.
@@ -27,13 +32,14 @@ import numpy as np
 
 from .components import Connectivity, DEFAULT_CONNECTIVITY, label_components
 from .reduction import exact_sum, pairwise_sum
-from .volume import Mask, ShapeMismatchError, Volume
+from .volume import Mask, ShapeMismatchError, Volume, require_same_shape
 from .weighting import WeightCurveParams, WeightMap, build_weight_map
 
 CE_CLAMP_DEFAULT = 1e-7
 WLT_SMOOTH_DEFAULT = 1e-6
 
 LOSS_KINDS = ("tversky", "ce", "wlt", "combined")
+TRAIN_LOSS_KINDS = ("tversky", "tversky+ce", "wlt-combined")
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,55 @@ class LossReport:
 
 
 # ---------------------------------------------------------------------------
+# The loss table: every kind of the loss API and of the trainer
+# ---------------------------------------------------------------------------
+
+# kind -> (has a CE term, ratio term, default ratio parameters); the ratio
+# term is None, "tversky" (unit weights, 1 - ratio) or "wlt" (-ratio)
+_TERMS = {
+    "tversky": (False, "tversky", TverskyParams()),
+    "ce": (True, None, default_wlt_params()),
+    "wlt": (False, "wlt", default_wlt_params()),
+    "combined": (True, "wlt", default_wlt_params()),
+    "tversky+ce": (True, "tversky", default_wlt_params()),
+    "wlt-combined": (True, "wlt", default_wlt_params()),
+}
+
+
+@dataclass(frozen=True)
+class Objective:
+    """A row of the loss table with the parameters of one evaluation."""
+
+    ce: bool
+    ratio: str | None
+    tversky: TverskyParams
+    ce_weight: float
+    clamp: float
+    weight_tp_denominator: bool
+
+    def __post_init__(self):
+        if not 0.0 <= self.ce_weight <= 1.0:
+            raise ValueError("ce_weight must lie in [0, 1]")
+        if not 0.0 < self.clamp < 0.5:
+            raise ValueError("clamp must lie in (0, 0.5)")
+
+    @property
+    def weighted(self) -> bool:
+        return self.ratio == "wlt"
+
+
+def objective(kind: str, kinds=LOSS_KINDS, *, tversky: TverskyParams | None = None,
+              ce_weight: float = 0.5, clamp: float = CE_CLAMP_DEFAULT,
+              weight_tp_denominator: bool = False) -> Objective:
+    """Look kind up in the table (it must be one of kinds) and validate."""
+    if kind not in kinds:
+        raise ValueError(f"unknown loss kind: {kind!r} (choose from {kinds})")
+    ce, ratio, default = _TERMS[kind]
+    return Objective(ce, ratio, tversky if tversky is not None else default,
+                     ce_weight, clamp, weight_tp_denominator)
+
+
+# ---------------------------------------------------------------------------
 # Case normalization: public ops accept one case or a batch list
 # ---------------------------------------------------------------------------
 
@@ -102,8 +157,7 @@ def _case_arrays(gt, pred):
         raise ShapeMismatchError("batch lengths differ between gt and pred")
     cases = []
     for g, q in zip(gts, preds):
-        if g.shape != q.shape:
-            raise ShapeMismatchError(f"grid shapes differ: {g.shape} vs {q.shape}")
+        require_same_shape(g, q)
         q.require_probability()
         cases.append(
             (
@@ -120,10 +174,18 @@ def _omega_arrays(omega, gts):
         raise ShapeMismatchError("batch lengths differ between gt and omega")
     out = []
     for g, w in zip(gts, maps):
-        if g.shape != w.shape:
-            raise ShapeMismatchError(f"grid shapes differ: {g.shape} vs {w.shape}")
+        require_same_shape(g, w)
         out.append(w.weights.ravel(order="F"))
     return out
+
+
+def _weight_arrays(gts, curve: WeightCurveParams, connectivity: Connectivity):
+    """Flat weight map of each ground-truth mask's lesion labeling."""
+    return [
+        build_weight_map(label_components(g, connectivity), curve)
+        .weights.ravel(order="F")
+        for g in gts
+    ]
 
 
 def _wrap(value, grads, preds, single) -> LossReport:
@@ -140,34 +202,15 @@ def _wrap(value, grads, preds, single) -> LossReport:
 # Array-level cores (float64 in, float64 out); also used by the trainer
 # ---------------------------------------------------------------------------
 
-def _tversky_core(cases, params: TverskyParams, want_grad: bool):
-    a, b, s = params.alpha, params.beta, params.smooth
-    tp = exact_sum(pairwise_sum(p * q) for p, q in cases)
-    fp = exact_sum(pairwise_sum((1.0 - p) * q) for p, q in cases)
-    fn = exact_sum(pairwise_sum(p * (1.0 - q)) for p, q in cases)
-    num = s + tp
-    den = s + tp + a * fp + b * fn
-    value = 1.0 - num / den
-    if not want_grad:
-        return value, None
-    grads = []
-    for p, _q in cases:
-        dden = p + a * (1.0 - p) - b * p
-        grads.append((num * dden - p * den) / (den * den))
-    return value, grads
-
-
 def _ce_core(cases, clamp: float, want_grad: bool):
     n_total = sum(p.size for p, _ in cases)
     lo, hi = clamp, 1.0 - clamp
-    total = 0.0
     parts = []
     for p, q in cases:
         c1 = np.clip(q, lo, hi)
         c2 = np.clip(1.0 - q, lo, hi)
         parts.append(pairwise_sum(-(p * np.log(c1) + (1.0 - p) * np.log(c2))))
-    total = exact_sum(parts)
-    value = total / n_total
+    value = exact_sum(parts) / n_total
     if not want_grad:
         return value, None
     grads = []
@@ -179,48 +222,76 @@ def _ce_core(cases, clamp: float, want_grad: bool):
     return value, grads
 
 
-def _wlt_core(cases, omegas, params: TverskyParams, want_grad: bool,
-              weight_tp_denominator: bool):
-    a, b, eps = params.alpha, params.beta, params.smooth
-    tp_w = exact_sum(pairwise_sum(p * q * w) for (p, q), w in zip(cases, omegas))
+def _weigh(x, w):
+    return x if w is None else x * w
+
+
+def _ratio_core(cases, omegas, params: TverskyParams, want_grad: bool,
+                weight_tp_denominator: bool):
+    """Tversky ratio over global sums.
+
+    omegas None means unit weights and the "1 - ratio" form; the
+    denominator TP sum then equals the numerator one and is not summed
+    again.  With weight maps the value is the negated WLT ratio.
+    """
+    a, b, s = params.alpha, params.beta, params.smooth
+    ws = omegas if omegas is not None else [None] * len(cases)
+    tp_w = exact_sum(pairwise_sum(_weigh(p * q, w)) for (p, q), w in zip(cases, ws))
     fp = exact_sum(pairwise_sum((1.0 - p) * q) for p, q in cases)
     fn_w = exact_sum(
-        pairwise_sum(p * (1.0 - q) * w) for (p, q), w in zip(cases, omegas)
+        pairwise_sum(_weigh(p * (1.0 - q), w)) for (p, q), w in zip(cases, ws)
     )
-    if weight_tp_denominator:
-        tp_den = tp_w
-    else:
-        tp_den = exact_sum(pairwise_sum(p * q) for p, q in cases)
-    num = eps + tp_w
-    den = eps + tp_den + a * fp + b * fn_w
-    value = -num / den
+    plain_tp_den = omegas is not None and not weight_tp_denominator
+    tp_den = (exact_sum(pairwise_sum(p * q) for p, q in cases)
+              if plain_tp_den else tp_w)
+    num = s + tp_w
+    den = s + tp_den + a * fp + b * fn_w
+    ratio = num / den
+    value = 1.0 - ratio if omegas is None else -ratio
     if not want_grad:
         return value, None
     grads = []
-    for (p, _q), w in zip(cases, omegas):
-        dnum = p * w
-        dtp_den = p * w if weight_tp_denominator else p
-        dden = dtp_den + a * (1.0 - p) - b * p * w
+    for (p, _q), w in zip(cases, ws):
+        dnum = _weigh(p, w)
+        dtp_den = p if plain_tp_den else dnum
+        dden = dtp_den + a * (1.0 - p) - _weigh(b * p, w)
         grads.append((num * dden - dnum * den) / (den * den))
     return value, grads
 
 
-def _combined_omegas(gts, curve: WeightCurveParams, connectivity: Connectivity):
-    maps = [build_weight_map(label_components(g, connectivity), curve) for g in gts]
-    return [m.weights.ravel(order="F") for m in maps]
+def _objective_core(obj: Objective, cases, omegas, want_grad: bool):
+    """Value (and per-case gradients) of obj over float64 (p, q) cases.
 
-
-def _combined_core(cases, omegas, params: CombinedParams, clamp: float,
-                   want_grad: bool, weight_tp_denominator: bool):
-    lam = params.ce_weight
-    ce_v, ce_g = _ce_core(cases, clamp, want_grad)
-    wlt_v, wlt_g = _wlt_core(cases, omegas, params.tversky, want_grad,
-                             weight_tp_denominator)
-    value = lam * ce_v + (1.0 - lam) * wlt_v
+    omegas holds the flat weight maps when obj's ratio term is weighted.
+    """
+    ce = _ce_core(cases, obj.clamp, want_grad) if obj.ce else None
+    if obj.ratio is None:
+        return ce
+    ratio = _ratio_core(cases, omegas if obj.weighted else None, obj.tversky,
+                        want_grad, obj.weight_tp_denominator)
+    if ce is None:
+        return ratio
+    lam = obj.ce_weight
+    (ce_v, ce_g), (r_v, r_g) = ce, ratio
+    value = lam * ce_v + (1.0 - lam) * r_v
     if not want_grad:
         return value, None
-    grads = [lam * g1 + (1.0 - lam) * g2 for g1, g2 in zip(ce_g, wlt_g)]
-    return value, grads
+    return value, [lam * g1 + (1.0 - lam) * g2 for g1, g2 in zip(ce_g, r_g)]
+
+
+def _prepare(kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
+             weight_tp_denominator, omega=None):
+    obj = objective(kind, tversky=tversky, ce_weight=ce_weight, clamp=clamp,
+                    weight_tp_denominator=weight_tp_denominator)
+    cases, gts, preds, single = _case_arrays(gt, pred)
+    omegas = None
+    if obj.weighted:
+        if omega is not None:
+            omegas = _omega_arrays(omega, gts)
+        else:
+            curve = curve if curve is not None else WeightCurveParams()
+            omegas = _weight_arrays(gts, curve, connectivity)
+    return obj, cases, omegas, preds, single
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +300,7 @@ def _combined_core(cases, omegas, params: CombinedParams, clamp: float,
 
 def confusion_terms(gt: Mask, pred: Volume) -> tuple[Volume, Volume, Volume]:
     """Per-voxel soft (TP, FP, FN) fields for one case."""
-    if gt.shape != pred.shape:
-        raise ShapeMismatchError(f"grid shapes differ: {gt.shape} vs {pred.shape}")
+    require_same_shape(gt, pred)
     pred.require_probability()
     p = gt.data.astype(np.float32)
     q = pred.data
@@ -244,20 +314,13 @@ def confusion_terms(gt: Mask, pred: Volume) -> tuple[Volume, Volume, Volume]:
 def tversky_loss(gt, pred, params: TverskyParams | None = None,
                  want_grad: bool = False) -> LossReport:
     """1 - (smooth + TP) / (smooth + TP + alpha*FP + beta*FN) over global sums."""
-    params = params if params is not None else TverskyParams()
-    cases, _gts, preds, single = _case_arrays(gt, pred)
-    value, grads = _tversky_core(cases, params, want_grad)
-    return _wrap(value, grads, preds, single)
+    return evaluate_loss("tversky", gt, pred, tversky=params, want_grad=want_grad)
 
 
 def cross_entropy_loss(gt, pred, want_grad: bool = False,
                        clamp: float = CE_CLAMP_DEFAULT) -> LossReport:
     """Voxel-mean binary cross entropy with probabilities clamped away from 0/1."""
-    if not 0.0 < clamp < 0.5:
-        raise ValueError("clamp must lie in (0, 0.5)")
-    cases, _gts, preds, single = _case_arrays(gt, pred)
-    value, grads = _ce_core(cases, clamp, want_grad)
-    return _wrap(value, grads, preds, single)
+    return evaluate_loss("ce", gt, pred, want_grad=want_grad, clamp=clamp)
 
 
 def wlt_loss(gt, pred, omega, params: TverskyParams | None = None,
@@ -268,12 +331,8 @@ def wlt_loss(gt, pred, omega, params: TverskyParams | None = None,
     The weight map must come from the ground truth's lesion labeling.
     eps is params.smooth (default 1e-6 here, not the plain-Tversky 1).
     """
-    params = params if params is not None else default_wlt_params()
-    cases, gts, preds, single = _case_arrays(gt, pred)
-    omegas = _omega_arrays(omega, gts)
-    value, grads = _wlt_core(cases, omegas, params, want_grad,
-                             weight_tp_denominator)
-    return _wrap(value, grads, preds, single)
+    return evaluate_loss("wlt", gt, pred, tversky=params, want_grad=want_grad,
+                         weight_tp_denominator=weight_tp_denominator, omega=omega)
 
 
 def combined_loss(gt, pred, params: CombinedParams | None = None,
@@ -283,11 +342,10 @@ def combined_loss(gt, pred, params: CombinedParams | None = None,
                   weight_tp_denominator: bool = False) -> LossReport:
     """ce_weight * CE + (1 - ce_weight) * WLT, weight maps built internally."""
     params = params if params is not None else CombinedParams()
-    cases, gts, preds, single = _case_arrays(gt, pred)
-    omegas = _combined_omegas(gts, params.curve, connectivity)
-    value, grads = _combined_core(cases, omegas, params, clamp, want_grad,
-                                  weight_tp_denominator)
-    return _wrap(value, grads, preds, single)
+    return evaluate_loss("combined", gt, pred, tversky=params.tversky,
+                         curve=params.curve, ce_weight=params.ce_weight,
+                         want_grad=want_grad, connectivity=connectivity,
+                         clamp=clamp, weight_tp_denominator=weight_tp_denominator)
 
 
 def evaluate_loss(kind: str, gt, pred, *, tversky: TverskyParams | None = None,
@@ -297,35 +355,16 @@ def evaluate_loss(kind: str, gt, pred, *, tversky: TverskyParams | None = None,
                   clamp: float = CE_CLAMP_DEFAULT,
                   weight_tp_denominator: bool = False,
                   omega=None) -> LossReport:
-    """Dispatch a loss by name: tversky | ce | wlt | combined.
+    """Evaluate a loss by name: tversky | ce | wlt | combined.
 
-    For wlt the weight map is built from the ground-truth labeling unless
-    one is passed explicitly.
+    For wlt and combined the weight map is built from the ground-truth
+    labeling unless one is passed explicitly.
     """
-    if kind == "tversky":
-        return tversky_loss(gt, pred, tversky, want_grad)
-    if kind == "ce":
-        return cross_entropy_loss(gt, pred, want_grad, clamp)
-    if kind == "wlt":
-        curve = curve if curve is not None else WeightCurveParams()
-        if omega is None:
-            gts, single = _as_list(gt, Mask)
-            maps = [
-                build_weight_map(label_components(g, connectivity), curve)
-                for g in gts
-            ]
-            omega = maps[0] if single else maps
-        return wlt_loss(gt, pred, omega, tversky, want_grad,
-                        weight_tp_denominator)
-    if kind == "combined":
-        params = CombinedParams(
-            ce_weight=ce_weight,
-            tversky=tversky if tversky is not None else default_wlt_params(),
-            curve=curve if curve is not None else WeightCurveParams(),
-        )
-        return combined_loss(gt, pred, params, want_grad, connectivity, clamp,
-                             weight_tp_denominator)
-    raise ValueError(f"unknown loss kind: {kind!r} (choose from {LOSS_KINDS})")
+    obj, cases, omegas, preds, single = _prepare(
+        kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
+        weight_tp_denominator, omega)
+    value, grads = _objective_core(obj, cases, omegas, want_grad)
+    return _wrap(value, grads, preds, single)
 
 
 def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
@@ -342,41 +381,15 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
     """
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"degenerate step: {step}")
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind: {kind!r} (choose from {LOSS_KINDS})")
-    cases, gts, _preds, _single = _case_arrays(gt, pred)
-    tversky_p = tversky if tversky is not None else (
-        TverskyParams() if kind == "tversky" else default_wlt_params())
-    curve_p = curve if curve is not None else WeightCurveParams()
-    if kind in ("wlt", "combined"):
-        omegas = _combined_omegas(gts, curve_p, connectivity)
-    else:
-        omegas = None
-    combined_p = CombinedParams(ce_weight=ce_weight, tversky=tversky_p,
-                                curve=curve_p)
+    obj, cases, omegas, _preds, _single = _prepare(
+        kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
+        weight_tp_denominator)
 
     def value_at(qs):
         c = [(p, q) for (p, _), q in zip(cases, qs)]
-        if kind == "tversky":
-            return _tversky_core(c, tversky_p, False)[0]
-        if kind == "ce":
-            return _ce_core(c, clamp, False)[0]
-        if kind == "wlt":
-            return _wlt_core(c, omegas, tversky_p, False,
-                             weight_tp_denominator)[0]
-        return _combined_core(c, omegas, combined_p, clamp, False,
-                              weight_tp_denominator)[0]
+        return _objective_core(obj, c, omegas, False)[0]
 
-    if kind == "tversky":
-        _, grads = _tversky_core(cases, tversky_p, True)
-    elif kind == "ce":
-        _, grads = _ce_core(cases, clamp, True)
-    elif kind == "wlt":
-        _, grads = _wlt_core(cases, omegas, tversky_p, True,
-                             weight_tp_denominator)
-    else:
-        _, grads = _combined_core(cases, omegas, combined_p, clamp, True,
-                                  weight_tp_denominator)
+    _, grads = _objective_core(obj, cases, omegas, True)
 
     qs0 = [q for _, q in cases]
     rng = np.random.default_rng(seed)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .volume import Mask, ShapeMismatchError
+from .volume import Mask, require_same_shape
 
 
 class UndefinedMetricError(ValueError):
@@ -78,8 +78,7 @@ class MetricReport:
 
 def dice(a: Mask, b: Mask) -> float:
     """2|A.B| / (|A| + |B|); defined as 1.0 when both masks are empty."""
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"grid shapes differ: {a.shape} vs {b.shape}")
+    require_same_shape(a, b)
     na = a.foreground_count
     nb = b.foreground_count
     if na == 0 and nb == 0:
@@ -88,19 +87,18 @@ def dice(a: Mask, b: Mask) -> float:
     return float(Fraction(2 * inter, na + nb))
 
 
-def hausdorff(a: Mask, b: Mask, spacing=None, percentile: float = 100.0) -> float:
+def hausdorff(a: Mask, b: Mask, percentile: float = 100.0) -> float:
     """Symmetric Hausdorff distance between foreground voxel centers, in mm.
 
     percentile < 100 gives the robust variant (e.g. 95 for HD95): the
     max over both directions of that percentile of directed distances.
     """
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"grid shapes differ: {a.shape} vs {b.shape}")
+    require_same_shape(a, b)
     if not 0.0 < percentile <= 100.0:
         raise ValueError("percentile must lie in (0, 100]")
     if a.foreground_count == 0 or b.foreground_count == 0:
         raise UndefinedMetricError("hausdorff is undefined for an empty mask")
-    sp = np.asarray(a.shape.spacing if spacing is None else spacing, np.float64)
+    sp = np.asarray(a.shape.spacing, np.float64)
     pa = np.argwhere(a.data) * sp
     pb = np.argwhere(b.data) * sp
     d_ab = cKDTree(pb).query(pa)[0]

@@ -19,21 +19,19 @@ from scipy.special import expit
 from .components import Connectivity, DEFAULT_CONNECTIVITY, label_components
 from .loss import (
     CE_CLAMP_DEFAULT,
-    CombinedParams,
+    TRAIN_LOSS_KINDS,
+    Objective,
     TverskyParams,
-    _ce_core,
-    _combined_core,
-    _tversky_core,
-    default_wlt_params,
+    _objective_core,
+    _weight_arrays,
+    objective,
 )
 from .reduction import exact_sum
 from .synth import Phantom, PhantomSpec, generate
 from .volume import GridShape, Mask, Volume, _freeze, threshold
-from .weighting import WeightCurveParams, build_weight_map
+from .weighting import WeightCurveParams
 
 FEATURE_NAMES = ("raw", "mean3", "mean5", "var3", "bias")
-
-TRAIN_LOSS_KINDS = ("tversky", "tversky+ce", "wlt-combined")
 
 SMALL_BUCKET_MAX = 20    # lesion is small when voxels < 20
 LARGE_BUCKET_MIN = 200   # lesion is large when voxels > 200
@@ -92,61 +90,32 @@ class TrainConfig:
     connectivity: Connectivity = DEFAULT_CONNECTIVITY
 
     def __post_init__(self):
-        if self.loss_kind not in TRAIN_LOSS_KINDS:
-            raise ValueError(
-                f"unknown loss kind {self.loss_kind!r} "
-                f"(choose from {TRAIN_LOSS_KINDS})"
-            )
+        self.objective()    # rejects an unknown loss_kind, ce_weight or clamp
         if not self.learning_rate > 0.0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
-    def resolved_tversky(self) -> TverskyParams:
-        if self.tversky is not None:
-            return self.tversky
-        return TverskyParams() if self.loss_kind == "tversky" else default_wlt_params()
+    def objective(self) -> Objective:
+        return objective(self.loss_kind, TRAIN_LOSS_KINDS, tversky=self.tversky,
+                         ce_weight=self.ce_weight, clamp=self.clamp)
 
 
 def _prepare_batch(cfg: TrainConfig, phantoms):
-    feats = []
-    masks = []
-    omegas = []
-    for ph in phantoms:
-        feats.append(extract_features(ph.image))
-        masks.append(ph.truth.data.ravel(order="F").astype(np.float64))
-        if cfg.loss_kind == "wlt-combined":
-            wm = build_weight_map(
-                label_components(ph.truth, cfg.connectivity), cfg.curve
-            )
-            omegas.append(wm.weights.ravel(order="F"))
+    feats = [extract_features(ph.image) for ph in phantoms]
+    masks = [ph.truth.data.ravel(order="F").astype(np.float64) for ph in phantoms]
+    omegas = None
+    if cfg.objective().weighted:
+        omegas = _weight_arrays([ph.truth for ph in phantoms], cfg.curve,
+                                cfg.connectivity)
     return feats, masks, omegas
 
 
 def _batch_eval(cfg: TrainConfig, prep, theta, want_grad):
     feats, masks, omegas = prep
-    tversky_p = cfg.resolved_tversky()
-    cases = []
-    qs = []
-    for X, p in zip(feats, masks):
-        q = expit(X @ theta)
-        qs.append(q)
-        cases.append((p, q))
-    if cfg.loss_kind == "tversky":
-        value, grads = _tversky_core(cases, tversky_p, want_grad)
-    elif cfg.loss_kind == "tversky+ce":
-        ce_v, ce_g = _ce_core(cases, cfg.clamp, want_grad)
-        tv_v, tv_g = _tversky_core(cases, tversky_p, want_grad)
-        lam = cfg.ce_weight
-        value = lam * ce_v + (1.0 - lam) * tv_v
-        grads = None if not want_grad else [
-            lam * g1 + (1.0 - lam) * g2 for g1, g2 in zip(ce_g, tv_g)
-        ]
-    else:
-        combined_p = CombinedParams(cfg.ce_weight, tversky_p, cfg.curve)
-        value, grads = _combined_core(
-            cases, omegas, combined_p, cfg.clamp, want_grad, False
-        )
+    qs = [expit(X @ theta) for X in feats]
+    value, grads = _objective_core(cfg.objective(), list(zip(masks, qs)), omegas,
+                                   want_grad)
     if not want_grad:
         return value, None
     # chain rule through the logistic unit, then an order-free case sum

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from lesionloss.cli import main
 from lesionloss.components import label_components
 from lesionloss.loss import (
+    LOSS_KINDS,
     CombinedParams,
     TverskyParams,
     combined_loss,
@@ -16,7 +18,8 @@ from lesionloss.loss import (
     tversky_loss,
     wlt_loss,
 )
-from lesionloss.volume import Mask, ShapeMismatchError, Volume
+from lesionloss.trainer import TrainConfig
+from lesionloss.volume import Mask, ShapeMismatchError, Volume, save_mask, save_volume
 from lesionloss.weighting import WeightMap, build_weight_map
 
 # frozen scalar oracles, each recomputed by hand-evaluating the printed
@@ -334,6 +337,18 @@ class TestStructuralInvariances:
             wlt_loss(gt, pred, wm).value, rel=1e-12
         )
 
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_batch_case_order_is_exact(self, kind):
+        rng = np.random.default_rng(21)
+        cases = [random_case(rng, dims=d) for d in ((6, 6, 6), (4, 5, 6), (7, 3, 5))]
+        gts = [g for g, _ in cases]
+        preds = [p for _, p in cases]
+        fwd = evaluate_loss(kind, gts, preds, want_grad=True)
+        rev = evaluate_loss(kind, gts[::-1], preds[::-1], want_grad=True)
+        assert fwd.value == rev.value
+        for a, b in zip(fwd.gradient, rev.gradient[::-1]):
+            assert np.array_equal(a.data, b.data)
+
     def test_batch_gradient_structure(self):
         rng = np.random.default_rng(19)
         g1, p1 = random_case(rng)
@@ -373,3 +388,46 @@ class TestStructuralInvariances:
     def test_default_wlt_smoothing(self):
         assert default_wlt_params().smooth == 1e-6
         assert TverskyParams().smooth == 1.0
+
+
+_CASE = random_case(np.random.default_rng(22), dims=(4, 4, 4))
+
+
+def _lib_entry(call):
+    def check(tmp_path, capsys, key, value):
+        with pytest.raises(ValueError, match="must lie in"):
+            call(**{key: value})
+    return check
+
+
+def _cli_entry(*argv):
+    def check(tmp_path, capsys, key, value):
+        files = []
+        if argv[0] != "train":
+            save_mask(_CASE[0], tmp_path / "gt")
+            save_volume(_CASE[1], tmp_path / "pred")
+            files = ["--gt", str(tmp_path / "gt.vhdr"),
+                     "--pred", str(tmp_path / "pred.vhdr")]
+        code = main([*argv, *files, "--" + key.replace("_", "-"), str(value)])
+        assert code == 2
+        assert "must lie in" in capsys.readouterr().err
+    return check
+
+
+ENTRY_POINTS = {
+    "evaluate_loss": _lib_entry(lambda **kw: evaluate_loss("combined", *_CASE, **kw)),
+    "grad_check": _lib_entry(lambda **kw: grad_check("ce", *_CASE, **kw)),
+    "TrainConfig": _lib_entry(lambda **kw: TrainConfig(loss_kind="tversky+ce", **kw)),
+    "cli-loss": _cli_entry("loss", "--kind", "combined"),
+    "cli-gradcheck": _cli_entry("gradcheck", "--kind", "ce"),
+    "cli-train": _cli_entry("train", "--loss", "tversky+ce", "--epochs", "1",
+                            "--train-count", "2", "--dims", "12 12 12"),
+}
+
+
+@pytest.mark.parametrize("key,value", [("clamp", 0.7), ("clamp", 0.0),
+                                       ("ce_weight", 1.5), ("ce_weight", -0.5)])
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_clamp_and_ce_weight_rejected_at_every_entry_point(entry, key, value,
+                                                           tmp_path, capsys):
+    ENTRY_POINTS[entry](tmp_path, capsys, key, value)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lesionloss.loss import TverskyParams
 from lesionloss.synth import generate
 from lesionloss.trainer import (
     FEATURE_NAMES,
@@ -136,6 +137,17 @@ class TestTrain:
                 - scorer_loss(cfg, down, phantoms)[0]
             ) / (2.0 * h)
             assert abs(fd - g[j]) / max(1.0, abs(g[j])) < 1e-3
+
+    def test_tversky_ce_at_zero_ce_weight_is_tversky(self):
+        phantoms = [generate(s) for s in tiny_corpus(3)]
+        theta = initial_scorer(9).weights
+        params = TverskyParams(alpha=0.6, beta=0.8, smooth=0.5)
+        mix = TrainConfig(loss_kind="tversky+ce", tversky=params, ce_weight=0.0)
+        plain = TrainConfig(loss_kind="tversky", tversky=params)
+        v1, g1 = scorer_loss(mix, theta, phantoms, want_grad=True)
+        v2, g2 = scorer_loss(plain, theta, phantoms, want_grad=True)
+        assert v1 == v2
+        assert np.array_equal(g1, g2)
 
     def test_divergence_aborts_with_diagnostic(self, monkeypatch):
         # the logistic unit and clamped/ratio losses saturate instead of
