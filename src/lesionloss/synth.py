@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .volume import GridShape, Mask, Volume, _freeze
+from .volume import GridShape, Mask, Volume, _freeze, read_fields
 
 _PLACEMENT_STREAM = (0,)
 _NOISE_STREAM = (1,)
@@ -360,16 +360,8 @@ def save_phantom(ph: Phantom, prefix) -> None:
 
 
 def read_phantom_sidecar(path) -> tuple[PhantomSpec, tuple[float, ...]]:
-    fields: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed sidecar line: {line!r}")
-            key, value = line.split("=", 1)
-            fields[key.strip()] = value.strip()
+    """Read a .spec sidecar; a duplicate, missing or unknown key is an error."""
+    fields = read_fields(path, "sidecar")
     required = {
         "dims", "spacing", "n_lesions", "radius_range_vox",
         "fragmentation_prob", "fragments_per_lesion", "noise_sigma",
@@ -378,6 +370,9 @@ def read_phantom_sidecar(path) -> tuple[PhantomSpec, tuple[float, ...]]:
     missing = required - fields.keys()
     if missing:
         raise ValueError(f"sidecar missing fields: {sorted(missing)}")
+    unknown = fields.keys() - required
+    if unknown:
+        raise ValueError(f"sidecar unknown fields: {sorted(unknown)}")
     spec = PhantomSpec(
         shape=GridShape(
             tuple(int(x) for x in fields["dims"].split()),

@@ -180,18 +180,31 @@ def _write_pair(shape: GridShape, dtype_token: str, payload: bytes, path) -> Non
     raw_path.write_bytes(payload)
 
 
-def _read_header(hdr_path: Path) -> tuple[GridShape, str]:
+def read_fields(path, what: str, *, comments: bool = False,
+                error: type[ValueError] = ValueError) -> dict[str, str]:
+    """The ``key=value`` lines of a UTF-8 text file as a dict.
+
+    Blank lines are skipped, and with ``comments`` so is everything after
+    a ``#``.  A line without ``=`` or a repeated key raises ``error``.
+    Headers, phantom sidecars and CLI config files all read through here.
+    """
     fields: dict[str, str] = {}
-    for line in hdr_path.read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        line = raw.split("#", 1)[0] if comments else raw
         if not line.strip():
             continue
         if "=" not in line:
-            raise VolumeFormatError(f"malformed header line: {line!r}")
+            raise error(f"malformed {what} line: {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         if key in fields:
-            raise VolumeFormatError(f"duplicate header field: {key}")
+            raise error(f"duplicate {what} field: {key}")
         fields[key] = value.strip()
+    return fields
+
+
+def _read_header(hdr_path: Path) -> tuple[GridShape, str]:
+    fields = read_fields(hdr_path, "header", error=VolumeFormatError)
     required = {"dims", "spacing", "dtype", "order"}
     missing = required - fields.keys()
     if missing:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lesionloss.cli import main
+from lesionloss.cli import _PARAMS, _flag, _switch, build_parser, main
+from lesionloss.loss import LOSS_KINDS
 from lesionloss.volume import Mask, Volume, load_volume, save_mask, save_volume
 
 
@@ -71,6 +72,23 @@ class TestExitCodes:
         p = write_eight_voxel_lesion(tmp_path)
         code, _, err = run(capsys, "label", "--mask", str(p), "--threads", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["loss", "gradcheck"])
+    def test_missing_kind_is_usage_error(self, capsys, tmp_path, command):
+        gt, pred = write_worked_example(tmp_path)
+        code, _, err = run(capsys, command, "--gt", str(gt), "--pred", str(pred))
+        assert code == 1
+        assert "--kind is required" in err
+
+    def test_choices_bind_flags_and_config(self, capsys, tmp_path):
+        p = write_eight_voxel_lesion(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("connectivity=7\n")
+        code, _, _ = run(capsys, "label", "--mask", str(p), "--connectivity", "7")
+        assert code == 1
+        code, _, err = run(capsys, "label", "--mask", str(p), "--config", str(cfg))
+        assert code == 2
+        assert "connectivity must be one of 6, 18, 26" in err
 
 
 class TestLabelWeights:
@@ -170,6 +188,68 @@ class TestLossCommands:
         assert code == 2
         assert "unknown parameter" in err
 
+    def test_duplicate_config_key_rejected(self, capsys, tmp_path):
+        gt, pred = write_worked_example(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha=0.5\n# comment\nalpha=0.6\n")
+        code, out, err = run(capsys, "loss", "--kind", "tversky",
+                             "--gt", str(gt), "--pred", str(pred),
+                             "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert "duplicate config field: alpha" in err
+
+    @pytest.mark.parametrize("name", [
+        *(f"loss-{kind}" for kind in LOSS_KINDS),
+        "gradcheck", "weights", "label", "metrics", "synth", "train",
+    ])
+    def test_table_defaults_are_the_defaults_that_run(self, capsys, tmp_path,
+                                                      monkeypatch, name):
+        """Passing a row's default explicitly, as a flag or as a config
+        line, changes no byte of stdout or of the written artifacts."""
+        gt, pred = write_worked_example(tmp_path)
+        pair = ["--gt", str(gt), "--pred", str(pred)]
+        outcomes = tmp_path / "cases.csv"
+        outcomes.write_text("case_id,score,label,empty_seg\n"
+                            "a,0.9,1,0\nb,0.2,0,0\nc,0.6,1,0\nd,0.4,0,0\n")
+        base = {
+            **{f"loss-{kind}": ["loss", "--kind", kind, *pair,
+                                "--grad-out", "grad"] for kind in LOSS_KINDS},
+            "gradcheck": ["gradcheck", "--kind", "combined", *pair,
+                          "--max-voxels", "20"],
+            "weights": ["weights", "--gt", str(gt), "--out", "omega"],
+            "label": ["label", "--mask", str(gt), "--volumes-out", "vol.csv"],
+            "metrics": ["metrics", "--gt-mask", str(gt), "--pred-mask", str(gt),
+                        "--outcomes", str(outcomes), "--json-out", "m.json"],
+            "synth": ["synth", "--out", "ph"],
+            "train": ["train", "--epochs", "1", "--train-count", "2",
+                      "--val-count", "1", "--dims", "10 10 10",
+                      "--small-radius", "1.2 1.5", "--large-radius", "1.8 2.2",
+                      "--model-out", "model.vec", "--log-out", "log.csv"],
+        }[name]
+
+        def outputs(tag, *extra):
+            d = tmp_path / tag
+            d.mkdir()
+            monkeypatch.chdir(d)
+            code, out, _ = run(capsys, *base, *extra)
+            assert code == 0, (tag, extra)
+            return out, artifact_bytes(d)
+
+        reference = outputs("unset")
+        declared = vars(build_parser().parse_args(base))
+        checked = 0
+        for key, (parse, default, _, _) in _PARAMS.items():
+            if key not in declared or default is None or _flag(key) in base:
+                continue
+            text = default if isinstance(default, str) else repr(default)
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key}={text}\n")
+            assert outputs(f"{key}-config", "--config", str(cfg)) == reference
+            if parse is not _switch:  # a switch flag takes no value
+                assert outputs(f"{key}-flag", _flag(key), text) == reference
+            checked += 1
+        assert checked >= 2
+
 
 class TestMetricsCommand:
     def test_mask_pair_and_outcomes(self, capsys, tmp_path):
@@ -236,6 +316,17 @@ class TestSynthShrinkEval:
         after = int(out.split("truth_voxels_after=")[1].split()[0])
         assert after < before
         assert (tmp_path / "sm.spec").read_text().find("shrink_factors=0.5") > 0
+
+    def test_shrink_rejects_duplicate_sidecar_key(self, capsys, tmp_path):
+        run(capsys, "synth", "--out", str(tmp_path / "ph"),
+            "--dims", "16 16 16", "--seed", "6")
+        with open(tmp_path / "ph.spec", "a", encoding="utf-8") as fh:
+            fh.write("seed=99\n")
+        code, out, err = run(capsys, "shrink", "--in", str(tmp_path / "ph"),
+                             "--factor", "0.5", "--out", str(tmp_path / "sm"))
+        assert code == 2 and out == ""
+        assert "duplicate sidecar field: seed" in err
+        assert not (tmp_path / "sm.spec").exists()
 
     def test_train_eval_pipeline(self, capsys, tmp_path):
         code, out, _ = run(

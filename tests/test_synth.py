@@ -245,6 +245,18 @@ class TestPhantomFiles:
         with pytest.raises(ValueError, match="missing"):
             read_phantom_sidecar(tmp_path / "x.spec")
 
+    @pytest.mark.parametrize("extra, message", [
+        ("seed=99", "duplicate sidecar field: seed"),
+        ("seeds=99", "unknown fields"),
+    ])
+    def test_sidecar_rejects_duplicate_and_unknown_keys(self, tmp_path, extra,
+                                                        message):
+        save_phantom(generate(spec(seed=34)), tmp_path / "x")
+        with open(tmp_path / "x.spec", "a", encoding="utf-8") as fh:
+            fh.write(extra + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_phantom_sidecar(tmp_path / "x.spec")
+
 
 class TestGeometry:
     def test_ellipsoid_voxel_membership(self):

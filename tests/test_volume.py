@@ -156,6 +156,14 @@ class TestFileRoundTrip:
         with pytest.raises(VolumeFormatError, match="unknown header field"):
             load_volume(tmp_path / "t")
 
+    def test_duplicate_header_field(self, tmp_path):
+        v = Volume.from_array(np.zeros((2, 2, 2), np.float32))
+        save_volume(v, tmp_path / "t")
+        with open(tmp_path / "t.vhdr", "a") as fh:
+            fh.write("dtype=f32\n")
+        with pytest.raises(VolumeFormatError, match="duplicate header field"):
+            load_volume(tmp_path / "t")
+
     def test_nonfinite_payload_rejected(self, tmp_path):
         v = Volume.from_array(np.zeros((2, 2, 2), np.float32))
         save_volume(v, tmp_path / "t")
