@@ -26,6 +26,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Flags must be spelled in full: a prefix such as --e is a usage error,
+    so a later flag sharing the prefix cannot change what a call means."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -108,8 +114,7 @@ _PARAMS = {
 }
 
 _CURVE = ("w_max", "w_min", "vrange", "k", "a_shift")
-_OBJECTIVE = ("alpha", "beta", "smooth", "ce_weight", "clamp",
-              "weight_tp_denominator")
+_OBJECTIVE = ("alpha", "beta", "smooth", "ce_weight", "clamp")
 _IMAGE = ("dims", "spacing", "noise_sigma", "contrast")
 
 
@@ -324,6 +329,7 @@ def _corpus(args, count, start_seed):
 
 
 def _cmd_train(args) -> int:
+    val_specs = _corpus(args, args.val_count, args.corpus_seed + args.train_count)
     cfg = trainer.TrainConfig(
         loss_kind=args.loss,
         tversky=_tversky(args, args.loss, trainer.TRAIN_LOSS_KINDS),
@@ -333,8 +339,6 @@ def _cmd_train(args) -> int:
         epochs=args.epochs,
         seed=args.seed,
         train_specs=_corpus(args, args.train_count, args.corpus_seed),
-        val_specs=_corpus(args, args.val_count,
-                          args.corpus_seed + args.train_count),
         clamp=args.clamp,
         connectivity=_CONNECTIVITY[args.connectivity],
     )
@@ -349,8 +353,8 @@ def _cmd_train(args) -> int:
             fh.write("epoch,loss\n")
             for e, v in enumerate(curve):
                 fh.write(f"{e},{v!r}\n")
-    if args.val_count > 0:
-        phantoms = [synth.generate(s) for s in cfg.val_specs]
+    if val_specs:
+        phantoms = [synth.generate(s) for s in val_specs]
         rep = trainer.evaluate_lesionwise(
             model, phantoms, args.threshold, cfg.connectivity
         )
@@ -415,7 +419,8 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True, help="ground-truth mask .vhdr")
     p.add_argument("--pred", required=True, help="prediction volume .vhdr")
     p.add_argument("--grad-out", help="write d(loss)/d(pred) as f32 volume")
-    _add_params(p, "kind", *_OBJECTIVE, *_CURVE, "connectivity")
+    _add_params(p, "kind", *_OBJECTIVE, "weight_tp_denominator", *_CURVE,
+                "connectivity")
     p.set_defaults(func=_cmd_loss)
 
     p = sub.add_parser("gradcheck",
@@ -423,7 +428,7 @@ def build_parser() -> _Parser:
     p.add_argument("--gt", required=True, help="ground-truth mask .vhdr")
     p.add_argument("--pred", required=True, help="prediction volume .vhdr")
     _add_params(p, "kind", "step", "max_voxels", "sample_seed", *_OBJECTIVE,
-                *_CURVE, "connectivity")
+                "weight_tp_denominator", *_CURVE, "connectivity")
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("metrics", help="segmentation and case-level metrics")

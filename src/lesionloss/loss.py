@@ -2,9 +2,15 @@
 
 All losses reduce over every voxel of every case in a batch (a batch is
 a list of same-purpose grids; a single Mask/Volume pair is a batch of
-one).  Per-voxel confusion terms for ground truth p and prediction q:
+one).  Ground truth is a boolean mask, so the per-voxel confusion terms
+of a prediction q are selections, not products:
 
-    TP = p * q        FN = p * (1 - q)        FP = (1 - p) * q
+    TP = q on lesion voxels    FN = 1 - q on lesion voxels
+    FP = q on background voxels, and each term is 0 elsewhere
+
+For p in {0, 1} they are the values of p*q, p*(1 - q) and (1 - p)*q.
+Cross entropy reads the probability of each voxel's true class, q on
+lesion voxels and 1 - q on background, and takes one log of it.
 
 Every loss kind, of this API and of the trainer, is a row of one table
 (_TERMS): a cross-entropy term, a ratio term of global sums, or both,
@@ -20,8 +26,9 @@ evaluate_loss, grad_check and the trainer.
 
 Gradients are analytic (quotient rule over the three global sums); the
 grad_check harness cross-checks them against central finite differences.
-Per-case sums use a fixed-order pairwise tree and cases combine with an
-exactly rounded sum, so values are reproducible and case-order free.
+Every sum goes through reduction.batch_sum: a fixed-order pairwise tree
+within each case, then an exactly rounded sum across cases, so values
+are reproducible and case-order free.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import Connectivity, DEFAULT_CONNECTIVITY, label_components
-from .reduction import exact_sum, pairwise_sum
+from .reduction import batch_sum
 from .volume import Mask, ShapeMismatchError, Volume, require_same_shape
 from .weighting import WeightCurveParams, WeightMap, build_weight_map
 
@@ -138,7 +145,7 @@ def objective(kind: str, kinds=LOSS_KINDS, *, tversky: TverskyParams | None = No
 
 
 # ---------------------------------------------------------------------------
-# Case normalization: public ops accept one case or a batch list
+# Batch preparation: public ops accept one case or a batch list
 # ---------------------------------------------------------------------------
 
 def _as_list(x, kind):
@@ -150,42 +157,40 @@ def _as_list(x, kind):
     return items, False
 
 
-def _case_arrays(gt, pred):
+def _truth(obj: Objective, gts, curve: WeightCurveParams | None,
+           connectivity: Connectivity, omega=None):
+    """Flat x-fastest boolean foreground of each ground-truth mask and, when
+    obj's ratio term is weighted, each flat weight map: omega's maps, else
+    maps built from the masks' lesion labelings (None when unweighted)."""
+    fgs = [g.data.ravel(order="F") for g in gts]
+    if not obj.weighted:
+        return fgs, None
+    if omega is None:
+        maps = [build_weight_map(label_components(g, connectivity), curve)
+                for g in gts]
+    else:
+        maps, _ = _as_list(omega, WeightMap)
+        if len(maps) != len(gts):
+            raise ShapeMismatchError("batch lengths differ between gt and omega")
+        for g, w in zip(gts, maps):
+            require_same_shape(g, w)
+    return fgs, [w.weights.ravel(order="F") for w in maps]
+
+
+def _prepare(kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
+             weight_tp_denominator, omega=None):
+    obj = objective(kind, tversky=tversky, ce_weight=ce_weight, clamp=clamp,
+                    weight_tp_denominator=weight_tp_denominator)
     gts, single = _as_list(gt, Mask)
     preds, _ = _as_list(pred, Volume)
     if len(gts) != len(preds):
         raise ShapeMismatchError("batch lengths differ between gt and pred")
-    cases = []
     for g, q in zip(gts, preds):
         require_same_shape(g, q)
         q.require_probability()
-        cases.append(
-            (
-                g.data.ravel(order="F").astype(np.float64),
-                q.data.ravel(order="F").astype(np.float64),
-            )
-        )
-    return cases, gts, preds, single
-
-
-def _omega_arrays(omega, gts):
-    maps, _ = _as_list(omega, WeightMap)
-    if len(maps) != len(gts):
-        raise ShapeMismatchError("batch lengths differ between gt and omega")
-    out = []
-    for g, w in zip(gts, maps):
-        require_same_shape(g, w)
-        out.append(w.weights.ravel(order="F"))
-    return out
-
-
-def _weight_arrays(gts, curve: WeightCurveParams, connectivity: Connectivity):
-    """Flat weight map of each ground-truth mask's lesion labeling."""
-    return [
-        build_weight_map(label_components(g, connectivity), curve)
-        .weights.ravel(order="F")
-        for g in gts
-    ]
+    fgs, omegas = _truth(obj, gts, curve, connectivity, omega)
+    qs = [q.data.ravel(order="F").astype(np.float64) for q in preds]
+    return obj, fgs, qs, omegas, preds, single
 
 
 def _wrap(value, grads, preds, single) -> LossReport:
@@ -199,34 +204,26 @@ def _wrap(value, grads, preds, single) -> LossReport:
 
 
 # ---------------------------------------------------------------------------
-# Array-level cores (float64 in, float64 out); also used by the trainer
+# Array-level cores: boolean foregrounds and float64 predictions in, float64
+# out; also used by the trainer
 # ---------------------------------------------------------------------------
 
-def _ce_core(cases, clamp: float, want_grad: bool):
-    n_total = sum(p.size for p, _ in cases)
+def _ce_core(fgs, qs, clamp: float, want_grad: bool):
+    n_total = sum(q.size for q in qs)
     lo, hi = clamp, 1.0 - clamp
-    parts = []
-    for p, q in cases:
-        c1 = np.clip(q, lo, hi)
-        c2 = np.clip(1.0 - q, lo, hi)
-        parts.append(pairwise_sum(-(p * np.log(c1) + (1.0 - p) * np.log(c2))))
-    value = exact_sum(parts) / n_total
+    # the clamped probability of each voxel's true class
+    ts = [np.clip(np.where(fg, q, 1.0 - q), lo, hi) for fg, q in zip(fgs, qs)]
+    value = batch_sum(-np.log(t) for t in ts) / n_total
     if not want_grad:
         return value, None
     grads = []
-    for p, q in cases:
-        inside = ((q >= lo) & (q <= hi)).astype(np.float64)
-        c1 = np.clip(q, lo, hi)
-        c2 = np.clip(1.0 - q, lo, hi)
-        grads.append(inside * (-p / c1 + (1.0 - p) / c2) / n_total)
+    for fg, q, t in zip(fgs, qs, ts):
+        inside = (q >= lo) & (q <= hi)      # the clamp is flat outside
+        grads.append(np.where(fg, -1.0, 1.0) / t * inside / n_total)
     return value, grads
 
 
-def _weigh(x, w):
-    return x if w is None else x * w
-
-
-def _ratio_core(cases, omegas, params: TverskyParams, want_grad: bool,
+def _ratio_core(fgs, qs, omegas, params: TverskyParams, want_grad: bool,
                 weight_tp_denominator: bool):
     """Tversky ratio over global sums.
 
@@ -235,14 +232,13 @@ def _ratio_core(cases, omegas, params: TverskyParams, want_grad: bool,
     again.  With weight maps the value is the negated WLT ratio.
     """
     a, b, s = params.alpha, params.beta, params.smooth
-    ws = omegas if omegas is not None else [None] * len(cases)
-    tp_w = exact_sum(pairwise_sum(_weigh(p * q, w)) for (p, q), w in zip(cases, ws))
-    fp = exact_sum(pairwise_sum((1.0 - p) * q) for p, q in cases)
-    fn_w = exact_sum(
-        pairwise_sum(_weigh(p * (1.0 - q), w)) for (p, q), w in zip(cases, ws)
-    )
+    ws = omegas if omegas is not None else [1.0] * len(fgs)
+    cases = list(zip(fgs, qs, ws))
+    tp_w = batch_sum(np.where(fg, q * w, 0.0) for fg, q, w in cases)
+    fp = batch_sum(np.where(fg, 0.0, q) for fg, q, _ in cases)
+    fn_w = batch_sum(np.where(fg, (1.0 - q) * w, 0.0) for fg, q, w in cases)
     plain_tp_den = omegas is not None and not weight_tp_denominator
-    tp_den = (exact_sum(pairwise_sum(p * q) for p, q in cases)
+    tp_den = (batch_sum(np.where(fg, q, 0.0) for fg, q, _ in cases)
               if plain_tp_den else tp_w)
     num = s + tp_w
     den = s + tp_den + a * fp + b * fn_w
@@ -250,24 +246,27 @@ def _ratio_core(cases, omegas, params: TverskyParams, want_grad: bool,
     value = 1.0 - ratio if omegas is None else -ratio
     if not want_grad:
         return value, None
+    # a background voxel moves FP only (d num = 0, d den = a; "0.0 +" keeps
+    # alpha = -0.0 from signing the zero gradient); a lesion voxel of
+    # weight w moves TP.W, the denominator TP sum and FN.W
+    bg = num * (0.0 + a) / (den * den)
     grads = []
-    for (p, _q), w in zip(cases, ws):
-        dnum = _weigh(p, w)
-        dtp_den = p if plain_tp_den else dnum
-        dden = dtp_den + a * (1.0 - p) - _weigh(b * p, w)
-        grads.append((num * dden - dnum * den) / (den * den))
+    for fg, _q, w in cases:
+        dden = (1.0 if plain_tp_den else w) - b * w
+        grads.append(np.where(fg, (num * dden - w * den) / (den * den), bg))
     return value, grads
 
 
-def _objective_core(obj: Objective, cases, omegas, want_grad: bool):
-    """Value (and per-case gradients) of obj over float64 (p, q) cases.
+def _objective_core(obj: Objective, fgs, qs, omegas, want_grad: bool):
+    """Value (and per-case gradients) of obj over boolean foregrounds fgs
+    and float64 predictions qs.
 
     omegas holds the flat weight maps when obj's ratio term is weighted.
     """
-    ce = _ce_core(cases, obj.clamp, want_grad) if obj.ce else None
+    ce = _ce_core(fgs, qs, obj.clamp, want_grad) if obj.ce else None
     if obj.ratio is None:
         return ce
-    ratio = _ratio_core(cases, omegas if obj.weighted else None, obj.tversky,
+    ratio = _ratio_core(fgs, qs, omegas if obj.weighted else None, obj.tversky,
                         want_grad, obj.weight_tp_denominator)
     if ce is None:
         return ratio
@@ -279,21 +278,6 @@ def _objective_core(obj: Objective, cases, omegas, want_grad: bool):
     return value, [lam * g1 + (1.0 - lam) * g2 for g1, g2 in zip(ce_g, r_g)]
 
 
-def _prepare(kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
-             weight_tp_denominator, omega=None):
-    obj = objective(kind, tversky=tversky, ce_weight=ce_weight, clamp=clamp,
-                    weight_tp_denominator=weight_tp_denominator)
-    cases, gts, preds, single = _case_arrays(gt, pred)
-    omegas = None
-    if obj.weighted:
-        if omega is not None:
-            omegas = _omega_arrays(omega, gts)
-        else:
-            curve = curve if curve is not None else WeightCurveParams()
-            omegas = _weight_arrays(gts, curve, connectivity)
-    return obj, cases, omegas, preds, single
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -302,12 +286,11 @@ def confusion_terms(gt: Mask, pred: Volume) -> tuple[Volume, Volume, Volume]:
     """Per-voxel soft (TP, FP, FN) fields for one case."""
     require_same_shape(gt, pred)
     pred.require_probability()
-    p = gt.data.astype(np.float32)
-    q = pred.data
+    fg, q = gt.data, pred.data
     return (
-        Volume(gt.shape, p * q),
-        Volume(gt.shape, (1.0 - p) * q),
-        Volume(gt.shape, p * (1.0 - q)),
+        Volume(gt.shape, np.where(fg, q, 0.0)),
+        Volume(gt.shape, np.where(fg, 0.0, q)),
+        Volume(gt.shape, np.where(fg, 1.0 - q, 0.0)),
     )
 
 
@@ -360,10 +343,10 @@ def evaluate_loss(kind: str, gt, pred, *, tversky: TverskyParams | None = None,
     For wlt and combined the weight map is built from the ground-truth
     labeling unless one is passed explicitly.
     """
-    obj, cases, omegas, preds, single = _prepare(
+    obj, fgs, qs, omegas, preds, single = _prepare(
         kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
         weight_tp_denominator, omega)
-    value, grads = _objective_core(obj, cases, omegas, want_grad)
+    value, grads = _objective_core(obj, fgs, qs, omegas, want_grad)
     return _wrap(value, grads, preds, single)
 
 
@@ -381,31 +364,26 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
     """
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"degenerate step: {step}")
-    obj, cases, omegas, _preds, _single = _prepare(
+    obj, fgs, qs, omegas, _preds, _single = _prepare(
         kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
         weight_tp_denominator)
+    _, grads = _objective_core(obj, fgs, qs, omegas, True)
 
-    def value_at(qs):
-        c = [(p, q) for (p, _), q in zip(cases, qs)]
-        return _objective_core(obj, c, omegas, False)[0]
-
-    _, grads = _objective_core(obj, cases, omegas, True)
-
-    qs0 = [q for _, q in cases]
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for ci, q0 in enumerate(qs0):
-        idx = np.arange(q0.size)
-        if max_voxels is not None and q0.size > max_voxels:
-            idx = np.sort(rng.choice(q0.size, size=max_voxels, replace=False))
+    for q, grad in zip(qs, grads):
+        idx = np.arange(q.size)
+        if max_voxels is not None and q.size > max_voxels:
+            idx = np.sort(rng.choice(q.size, size=max_voxels, replace=False))
         for j in idx:
-            qp = [q.copy() if k == ci else q for k, q in enumerate(qs0)]
-            qp[ci][j] = q0[j] + step
-            up = value_at(qp)
-            qp[ci][j] = q0[j] - step
-            down = value_at(qp)
+            q0 = q[j]       # qs is this call's own copy: perturb in place
+            q[j] = q0 + step
+            up = _objective_core(obj, fgs, qs, omegas, False)[0]
+            q[j] = q0 - step
+            down = _objective_core(obj, fgs, qs, omegas, False)[0]
+            q[j] = q0
             fd = (up - down) / (2.0 * step)
-            a = grads[ci][j]
+            a = grad[j]
             err = abs(a - fd) / max(1.0, abs(a))
             if err > worst:
                 worst = err

@@ -24,3 +24,10 @@ def pairwise_sum(values) -> float:
 def exact_sum(values) -> float:
     """Exactly rounded float sum; invariant to input ordering."""
     return math.fsum(float(x) for x in values)
+
+
+def batch_sum(cases) -> float:
+    """The loss reduction: each case's terms summed by the pairwise tree,
+    then the case sums combined exactly, so the result is reproducible and
+    independent of case order."""
+    return exact_sum(pairwise_sum(terms) for terms in cases)

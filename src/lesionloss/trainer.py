@@ -23,7 +23,7 @@ from .loss import (
     Objective,
     TverskyParams,
     _objective_core,
-    _weight_arrays,
+    _truth,
     objective,
 )
 from .reduction import exact_sum
@@ -85,7 +85,6 @@ class TrainConfig:
     epochs: int = 300
     seed: int = 0
     train_specs: tuple[PhantomSpec, ...] = ()
-    val_specs: tuple[PhantomSpec, ...] = ()
     clamp: float = CE_CLAMP_DEFAULT
     connectivity: Connectivity = DEFAULT_CONNECTIVITY
 
@@ -103,19 +102,15 @@ class TrainConfig:
 
 def _prepare_batch(cfg: TrainConfig, phantoms):
     feats = [extract_features(ph.image) for ph in phantoms]
-    masks = [ph.truth.data.ravel(order="F").astype(np.float64) for ph in phantoms]
-    omegas = None
-    if cfg.objective().weighted:
-        omegas = _weight_arrays([ph.truth for ph in phantoms], cfg.curve,
-                                cfg.connectivity)
-    return feats, masks, omegas
+    fgs, omegas = _truth(cfg.objective(), [ph.truth for ph in phantoms],
+                         cfg.curve, cfg.connectivity)
+    return feats, fgs, omegas
 
 
 def _batch_eval(cfg: TrainConfig, prep, theta, want_grad):
-    feats, masks, omegas = prep
+    feats, fgs, omegas = prep
     qs = [expit(X @ theta) for X in feats]
-    value, grads = _objective_core(cfg.objective(), list(zip(masks, qs)), omegas,
-                                   want_grad)
+    value, grads = _objective_core(cfg.objective(), fgs, qs, omegas, want_grad)
     if not want_grad:
         return value, None
     # chain rule through the logistic unit, then an order-free case sum
@@ -262,6 +257,8 @@ def make_corpus(count: int, start_seed: int, dims=(24, 24, 24), *,
     Phantom i gets seed start_seed + i; even indices draw lesions from
     the small radius range, odd from the large one.
     """
+    if count < 0:
+        raise ValueError(f"corpus count must be >= 0, got {count}")
     specs = []
     for i in range(count):
         small = i % 2 == 0

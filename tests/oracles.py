@@ -108,3 +108,90 @@ def kappa_reference(scores, labels, threshold) -> float:
     if den == 0:
         return 0.0
     return float(Fraction(num, den))
+
+
+# ---------------------------------------------------------------------------
+# Float-product loss cores: ground truth p as a float 0/1 array, every
+# confusion term a product, cross entropy as two clipped logs
+# ---------------------------------------------------------------------------
+
+def _tree_sum(values) -> float:
+    """Pairwise tree over the array: pad odd levels with 0, add neighbours."""
+    v = np.asarray(values, dtype=np.float64).ravel()
+    if v.size == 0:
+        return 0.0
+    while v.size > 1:
+        if v.size & 1:
+            v = np.concatenate([v, [0.0]])
+        v = v[0::2] + v[1::2]
+    return float(v[0])
+
+
+def _case_sum(per_case) -> float:
+    return math.fsum(_tree_sum(x) for x in per_case)
+
+
+def _weigh(x, w):
+    return x if w is None else x * w
+
+
+def _ce_reference(ps, qs, clamp):
+    n_total = sum(p.size for p in ps)
+    lo, hi = clamp, 1.0 - clamp
+    terms = []
+    grads = []
+    for p, q in zip(ps, qs):
+        c1 = np.clip(q, lo, hi)
+        c2 = np.clip(1.0 - q, lo, hi)
+        terms.append(-(p * np.log(c1) + (1.0 - p) * np.log(c2)))
+        inside = ((q >= lo) & (q <= hi)).astype(np.float64)
+        grads.append(inside * (-p / c1 + (1.0 - p) / c2) / n_total)
+    return _case_sum(terms) / n_total, grads
+
+
+def _ratio_reference(ps, qs, ws, alpha, beta, smooth, weight_tp_denominator):
+    """ws None: unit weights and 1 - ratio; else the negated WLT ratio."""
+    ws_ = ws if ws is not None else [None] * len(ps)
+    tp_w = _case_sum(_weigh(p * q, w) for p, q, w in zip(ps, qs, ws_))
+    fp = _case_sum((1.0 - p) * q for p, q in zip(ps, qs))
+    fn_w = _case_sum(_weigh(p * (1.0 - q), w) for p, q, w in zip(ps, qs, ws_))
+    plain_tp_den = ws is not None and not weight_tp_denominator
+    tp_den = _case_sum(p * q for p, q in zip(ps, qs)) if plain_tp_den else tp_w
+    num = smooth + tp_w
+    den = smooth + tp_den + alpha * fp + beta * fn_w
+    value = 1.0 - num / den if ws is None else -(num / den)
+    grads = []
+    for p, w in zip(ps, ws_):
+        dnum = _weigh(p, w)
+        dtp_den = p if plain_tp_den else dnum
+        dden = dtp_den + alpha * (1.0 - p) - _weigh(beta * p, w)
+        grads.append((num * dden - dnum * den) / (den * den))
+    return value, grads
+
+
+# loss kind -> (cross-entropy term, ratio term: None, "tversky" or "wlt")
+LOSS_TERMS = {
+    "tversky": (False, "tversky"),
+    "ce": (True, None),
+    "wlt": (False, "wlt"),
+    "combined": (True, "wlt"),
+}
+
+
+def loss_reference(kind, ps, qs, ws, *, alpha, beta, smooth, ce_weight, clamp,
+                   weight_tp_denominator):
+    """Value and per-case flat gradients of a loss kind over float64 truth
+    ps and predictions qs (x-fastest), with weight maps ws for "wlt"."""
+    ce, ratio = LOSS_TERMS[kind]
+    parts = []
+    if ce:
+        parts.append(_ce_reference(ps, qs, clamp))
+    if ratio is not None:
+        parts.append(_ratio_reference(ps, qs, ws if ratio == "wlt" else None,
+                                      alpha, beta, smooth, weight_tp_denominator))
+    if len(parts) == 1:
+        return parts[0]
+    (ce_v, ce_g), (r_v, r_g) = parts
+    lam = ce_weight
+    return (lam * ce_v + (1.0 - lam) * r_v,
+            [lam * g1 + (1.0 - lam) * g2 for g1, g2 in zip(ce_g, r_g)])

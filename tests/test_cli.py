@@ -90,6 +90,29 @@ class TestExitCodes:
         assert code == 2
         assert "connectivity must be one of 6, 18, 26" in err
 
+    def test_flag_prefix_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "train", "--e", "3")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --e 3" in err
+
+    def test_train_has_no_tp_denominator_switch(self, capsys, tmp_path):
+        small = ["train", "--epochs", "1", "--train-count", "2",
+                 "--dims", "10 10 10", "--small-radius", "1.2 1.5",
+                 "--large-radius", "1.8 2.2"]
+        code, _, err = run(capsys, *small, "--weight-tp-denominator")
+        assert code == 1
+        assert "unrecognized arguments: --weight-tp-denominator" in err
+        # a config line for it is ignored, as for any key train does not declare
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("weight_tp_denominator=1\n")
+        assert run(capsys, *small, "--config", str(cfg)) == run(capsys, *small)
+
+    def test_negative_corpus_count_is_data_error(self, capsys):
+        code, out, err = run(capsys, "train", "--epochs", "1", "--train-count", "2",
+                             "--dims", "10 10 10", "--val-count", "-2")
+        assert code == 2 and out == ""
+        assert "corpus count must be >= 0, got -2" in err
+
 
 class TestLabelWeights:
     def test_label_output(self, capsys, tmp_path):

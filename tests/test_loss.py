@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lesionloss.cli import main
 from lesionloss.components import label_components
 from lesionloss.loss import (
+    CE_CLAMP_DEFAULT,
     LOSS_KINDS,
     CombinedParams,
     TverskyParams,
@@ -21,6 +24,8 @@ from lesionloss.loss import (
 from lesionloss.trainer import TrainConfig
 from lesionloss.volume import Mask, ShapeMismatchError, Volume, save_mask, save_volume
 from lesionloss.weighting import WeightMap, build_weight_map
+
+from oracles import loss_reference
 
 # frozen scalar oracles, each recomputed by hand-evaluating the printed
 # formulas before the implementation existed (see test bodies for the
@@ -388,6 +393,102 @@ class TestStructuralInvariances:
     def test_default_wlt_smoothing(self):
         assert default_wlt_params().smooth == 1e-6
         assert TverskyParams().smooth == 1.0
+
+    @pytest.mark.parametrize("kind", ["wlt", "combined"])
+    @pytest.mark.parametrize("weight_tp_denominator", [False, True])
+    def test_background_weights_change_no_bit(self, kind, weight_tp_denominator):
+        rng = np.random.default_rng(23)
+        cases = [random_case(rng, dims=d) for d in ((6, 6, 6), (4, 5, 6))]
+        gts = [g for g, _ in cases]
+        preds = [p for _, p in cases]
+        maps = [build_weight_map(label_components(g)) for g in gts]
+        noisy = [WeightMap(g.shape, np.where(g.data, w.weights,
+                                             rng.uniform(1e-3, 1e3, g.shape.dims)))
+                 for g, w in zip(gts, maps)]
+        a, b = (evaluate_loss(kind, gts, preds, omega=om, want_grad=True,
+                              weight_tp_denominator=weight_tp_denominator)
+                for om in (maps, noisy))
+        assert a.value == b.value
+        for ga, gb in zip(a.gradient, b.gradient):
+            assert ga.data.tobytes() == gb.data.tobytes()
+
+
+# predictions at 0 (both signs), 1, one half, the default clamp and its
+# complement, and 2**-20, a clamp that float32 holds exactly
+_EDGE_PREDS = np.array([0.0, -0.0, 1.0, 0.5, CE_CLAMP_DEFAULT, 1.0 - CE_CLAMP_DEFAULT,
+                        2.0 ** -20, 1.0 - 2.0 ** -20], np.float32)
+
+
+@st.composite
+def _batches(draw):
+    """1-3 cases of random dims; truth random, empty or full; predictions
+    uniform, on the edge values, or a mix of both."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gts, preds = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        dims = tuple(draw(st.integers(1, 5)) for _ in range(3))
+        truth = draw(st.sampled_from(["random", "empty", "full"]))
+        fg = {"random": rng.random(dims) < draw(st.floats(0.0, 1.0)),
+              "empty": np.zeros(dims, bool),
+              "full": np.ones(dims, bool)}[truth]
+        uniform = rng.uniform(0.0, 1.0, dims).astype(np.float32)
+        edge = rng.choice(_EDGE_PREDS, dims)
+        q = {"uniform": uniform, "edge": edge,
+             "mixed": np.where(rng.random(dims) < 0.5, uniform, edge)}[
+            draw(st.sampled_from(["uniform", "edge", "mixed"]))]
+        gts.append(mask(fg))
+        preds.append(vol(q))
+    return gts, preds
+
+
+class TestFloatProductOracle:
+    """The engine's selections against the float-product cores of
+    oracles.loss_reference, byte for byte."""
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @given(batch=_batches(),
+           alpha=st.floats(0.0, 2.0), beta=st.floats(0.0, 2.0),
+           smooth=st.sampled_from([1e-6, 0.5, 1.0]),
+           ce_weight=st.floats(0.0, 1.0),
+           clamp=st.sampled_from([CE_CLAMP_DEFAULT, 2.0 ** -20, 0.01, 0.2]),
+           weight_tp_denominator=st.booleans(),
+           omega=st.sampled_from(["built", "explicit"]),
+           single=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_value_and_gradient_bytes(self, kind, batch, alpha, beta, smooth,
+                                      ce_weight, clamp, weight_tp_denominator,
+                                      omega, single):
+        assume(alpha + beta > 0.0)
+        gts, preds = batch
+        if single:
+            gts, preds = gts[:1], preds[:1]
+        rng = np.random.default_rng(len(gts))
+        maps = [build_weight_map(label_components(g)) if omega == "built"
+                else WeightMap(g.shape, rng.uniform(0.1, 30.0, g.shape.dims))
+                for g in gts]
+
+        def arg(xs):  # a single case goes in unwrapped
+            return xs[0] if single and xs is not None else xs
+
+        got = evaluate_loss(
+            kind, arg(gts), arg(preds), tversky=TverskyParams(alpha, beta, smooth),
+            ce_weight=ce_weight, clamp=clamp,
+            weight_tp_denominator=weight_tp_denominator,
+            omega=arg(None if omega == "built" else maps), want_grad=True)
+
+        def flat(x):
+            return x.ravel(order="F").astype(np.float64)
+
+        value, grads = loss_reference(
+            kind, [flat(g.data) for g in gts], [flat(p.data) for p in preds],
+            [w.weights.ravel(order="F") for w in maps], alpha=alpha, beta=beta,
+            smooth=smooth, ce_weight=ce_weight, clamp=clamp,
+            weight_tp_denominator=weight_tp_denominator)
+        assert float(value).hex() == got.value.hex()
+        vols = [got.gradient] if single else got.gradient
+        for v, g in zip(vols, grads):
+            want = g.reshape(v.shape.dims, order="F").astype(np.float32)
+            assert v.data.tobytes() == want.tobytes()
 
 
 _CASE = random_case(np.random.default_rng(22), dims=(4, 4, 4))

@@ -182,6 +182,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
 
+    def test_negative_corpus_count_rejected(self):
+        with pytest.raises(ValueError, match="corpus count must be >= 0"):
+            make_corpus(-1, 0)
+        assert make_corpus(0, 0) == ()
+
 
 class _OracleModel:
     """Duck-typed stand-in whose scores equal the ground truth."""
