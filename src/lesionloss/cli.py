@@ -77,7 +77,7 @@ _PARAMS = {
                               "TP sum (sensitivity study)"),
     "step": (float, 1e-4, None, "central-difference step"),
     "max_voxels": (int, None, None,
-                   "sample at most this many voxels per case; unset, all"),
+                   "sample at most this many voxels per case (>= 1); unset, all"),
     "sample_seed": (int, 0, None, "seed of the voxel sample"),
     "hd_percentile": (float, 100.0, None, "Hausdorff percentile"),
     "kappa_threshold": (float, 0.5, None, "score binarization point"),
@@ -469,15 +469,19 @@ def build_parser() -> _Parser:
     _add_params(p, "threshold", "connectivity")
     p.set_defaults(func=_cmd_eval)
 
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        parser.print_usage(sys.stderr)
+        # the usage of the subcommand named in argv, else the program's
+        named = parser.commands.get(argv[0]) if argv else None
+        (named or parser).print_usage(sys.stderr)
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help

@@ -24,11 +24,23 @@ negated ratio in roughly [-w_max, 0], unlike the "1 - ratio" form.  One
 core (_objective_core) evaluates any row for the public loss functions,
 evaluate_loss, grad_check and the trainer.
 
+A batch is laid out once, as a plan (_truth): the cases one after another
+in x-fastest order, the flat positions of the lesion voxels (the
+foreground index set) and the weights at those positions only; background
+weights are never read.  Predictions arrive as one flat float64 array in
+the same order.  Each lesion-voxel sum (TP, TP.W, FN.W) computes its
+terms at the foreground positions only and scatters them into a zero
+grid, so the reduction adds exactly the terms, zeros included, that a
+full-grid selection would; FP zeroes the lesion voxels of a copy of the
+predictions.
+
 Gradients are analytic (quotient rule over the three global sums); the
 grad_check harness cross-checks them against central finite differences.
-Every sum goes through reduction.batch_sum: a fixed-order pairwise tree
-within each case, then an exactly rounded sum across cases, so values
-are reproducible and case-order free.
+Every sum goes through reduction.batch_sum(values, sizes): a fixed-order
+pairwise tree within each case (one (k, n) tree pass per run of k
+consecutive cases of n voxels, bit-identical to k separate trees), then
+an exactly rounded sum across cases, so values are reproducible and
+case-order free.
 """
 
 from __future__ import annotations
@@ -157,24 +169,52 @@ def _as_list(x, kind):
     return items, False
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """A batch's ground truth, laid out once for every evaluation.
+
+    The cases sit one after another in x-fastest order (case i holds
+    sizes[i] voxels); idx holds the ascending flat positions of the lesion
+    voxels and w their weights (None when the objective is unweighted).
+    Background weights are never kept, so they cannot reach the loss.
+    """
+
+    sizes: tuple[int, ...]
+    idx: np.ndarray
+    w: np.ndarray | None
+
+    @property
+    def n(self) -> int:
+        return sum(self.sizes)
+
+
 def _truth(obj: Objective, gts, curve: WeightCurveParams | None,
-           connectivity: Connectivity, omega=None):
-    """Flat x-fastest boolean foreground of each ground-truth mask and, when
-    obj's ratio term is weighted, each flat weight map: omega's maps, else
-    maps built from the masks' lesion labelings (None when unweighted)."""
+           connectivity: Connectivity, omega=None) -> _Plan:
+    """The plan of ground-truth masks gts; when obj's ratio term is
+    weighted, its weights come from omega's maps, else from maps built
+    from the masks' lesion labelings."""
     fgs = [g.data.ravel(order="F") for g in gts]
+    sizes = tuple(fg.size for fg in fgs)
+    idx = np.flatnonzero(np.concatenate(fgs))
     if not obj.weighted:
-        return fgs, None
+        return _Plan(sizes, idx, None)
     if omega is None:
-        maps = [build_weight_map(label_components(g, connectivity), curve)
-                for g in gts]
+        maps = (build_weight_map(label_components(g, connectivity), curve)
+                for g in gts)
     else:
         maps, _ = _as_list(omega, WeightMap)
         if len(maps) != len(gts):
             raise ShapeMismatchError("batch lengths differ between gt and omega")
         for g, w in zip(gts, maps):
             require_same_shape(g, w)
-    return fgs, [w.weights.ravel(order="F") for w in maps]
+    w = np.concatenate([m.weights.ravel(order="F")[fg] for m, fg in zip(maps, fgs)])
+    return _Plan(sizes, idx, w)
+
+
+def _bounds(sizes):
+    """(start, stop) of each case in the flat layout."""
+    stops = np.cumsum(sizes).tolist()
+    return list(zip([0] + stops[:-1], stops))
 
 
 def _prepare(kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
@@ -188,86 +228,96 @@ def _prepare(kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
     for g, q in zip(gts, preds):
         require_same_shape(g, q)
         q.require_probability()
-    fgs, omegas = _truth(obj, gts, curve, connectivity, omega)
-    qs = [q.data.ravel(order="F").astype(np.float64) for q in preds]
-    return obj, fgs, qs, omegas, preds, single
+    plan = _truth(obj, gts, curve, connectivity, omega)
+    q = np.empty(plan.n)    # the predictions, flat float64, in plan order
+    for p, (start, stop) in zip(preds, _bounds(plan.sizes)):
+        q[start:stop].reshape(p.shape.dims, order="F")[...] = p.data
+    return obj, plan, q, preds, single
 
 
-def _wrap(value, grads, preds, single) -> LossReport:
-    if grads is None:
+def _wrap(value, grad, plan: _Plan, preds, single) -> LossReport:
+    if grad is None:
         return LossReport(float(value))
     vols = [
-        Volume(p.shape, g.reshape(p.shape.dims, order="F").astype(np.float32))
-        for p, g in zip(preds, grads)
+        Volume(p.shape, grad[start:stop].reshape(p.shape.dims, order="F")
+               .astype(np.float32))
+        for p, (start, stop) in zip(preds, _bounds(plan.sizes))
     ]
     return LossReport(float(value), vols[0] if single else vols)
 
 
 # ---------------------------------------------------------------------------
-# Array-level cores: boolean foregrounds and float64 predictions in, float64
-# out; also used by the trainer
+# Flat cores: a plan and flat float64 predictions q in, float64 out; also
+# used by the trainer
 # ---------------------------------------------------------------------------
 
-def _ce_core(fgs, qs, clamp: float, want_grad: bool):
-    n_total = sum(q.size for q in qs)
+def _ce_core(plan: _Plan, q, clamp: float, want_grad: bool):
+    n, idx = q.size, plan.idx
     lo, hi = clamp, 1.0 - clamp
-    # the clamped probability of each voxel's true class
-    ts = [np.clip(np.where(fg, q, 1.0 - q), lo, hi) for fg, q in zip(fgs, qs)]
-    value = batch_sum(-np.log(t) for t in ts) / n_total
+    t = 1.0 - q             # the clamped probability of each voxel's true class
+    t[idx] = q[idx]
+    np.clip(t, lo, hi, out=t)
+    # -log commutes exactly with the tree and the exact case sum
+    value = -batch_sum(np.log(t), plan.sizes) / n
     if not want_grad:
         return value, None
-    grads = []
-    for fg, q, t in zip(fgs, qs, ts):
-        inside = (q >= lo) & (q <= hi)      # the clamp is flat outside
-        grads.append(np.where(fg, -1.0, 1.0) / t * inside / n_total)
-    return value, grads
+    inside = (q >= lo) & (q <= hi)          # the clamp is flat outside
+    np.divide(1.0, t, out=t)
+    t[idx] = -t[idx]
+    t *= inside
+    t /= n
+    return value, t
 
 
-def _ratio_core(fgs, qs, omegas, params: TverskyParams, want_grad: bool,
+def _ratio_core(plan: _Plan, q, params: TverskyParams, want_grad: bool,
                 weight_tp_denominator: bool):
     """Tversky ratio over global sums.
 
-    omegas None means unit weights and the "1 - ratio" form; the
+    An unweighted plan means unit weights and the "1 - ratio" form; the
     denominator TP sum then equals the numerator one and is not summed
-    again.  With weight maps the value is the negated WLT ratio.
+    again.  With weights the value is the negated WLT ratio.
     """
     a, b, s = params.alpha, params.beta, params.smooth
-    ws = omegas if omegas is not None else [1.0] * len(fgs)
-    cases = list(zip(fgs, qs, ws))
-    tp_w = batch_sum(np.where(fg, q * w, 0.0) for fg, q, w in cases)
-    fp = batch_sum(np.where(fg, 0.0, q) for fg, q, _ in cases)
-    fn_w = batch_sum(np.where(fg, (1.0 - q) * w, 0.0) for fg, q, w in cases)
-    plain_tp_den = omegas is not None and not weight_tp_denominator
-    tp_den = (batch_sum(np.where(fg, q, 0.0) for fg, q, _ in cases)
-              if plain_tp_den else tp_w)
+    idx, w, sizes = plan.idx, plan.w, plan.sizes
+    q_fg = q[idx]
+    buf = np.zeros(q.size)
+
+    def fg_sum(terms):
+        # lesion-voxel terms at their places in a zero grid: the tree adds
+        # the same zeros as a full-grid selection would
+        buf[idx] = terms
+        return batch_sum(buf, sizes)
+
+    plain_tp_den = w is not None and not weight_tp_denominator
+    tp_w = fg_sum(q_fg if w is None else q_fg * w)
+    fn_w = fg_sum(1.0 - q_fg if w is None else (1.0 - q_fg) * w)
+    tp_den = fg_sum(q_fg) if plain_tp_den else tp_w
+    np.copyto(buf, q)
+    buf[idx] = 0.0
+    fp = batch_sum(buf, sizes)
     num = s + tp_w
     den = s + tp_den + a * fp + b * fn_w
     ratio = num / den
-    value = 1.0 - ratio if omegas is None else -ratio
+    value = 1.0 - ratio if w is None else -ratio
     if not want_grad:
         return value, None
     # a background voxel moves FP only (d num = 0, d den = a; "0.0 +" keeps
     # alpha = -0.0 from signing the zero gradient); a lesion voxel of
     # weight w moves TP.W, the denominator TP sum and FN.W
-    bg = num * (0.0 + a) / (den * den)
-    grads = []
-    for fg, _q, w in cases:
-        dden = (1.0 if plain_tp_den else w) - b * w
-        grads.append(np.where(fg, (num * dden - w * den) / (den * den), bg))
-    return value, grads
+    w = 1.0 if w is None else w
+    dden = (1.0 if plain_tp_den else w) - b * w
+    buf.fill(num * (0.0 + a) / (den * den))
+    buf[idx] = (num * dden - w * den) / (den * den)
+    return value, buf
 
 
-def _objective_core(obj: Objective, fgs, qs, omegas, want_grad: bool):
-    """Value (and per-case gradients) of obj over boolean foregrounds fgs
-    and float64 predictions qs.
-
-    omegas holds the flat weight maps when obj's ratio term is weighted.
-    """
-    ce = _ce_core(fgs, qs, obj.clamp, want_grad) if obj.ce else None
+def _objective_core(obj: Objective, plan: _Plan, q, want_grad: bool):
+    """Value (and flat gradient) of obj over a plan and flat float64
+    predictions q."""
+    ce = _ce_core(plan, q, obj.clamp, want_grad) if obj.ce else None
     if obj.ratio is None:
         return ce
-    ratio = _ratio_core(fgs, qs, omegas if obj.weighted else None, obj.tversky,
-                        want_grad, obj.weight_tp_denominator)
+    ratio = _ratio_core(plan, q, obj.tversky, want_grad, obj.weight_tp_denominator)
     if ce is None:
         return ratio
     lam = obj.ce_weight
@@ -275,7 +325,10 @@ def _objective_core(obj: Objective, fgs, qs, omegas, want_grad: bool):
     value = lam * ce_v + (1.0 - lam) * r_v
     if not want_grad:
         return value, None
-    return value, [lam * g1 + (1.0 - lam) * g2 for g1, g2 in zip(ce_g, r_g)]
+    ce_g *= lam
+    r_g *= 1.0 - lam
+    ce_g += r_g
+    return value, ce_g
 
 
 # ---------------------------------------------------------------------------
@@ -343,11 +396,11 @@ def evaluate_loss(kind: str, gt, pred, *, tversky: TverskyParams | None = None,
     For wlt and combined the weight map is built from the ground-truth
     labeling unless one is passed explicitly.
     """
-    obj, fgs, qs, omegas, preds, single = _prepare(
+    obj, plan, q, preds, single = _prepare(
         kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
         weight_tp_denominator, omega)
-    value, grads = _objective_core(obj, fgs, qs, omegas, want_grad)
-    return _wrap(value, grads, preds, single)
+    value, grad = _objective_core(obj, plan, q, want_grad)
+    return _wrap(value, grad, plan, preds, single)
 
 
 def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
@@ -361,26 +414,30 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
 
     Error per voxel is |analytic - fd| / max(1, |analytic|).  Predictions
     must sit far enough inside (0, 1) for the +/- step to stay valid.
+    max_voxels (at least 1) caps the voxels checked per case, drawn with
+    seed; None checks every voxel.
     """
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"degenerate step: {step}")
-    obj, fgs, qs, omegas, _preds, _single = _prepare(
+    if max_voxels is not None and max_voxels < 1:
+        raise ValueError(f"max_voxels must be >= 1, got {max_voxels}")
+    obj, plan, q, _preds, _single = _prepare(
         kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
         weight_tp_denominator)
-    _, grads = _objective_core(obj, fgs, qs, omegas, True)
+    _, grad = _objective_core(obj, plan, q, True)
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for q, grad in zip(qs, grads):
-        idx = np.arange(q.size)
-        if max_voxels is not None and q.size > max_voxels:
-            idx = np.sort(rng.choice(q.size, size=max_voxels, replace=False))
-        for j in idx:
-            q0 = q[j]       # qs is this call's own copy: perturb in place
+    for start, stop in _bounds(plan.sizes):
+        js = np.arange(stop - start)
+        if max_voxels is not None and js.size > max_voxels:
+            js = np.sort(rng.choice(js.size, size=max_voxels, replace=False))
+        for j in start + js:
+            q0 = q[j]       # q is this call's own copy: perturb in place
             q[j] = q0 + step
-            up = _objective_core(obj, fgs, qs, omegas, False)[0]
+            up = _objective_core(obj, plan, q, False)[0]
             q[j] = q0 - step
-            down = _objective_core(obj, fgs, qs, omegas, False)[0]
+            down = _objective_core(obj, plan, q, False)[0]
             q[j] = q0
             fd = (up - down) / (2.0 * step)
             a = grad[j]

@@ -138,6 +138,24 @@ def _coords_to_mask(dims, coords) -> np.ndarray:
     return m
 
 
+def _halo(dims, coords) -> np.ndarray:
+    """The voxels at coords dilated by the 26-neighborhood, as a grid mask.
+
+    The dilation runs on the coordinates' bounding box grown by one voxel
+    and clipped to the grid; it is empty outside that box, and the grid's
+    own faces bound it as before, so the result equals the full-grid
+    dilation.
+    """
+    out = np.zeros(dims, dtype=bool)
+    if len(coords) == 0:
+        return out
+    lo = np.maximum(coords.min(axis=0) - 1, 0)
+    hi = np.minimum(coords.max(axis=0) + 2, dims)
+    box = tuple(slice(a, b) for a, b in zip(lo, hi))
+    out[box] = ndimage.binary_dilation(_coords_to_mask(hi - lo, coords - lo), _HALO)
+    return out
+
+
 def _pick_seeds(rng, support, k):
     for _ in range(_SEED_PICK_TRIES):
         perm = rng.permutation(len(support))
@@ -219,8 +237,7 @@ def _grow_fragments(rng, dims, support, radii, blocked, k):
             return None
         fragments.append(blob)
         # keep later fragments from touching this one, even diagonally
-        halo = ndimage.binary_dilation(_coords_to_mask(dims, blob), _HALO)
-        allowed &= ~halo
+        allowed &= ~_halo(dims, blob)
     return tuple(_freeze(f) for f in fragments)
 
 
@@ -272,9 +289,8 @@ def generate(spec: PhantomSpec) -> Phantom:
                 fragments,
             )
             occupied = geom.support_voxels(dims)
-            occ_mask = _coords_to_mask(dims, occupied)
-            truth |= occ_mask
-            blocked |= ndimage.binary_dilation(occ_mask, _HALO)
+            truth |= _coords_to_mask(dims, occupied)
+            blocked |= _halo(dims, occupied)
             lesions.append(geom)
             placed = True
             break

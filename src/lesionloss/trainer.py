@@ -22,6 +22,7 @@ from .loss import (
     TRAIN_LOSS_KINDS,
     Objective,
     TverskyParams,
+    _bounds,
     _objective_core,
     _truth,
     objective,
@@ -101,25 +102,35 @@ class TrainConfig:
 
 
 def _prepare_batch(cfg: TrainConfig, phantoms):
-    feats = [extract_features(ph.image) for ph in phantoms]
-    fgs, omegas = _truth(cfg.objective(), [ph.truth for ph in phantoms],
-                         cfg.curve, cfg.connectivity)
-    return feats, fgs, omegas
+    """The batch's stacked features (5 x voxels, cases in plan order) and
+    its ground-truth plan."""
+    plan = _truth(cfg.objective(), [ph.truth for ph in phantoms],
+                  cfg.curve, cfg.connectivity)
+    X = np.empty((len(FEATURE_NAMES), plan.n))
+    for ph, (start, stop) in zip(phantoms, _bounds(plan.sizes)):
+        X[:, start:stop] = extract_features(ph.image).T
+    return X, plan
 
 
 def _batch_eval(cfg: TrainConfig, prep, theta, want_grad):
-    feats, fgs, omegas = prep
-    qs = [expit(X @ theta) for X in feats]
-    value, grads = _objective_core(cfg.objective(), fgs, qs, omegas, want_grad)
+    X, plan = prep
+    # one matmul per case: each voxel's score then depends on its own case
+    # only, never on where the case sits in the batch
+    cases = _bounds(plan.sizes)
+    z = np.empty(plan.n)
+    for start, stop in cases:
+        np.matmul(theta, X[:, start:stop], out=z[start:stop])
+    q = expit(z, out=z)
+    value, g = _objective_core(cfg.objective(), plan, q, want_grad)
     if not want_grad:
         return value, None
-    # chain rule through the logistic unit, then an order-free case sum
-    contribs = [
-        X.T @ (g * q * (1.0 - q))
-        for X, q, g in zip(feats, qs, grads)
-    ]
+    # chain rule through the logistic unit, g * q * (1 - q) in place, then
+    # per-case partials and an order-free case sum
+    g *= q
+    g *= np.subtract(1.0, q, out=q)
+    partials = [X[:, start:stop] @ g[start:stop] for start, stop in cases]
     gtheta = np.array(
-        [exact_sum(c[j] for c in contribs) for j in range(len(FEATURE_NAMES))]
+        [exact_sum(c[j] for c in partials) for j in range(len(FEATURE_NAMES))]
     )
     return value, gtheta
 

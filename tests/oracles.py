@@ -61,6 +61,18 @@ def flood_fill_labels(data: np.ndarray, connectivity: Connectivity) -> np.ndarra
     return labels
 
 
+def halo_reference(dims, coords) -> np.ndarray:
+    """Reference 26-neighborhood dilation over the whole grid: every voxel
+    of coords marks itself and each in-grid neighbour."""
+    out = np.zeros(dims, dtype=bool)
+    for x, y, z in coords:
+        for dx, dy, dz in OFFSETS[Connectivity.TWENTY_SIX] + [(0, 0, 0)]:
+            nx, ny, nz = x + dx, y + dy, z + dz
+            if 0 <= nx < dims[0] and 0 <= ny < dims[1] and 0 <= nz < dims[2]:
+                out[nx, ny, nz] = True
+    return out
+
+
 def omega_reference(v, w_max=10.0, w_min=1.0, vrange=350.0, k=7.0,
                     a_shift=math.sqrt(math.exp(7.0))):
     """Direct evaluation of the lesion weight curve."""

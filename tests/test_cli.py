@@ -95,6 +95,27 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "unrecognized arguments: --e 3" in err
 
+    @pytest.mark.parametrize("argv,usage", [
+        (["train", "--e", "3"], "usage: lesionloss train [-h]"),
+        (["loss", "--bogus"], "usage: lesionloss loss [-h]"),
+        (["frobnicate"], "usage: lesionloss [-h] command"),
+        ([], "usage: lesionloss [-h] command"),
+    ])
+    def test_usage_error_prints_the_named_subcommand_usage(self, capsys, argv,
+                                                           usage):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(usage)
+
+    @pytest.mark.parametrize("max_voxels", ["0", "-1"])
+    def test_gradcheck_empty_sample_is_data_error(self, capsys, tmp_path,
+                                                  max_voxels):
+        gt, pred = write_worked_example(tmp_path)
+        code, out, err = run(capsys, "gradcheck", "--kind", "ce", "--gt", str(gt),
+                             "--pred", str(pred), "--max-voxels", max_voxels)
+        assert code == 2 and out == ""
+        assert "max_voxels must be >= 1" in err
+
     def test_train_has_no_tp_denominator_switch(self, capsys, tmp_path):
         small = ["train", "--epochs", "1", "--train-count", "2",
                  "--dims", "10 10 10", "--small-radius", "1.2 1.5",

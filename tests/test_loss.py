@@ -310,6 +310,14 @@ class TestGradients:
         with pytest.raises(ValueError, match="degenerate step"):
             grad_check("tversky", gt, pred, step=0.0)
 
+    @pytest.mark.parametrize("max_voxels", [0, -1])
+    def test_sample_must_hold_a_voxel(self, max_voxels):
+        rng = np.random.default_rng(18)
+        gt, pred = random_case(rng)
+        # a wrong step would fail the check; an empty sample must not pass it
+        with pytest.raises(ValueError, match="max_voxels must be >= 1"):
+            grad_check("ce", gt, pred, step=0.4, max_voxels=max_voxels)
+
     def test_voxel_sampling_is_deterministic(self):
         rng = np.random.default_rng(17)
         gt, pred = random_case(rng, dims=(8, 8, 8))
@@ -420,13 +428,18 @@ _EDGE_PREDS = np.array([0.0, -0.0, 1.0, 0.5, CE_CLAMP_DEFAULT, 1.0 - CE_CLAMP_DE
 
 
 @st.composite
-def _batches(draw):
+def _batches(draw, runs=False):
     """1-3 cases of random dims; truth random, empty or full; predictions
-    uniform, on the edge values, or a mix of both."""
+    uniform, on the edge values, or a mix of both.  With runs, 2-6 cases
+    whose dims repeat from a pool of one or two, so runs of equal-size
+    cases go through the reductions together."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     gts, preds = [], []
-    for _ in range(draw(st.integers(1, 3))):
-        dims = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    pool = [tuple(draw(st.integers(1, 5)) for _ in range(3))
+            for _ in range(draw(st.integers(1, 2)))] if runs else None
+    for _ in range(draw(st.integers(2, 6) if runs else st.integers(1, 3))):
+        dims = (draw(st.sampled_from(pool)) if runs
+                else tuple(draw(st.integers(1, 5)) for _ in range(3)))
         truth = draw(st.sampled_from(["random", "empty", "full"]))
         fg = {"random": rng.random(dims) < draw(st.floats(0.0, 1.0)),
               "empty": np.zeros(dims, bool),
@@ -487,6 +500,27 @@ class TestFloatProductOracle:
         assert float(value).hex() == got.value.hex()
         vols = [got.gradient] if single else got.gradient
         for v, g in zip(vols, grads):
+            want = g.reshape(v.shape.dims, order="F").astype(np.float32)
+            assert v.data.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @given(batch=_batches(runs=True), weight_tp_denominator=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_equal_size_runs_bytes(self, kind, batch, weight_tp_denominator):
+        gts, preds = batch
+        params = TverskyParams(0.3, 1.0, 1e-6)
+        got = evaluate_loss(kind, gts, preds, tversky=params, want_grad=True,
+                            weight_tp_denominator=weight_tp_denominator)
+        value, grads = loss_reference(
+            kind, [g.data.ravel(order="F").astype(np.float64) for g in gts],
+            [p.data.ravel(order="F").astype(np.float64) for p in preds],
+            [build_weight_map(label_components(g)).weights.ravel(order="F")
+             for g in gts],
+            alpha=0.3, beta=1.0, smooth=1e-6, ce_weight=0.5,
+            clamp=CE_CLAMP_DEFAULT, weight_tp_denominator=weight_tp_denominator)
+        assert float(value).hex() == got.value.hex()
+        for v, g in zip(got.gradient, grads):
             want = g.reshape(v.shape.dims, order="F").astype(np.float32)
             assert v.data.tobytes() == want.tobytes()
 

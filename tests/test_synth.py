@@ -8,6 +8,7 @@ from lesionloss.synth import (
     LesionGeometry,
     PhantomSpec,
     _ellipsoid_voxels,
+    _halo,
     generate,
     read_phantom_sidecar,
     regenerate_phantom,
@@ -15,6 +16,8 @@ from lesionloss.synth import (
     shrink,
 )
 from lesionloss.volume import GridShape, load_mask, load_volume
+
+from oracles import halo_reference
 
 
 def spec(dims=(24, 24, 24), n=2, radius=(3.0, 3.0), seed=42, **kw):
@@ -147,6 +150,31 @@ class TestFragmentation:
             len(g.support_voxels(ph.spec.shape.dims)) for g in ph.lesions
         )
         assert ph.truth.foreground_count == total
+
+
+class TestHalo:
+    """The cropped dilation against the whole-grid one."""
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 1), (9, 7, 5), (20, 17, 9)])
+    def test_matches_full_grid_dilation(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        top = np.array(dims) - 1
+        # single voxels at every corner, edge midpoint, face centre and the
+        # middle of the grid, then random blobs that may touch any face
+        anchors = [np.array([(0, t // 2, t)[c] for c, t in zip(code, top)])
+                   for code in np.ndindex(3, 3, 3)]
+        blobs = [a.reshape(1, 3) for a in anchors]
+        for _ in range(40):
+            lo = rng.integers(0, np.array(dims))
+            hi = np.minimum(lo + rng.integers(1, 5, 3), dims)
+            box = np.argwhere(rng.random(hi - lo) < 0.5) + lo
+            blobs.append(box if len(box) else lo.reshape(1, 3))
+        for coords in blobs:
+            assert np.array_equal(_halo(dims, coords), halo_reference(dims, coords))
+
+    def test_empty_coordinates(self):
+        out = _halo((4, 5, 6), np.empty((0, 3), np.int64))
+        assert out.shape == (4, 5, 6) and not out.any()
 
 
 class TestShrink:
