@@ -6,8 +6,9 @@ printed with 6 significant digits.  Every parameter is one row of
 parser, default, choices and help text come from that row alone, and
 ``--help`` shows each default.  A --config file (flat key=value lines,
 # comments allowed) supplies parameter values; explicit flags win.
---threads is validated (>= 1) and has no effect while the engine computes
-serially, so results never depend on it.
+--threads (>= 1) is the number of threads ``train`` splits each epoch
+over, as contiguous case shards; results never depend on it.  The other
+subcommands validate the flag and ignore it.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ _CONNECTIVITY = {
 # derives the value, or requires it.
 _PARAMS = {
     "threads": (int, 1, None,
-                "validated (>= 1); no effect while the engine runs serially"),
+                "train: threads sharing each epoch (results do not depend on "
+                "it); other subcommands ignore it"),
     "connectivity": (int, 26, tuple(_CONNECTIVITY), "lesion adjacency"),
     "w_max": (float, 10.0, None, "weight-curve maximum"),
     "w_min": (float, 1.0, None, "weight-curve minimum"),
@@ -341,6 +343,7 @@ def _cmd_train(args) -> int:
         train_specs=_corpus(args, args.train_count, args.corpus_seed),
         clamp=args.clamp,
         connectivity=_CONNECTIVITY[args.connectivity],
+        threads=args.threads,
     )
     model, curve = trainer.train(cfg)
     print(f"epochs={cfg.epochs}")
@@ -473,17 +476,21 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _usage_error(parser, argv, exc) -> int:
+    # the usage of the subcommand named in argv, else the program's
+    named = parser.commands.get(argv[0]) if argv else None
+    (named or parser).print_usage(sys.stderr)
+    print(f"{PROG}: error: {exc}", file=sys.stderr)
+    return 1
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        # the usage of the subcommand named in argv, else the program's
-        named = parser.commands.get(argv[0]) if argv else None
-        (named or parser).print_usage(sys.stderr)
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
+        return _usage_error(parser, argv, exc)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
@@ -492,8 +499,7 @@ def main(argv=None) -> int:
             raise ValueError("--threads must be >= 1")
         return args.func(args)
     except _UsageError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
+        return _usage_error(parser, argv, exc)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2

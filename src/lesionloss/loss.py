@@ -21,7 +21,7 @@ carry the per-voxel weight map while the denominator TP sum stays
 unweighted; that asymmetry is deliberate and preserved as published (a
 keyword flag weights both for sensitivity studies).  WLT's value is a
 negated ratio in roughly [-w_max, 0], unlike the "1 - ratio" form.  One
-core (_objective_core) evaluates any row for the public loss functions,
+set of phase functions evaluates any row for the public loss functions,
 evaluate_loss, grad_check and the trainer.
 
 A batch is laid out once, as a plan (_truth): the cases one after another
@@ -36,11 +36,22 @@ predictions.
 
 Gradients are analytic (quotient rule over the three global sums); the
 grad_check harness cross-checks them against central finite differences.
-Every sum goes through reduction.batch_sum(values, sizes): a fixed-order
-pairwise tree within each case (one (k, n) tree pass per run of k
-consecutive cases of n voxels, bit-identical to k separate trees), then
-an exactly rounded sum across cases, so values are reproducible and
-case-order free.
+
+An evaluation runs in two phases over contiguous case shards, each a plan
+of its own (_Plan.shard):
+
+    phase 1 (_case_sums)   each shard's per-case sums of every term
+    value (_totals)        the global sums, exact_sum over all case sums
+    phase 2 (_gradient)    each shard's gradient from the global sums
+
+Each case sum is the fixed-order pairwise tree of reduction.case_sums
+over that case alone (one (k, n) tree pass per run of k consecutive cases
+of n voxels, bit-identical to k separate trees), and the exactly rounded
+sum across cases is order-free, so values are reproducible, case-order
+free and the same for any split into shards.  The loss API and grad_check
+run the whole batch as one shard (_objective_core); the trainer runs one
+shard per thread.  The caller allocates each shard's buffers (_scratch)
+and the phases write into them.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import Connectivity, DEFAULT_CONNECTIVITY, label_components
-from .reduction import batch_sum
+from .reduction import case_sums, exact_sum
 from .volume import Mask, ShapeMismatchError, Volume, require_same_shape
 from .weighting import WeightCurveParams, WeightMap, build_weight_map
 
@@ -187,26 +198,34 @@ class _Plan:
     def n(self) -> int:
         return sum(self.sizes)
 
+    def shard(self, first: int, stop: int) -> _Plan:
+        """The plan of cases first..stop-1 alone, positions made local."""
+        lo, hi = sum(self.sizes[:first]), sum(self.sizes[:stop])
+        a, b = np.searchsorted(self.idx, (lo, hi))
+        return _Plan(self.sizes[first:stop], self.idx[a:b] - lo,
+                     None if self.w is None else self.w[a:b])
+
 
 def _truth(obj: Objective, gts, curve: WeightCurveParams | None,
            connectivity: Connectivity, omega=None) -> _Plan:
     """The plan of ground-truth masks gts; when obj's ratio term is
     weighted, its weights come from omega's maps, else from maps built
-    from the masks' lesion labelings."""
+    from the masks' lesion labelings.  Given omega must match gts in batch
+    length and shapes for every kind, used or not."""
     fgs = [g.data.ravel(order="F") for g in gts]
     sizes = tuple(fg.size for fg in fgs)
     idx = np.flatnonzero(np.concatenate(fgs))
-    if not obj.weighted:
-        return _Plan(sizes, idx, None)
-    if omega is None:
-        maps = (build_weight_map(label_components(g, connectivity), curve)
-                for g in gts)
-    else:
+    if omega is not None:
         maps, _ = _as_list(omega, WeightMap)
         if len(maps) != len(gts):
             raise ShapeMismatchError("batch lengths differ between gt and omega")
         for g, w in zip(gts, maps):
             require_same_shape(g, w)
+    if not obj.weighted:
+        return _Plan(sizes, idx, None)
+    if omega is None:
+        maps = (build_weight_map(label_components(g, connectivity), curve)
+                for g in gts)
     w = np.concatenate([m.weights.ravel(order="F")[fg] for m, fg in zip(maps, fgs)])
     return _Plan(sizes, idx, w)
 
@@ -247,88 +266,132 @@ def _wrap(value, grad, plan: _Plan, preds, single) -> LossReport:
 
 
 # ---------------------------------------------------------------------------
-# Flat cores: a plan and flat float64 predictions q in, float64 out; also
-# used by the trainer
+# The objective in two phases over contiguous case shards, each a _Plan of
+# its own; flat float64 predictions q in, float64 out
 # ---------------------------------------------------------------------------
 
-def _ce_core(plan: _Plan, q, clamp: float, want_grad: bool):
-    n, idx = q.size, plan.idx
-    lo, hi = clamp, 1.0 - clamp
-    t = 1.0 - q             # the clamped probability of each voxel's true class
-    t[idx] = q[idx]
-    np.clip(t, lo, hi, out=t)
-    # -log commutes exactly with the tree and the exact case sum
-    value = -batch_sum(np.log(t), plan.sizes) / n
-    if not want_grad:
-        return value, None
-    inside = (q >= lo) & (q <= hi)          # the clamp is flat outside
-    np.divide(1.0, t, out=t)
-    t[idx] = -t[idx]
-    t *= inside
-    t /= n
-    return value, t
+def _scratch(obj: Objective, n: int):
+    """The buffers of a shard of n voxels: the CE true-class probabilities
+    and the ratio scratch (None where obj has no such term)."""
+    return (np.empty(n) if obj.ce else None,
+            np.empty(n) if obj.ratio is not None else None)
 
 
-def _ratio_core(plan: _Plan, q, params: TverskyParams, want_grad: bool,
-                weight_tp_denominator: bool):
-    """Tversky ratio over global sums.
+def _plain_tp_den(obj: Objective) -> bool:
+    return obj.weighted and not obj.weight_tp_denominator
 
-    An unweighted plan means unit weights and the "1 - ratio" form; the
-    denominator TP sum then equals the numerator one and is not summed
-    again.  With weights the value is the negated WLT ratio.
+
+def _case_sums(obj: Objective, plan: _Plan, q, t, r) -> dict[str, list[float]]:
+    """Phase 1: the per-case sums of each term of obj over plan's cases.
+
+    "ce" sums the log true-class probabilities, clamped, which stay in t
+    for phase 2.  The ratio terms ("tp_w", "fn_w", "tp" for an unweighted
+    denominator TP sum, "fp") use r as scratch: each lesion-voxel sum
+    places its terms in a zero grid, so the tree adds the same zeros as a
+    full-grid selection would.  With r given, the CE logs go to r too, so
+    the only shard-sized arrays allocated here are the tree's levels.
     """
-    a, b, s = params.alpha, params.beta, params.smooth
-    idx, w, sizes = plan.idx, plan.w, plan.sizes
+    idx, sizes = plan.idx, plan.sizes
+    sums = {}
+    if obj.ce:
+        np.subtract(1.0, q, out=t)
+        t[idx] = q[idx]
+        np.clip(t, obj.clamp, 1.0 - obj.clamp, out=t)
+        sums["ce"] = case_sums(np.log(t, out=r), sizes)
+    if obj.ratio is None:
+        return sums
+    w = plan.w
     q_fg = q[idx]
-    buf = np.zeros(q.size)
+    r.fill(0.0)
 
-    def fg_sum(terms):
-        # lesion-voxel terms at their places in a zero grid: the tree adds
-        # the same zeros as a full-grid selection would
-        buf[idx] = terms
-        return batch_sum(buf, sizes)
+    def fg_sums(terms):
+        r[idx] = terms
+        return case_sums(r, sizes)
 
-    plain_tp_den = w is not None and not weight_tp_denominator
-    tp_w = fg_sum(q_fg if w is None else q_fg * w)
-    fn_w = fg_sum(1.0 - q_fg if w is None else (1.0 - q_fg) * w)
-    tp_den = fg_sum(q_fg) if plain_tp_den else tp_w
-    np.copyto(buf, q)
-    buf[idx] = 0.0
-    fp = batch_sum(buf, sizes)
-    num = s + tp_w
-    den = s + tp_den + a * fp + b * fn_w
+    sums["tp_w"] = fg_sums(q_fg if w is None else q_fg * w)
+    sums["fn_w"] = fg_sums(1.0 - q_fg if w is None else (1.0 - q_fg) * w)
+    if _plain_tp_den(obj):
+        sums["tp"] = fg_sums(q_fg)
+    np.copyto(r, q)
+    r[idx] = 0.0
+    sums["fp"] = case_sums(r, sizes)
+    return sums
+
+
+@dataclass(frozen=True)
+class _Totals:
+    """A batch's value with what phase 2 needs of its global sums: the
+    voxel count n (the CE mean's divisor) and the ratio's numerator and
+    denominator (None without a ratio term)."""
+
+    value: float
+    n: int
+    num: float | None
+    den: float | None
+
+
+def _totals(obj: Objective, parts, n: int) -> _Totals:
+    """The value of obj from the case sums of every shard of a batch of n
+    voxels.  exact_sum is order-free, so the shards' split and order never
+    change a bit."""
+    total = {key: exact_sum(c for part in parts for c in part[key])
+             for key in parts[0]}
+    # -log commutes exactly with the tree and the exact case sum
+    ce = -total["ce"] / n if obj.ce else None
+    if obj.ratio is None:
+        return _Totals(ce, n, None, None)
+    # Tversky over global sums: unit weights give the "1 - ratio" form,
+    # whose denominator TP sum is the numerator one; WLT is the -ratio
+    a, b, s = obj.tversky.alpha, obj.tversky.beta, obj.tversky.smooth
+    num = s + total["tp_w"]
+    den = s + total.get("tp", total["tp_w"]) + a * total["fp"] + b * total["fn_w"]
     ratio = num / den
-    value = 1.0 - ratio if w is None else -ratio
-    if not want_grad:
-        return value, None
+    value = -ratio if obj.weighted else 1.0 - ratio
+    if ce is not None:
+        lam = obj.ce_weight
+        value = lam * ce + (1.0 - lam) * value
+    return _Totals(value, n, num, den)
+
+
+def _gradient(obj: Objective, plan: _Plan, q, totals: _Totals, t, r):
+    """Phase 2: the gradient over plan's voxels from the batch's global
+    sums, written into t (r when obj has no CE term) and returned."""
+    idx = plan.idx
+    if obj.ce:
+        # the clamp is flat outside [clamp, 1 - clamp]
+        inside = (q >= obj.clamp) & (q <= 1.0 - obj.clamp)
+        np.divide(1.0, t, out=t)
+        t[idx] = -t[idx]
+        t *= inside
+        t /= totals.n
+    if obj.ratio is None:
+        return t
     # a background voxel moves FP only (d num = 0, d den = a; "0.0 +" keeps
     # alpha = -0.0 from signing the zero gradient); a lesion voxel of
     # weight w moves TP.W, the denominator TP sum and FN.W
-    w = 1.0 if w is None else w
-    dden = (1.0 if plain_tp_den else w) - b * w
-    buf.fill(num * (0.0 + a) / (den * den))
-    buf[idx] = (num * dden - w * den) / (den * den)
-    return value, buf
+    a, b = obj.tversky.alpha, obj.tversky.beta
+    num, den = totals.num, totals.den
+    w = 1.0 if plan.w is None else plan.w
+    dden = (1.0 if _plain_tp_den(obj) else w) - b * w
+    r.fill(num * (0.0 + a) / (den * den))
+    r[idx] = (num * dden - w * den) / (den * den)
+    if not obj.ce:
+        return r
+    lam = obj.ce_weight
+    t *= lam
+    r *= 1.0 - lam
+    t += r
+    return t
 
 
 def _objective_core(obj: Objective, plan: _Plan, q, want_grad: bool):
     """Value (and flat gradient) of obj over a plan and flat float64
-    predictions q."""
-    ce = _ce_core(plan, q, obj.clamp, want_grad) if obj.ce else None
-    if obj.ratio is None:
-        return ce
-    ratio = _ratio_core(plan, q, obj.tversky, want_grad, obj.weight_tp_denominator)
-    if ce is None:
-        return ratio
-    lam = obj.ce_weight
-    (ce_v, ce_g), (r_v, r_g) = ce, ratio
-    value = lam * ce_v + (1.0 - lam) * r_v
+    predictions q, the whole batch as one shard."""
+    t, r = _scratch(obj, plan.n)
+    totals = _totals(obj, [_case_sums(obj, plan, q, t, r)], plan.n)
     if not want_grad:
-        return value, None
-    ce_g *= lam
-    r_g *= 1.0 - lam
-    ce_g += r_g
-    return value, ce_g
+        return totals.value, None
+    return totals.value, _gradient(obj, plan, q, totals, t, r)
 
 
 # ---------------------------------------------------------------------------

@@ -33,15 +33,14 @@ def exact_sum(values) -> float:
     return math.fsum(float(x) for x in values)
 
 
-def batch_sum(values, sizes) -> float:
-    """The loss reduction over a batch laid out case after case in one flat
-    array (case i holds sizes[i] values): each case summed by the pairwise
-    tree of pairwise_sum, then the case sums combined by exact_sum.
+def case_sums(values, sizes) -> list[float]:
+    """The per-case sums of a batch laid out case after case in one flat
+    array (case i holds sizes[i] values), each by the pairwise tree of
+    pairwise_sum.
 
     Each run of consecutive equal-size cases goes through the tree as one
-    (k, n) block, which adds the same pairs as k separate trees, so the
-    result is bit-identical to summing case by case: reproducible and
-    independent of case order.
+    (k, n) block, which adds the same pairs as k separate trees, so every
+    case sum is bit-identical to pairwise_sum of that case alone.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size != sum(sizes):
@@ -50,6 +49,13 @@ def batch_sum(values, sizes) -> float:
     start = 0
     for n, run in itertools.groupby(sizes):
         k = len(list(run))
-        sums.extend(_tree_rows(v[start:start + k * n].reshape(k, n)))
+        sums.extend(_tree_rows(v[start:start + k * n].reshape(k, n)).tolist())
         start += k * n
-    return exact_sum(sums)
+    return sums
+
+
+def batch_sum(values, sizes) -> float:
+    """The loss reduction over a batch: the case sums combined by
+    exact_sum, so the result is reproducible and independent of case order
+    and of how the cases are split into contiguous shards."""
+    return exact_sum(case_sums(values, sizes))

@@ -6,10 +6,25 @@ The scorer maps five fixed per-voxel features (raw intensity, 3^3 mean,
 batch gradient descent composes the loss gradients with the logistic
 Jacobian; runs are deterministic for a fixed seed and invariant to the
 order of the training phantoms.
+
+Each epoch splits the batch into min(threads, cases) contiguous case
+shards of about equal voxel count, run in the loss engine's two phases:
+phase 1 scores each shard (one matmul per case, then expit) and reduces it
+to per-case loss sums; the value comes from the global sums; phase 2 turns
+the global sums into each shard's loss gradient, applies the chain rule
+and forms the per-case X @ g partials, which an exact sum combines.  The
+calling thread runs shard 0 and a pool opened for the run takes the rest.
+The calling thread also allocates every shard's buffers (scores, CE
+true-class probabilities, ratio scratch) each epoch and the workers write
+into them, because arrays a worker allocates stay in its own malloc arena
+and raise peak memory.  No sum crosses a case before the exact sum, so the
+trained weights and curve are bit-identical for every thread count.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +37,12 @@ from .loss import (
     TRAIN_LOSS_KINDS,
     Objective,
     TverskyParams,
+    _Plan,
     _bounds,
-    _objective_core,
+    _case_sums,
+    _gradient,
+    _scratch,
+    _totals,
     _truth,
     objective,
 )
@@ -88,6 +107,7 @@ class TrainConfig:
     train_specs: tuple[PhantomSpec, ...] = ()
     clamp: float = CE_CLAMP_DEFAULT
     connectivity: Connectivity = DEFAULT_CONNECTIVITY
+    threads: int = 1
 
     def __post_init__(self):
         self.objective()    # rejects an unknown loss_kind, ce_weight or clamp
@@ -95,44 +115,97 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
     def objective(self) -> Objective:
         return objective(self.loss_kind, TRAIN_LOSS_KINDS, tversky=self.tversky,
                          ce_weight=self.ce_weight, clamp=self.clamp)
 
 
+def _shard_bounds(sizes, k: int) -> list[tuple[int, int]]:
+    """(first, stop) case bounds of k contiguous nonempty shards; each cut
+    sits where the voxels before it come nearest an equal share."""
+    edges = np.concatenate([[0], np.cumsum(sizes)])
+    cuts = [0]
+    for j in range(1, k):
+        cut = int(np.abs(edges - edges[-1] * j / k).argmin())
+        cuts.append(min(max(cut, cuts[-1] + 1), len(sizes) - k + j))
+    cuts.append(len(sizes))
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+@dataclass(frozen=True)
+class _Batch:
+    """A training batch laid out once: the stacked features (5 x n voxels,
+    cases in plan order), and its contiguous case shards as (first voxel,
+    shard plan) with the pool that runs shards 1 onwards."""
+
+    X: np.ndarray
+    n: int
+    shards: tuple[tuple[int, _Plan], ...]
+    pool: ThreadPoolExecutor
+
+
+@contextmanager
 def _prepare_batch(cfg: TrainConfig, phantoms):
-    """The batch's stacked features (5 x voxels, cases in plan order) and
-    its ground-truth plan."""
+    """The batch of phantoms in min(cfg.threads, cases) shards; the pool
+    is shut down when the block exits, on return or on error."""
     plan = _truth(cfg.objective(), [ph.truth for ph in phantoms],
                   cfg.curve, cfg.connectivity)
     X = np.empty((len(FEATURE_NAMES), plan.n))
     for ph, (start, stop) in zip(phantoms, _bounds(plan.sizes)):
         X[:, start:stop] = extract_features(ph.image).T
-    return X, plan
+    bounds = _shard_bounds(plan.sizes, min(cfg.threads, len(plan.sizes)))
+    shards = tuple((sum(plan.sizes[:first]), plan.shard(first, stop))
+                   for first, stop in bounds)
+    # the pool starts no thread until a second shard is submitted
+    with ThreadPoolExecutor(max(1, len(shards) - 1)) as pool:
+        yield _Batch(X, plan.n, shards, pool)
 
 
-def _batch_eval(cfg: TrainConfig, prep, theta, want_grad):
-    X, plan = prep
-    # one matmul per case: each voxel's score then depends on its own case
-    # only, never on where the case sits in the batch
-    cases = _bounds(plan.sizes)
-    z = np.empty(plan.n)
-    for start, stop in cases:
-        np.matmul(theta, X[:, start:stop], out=z[start:stop])
-    q = expit(z, out=z)
-    value, g = _objective_core(cfg.objective(), plan, q, want_grad)
+def _run(pool: ThreadPoolExecutor, fn, k: int) -> list:
+    """[fn(0), ..., fn(k - 1)], fn(0) on the calling thread and the rest
+    on pool."""
+    futures = [pool.submit(fn, i) for i in range(1, k)]
+    return [fn(0)] + [f.result() for f in futures]
+
+
+def _batch_eval(cfg: TrainConfig, prep: _Batch, theta, want_grad):
+    obj = cfg.objective()
+    X, shards = prep.X, prep.shards
+    # shard-sized buffers come from the calling thread (module docstring)
+    bufs = [(np.empty(sh.n),) + _scratch(obj, sh.n) for _, sh in shards]
+
+    def forward(i):
+        start, sh = shards[i]
+        z, t, r = bufs[i]
+        # one matmul per case: each voxel's score then depends on its own
+        # case only, never on where the case sits in the batch or shard
+        for a, b in _bounds(sh.sizes):
+            np.matmul(theta, X[:, start + a:start + b], out=z[a:b])
+        expit(z, out=z)
+        return _case_sums(obj, sh, z, t, r)
+
+    totals = _totals(obj, _run(prep.pool, forward, len(shards)), prep.n)
     if not want_grad:
-        return value, None
-    # chain rule through the logistic unit, g * q * (1 - q) in place, then
-    # per-case partials and an order-free case sum
-    g *= q
-    g *= np.subtract(1.0, q, out=q)
-    partials = [X[:, start:stop] @ g[start:stop] for start, stop in cases]
+        return totals.value, None
+
+    def backward(i):
+        start, sh = shards[i]
+        z, t, r = bufs[i]
+        g = _gradient(obj, sh, z, totals, t, r)
+        # chain rule through the logistic unit, g * q * (1 - q) in place,
+        # then the per-case partials
+        g *= z
+        g *= np.subtract(1.0, z, out=z)
+        return [X[:, start + a:start + b] @ g[a:b] for a, b in _bounds(sh.sizes)]
+
+    partials = [c for part in _run(prep.pool, backward, len(shards)) for c in part]
     gtheta = np.array(
         [exact_sum(c[j] for c in partials) for j in range(len(FEATURE_NAMES))]
     )
-    return value, gtheta
+    return totals.value, gtheta
 
 
 def scorer_loss(cfg: TrainConfig, weights, phantoms=None, want_grad=False):
@@ -143,9 +216,9 @@ def scorer_loss(cfg: TrainConfig, weights, phantoms=None, want_grad=False):
     """
     if phantoms is None:
         phantoms = [generate(s) for s in cfg.train_specs]
-    prep = _prepare_batch(cfg, phantoms)
     theta = np.asarray(weights, dtype=np.float64)
-    return _batch_eval(cfg, prep, theta, want_grad)
+    with _prepare_batch(cfg, phantoms) as prep:
+        return _batch_eval(cfg, prep, theta, want_grad)
 
 
 def train(cfg: TrainConfig) -> tuple[VoxelScorer, list[float]]:
@@ -157,19 +230,18 @@ def train(cfg: TrainConfig) -> tuple[VoxelScorer, list[float]]:
     if not cfg.train_specs:
         raise ValueError("train_specs must not be empty")
     phantoms = [generate(s) for s in cfg.train_specs]
-    prep = _prepare_batch(cfg, phantoms)
-
     theta = initial_scorer(cfg.seed).weights.copy()
     curve: list[float] = []
-    for epoch in range(cfg.epochs):
-        value, gtheta = _batch_eval(cfg, prep, theta, True)
-        if not (np.isfinite(value) and np.isfinite(gtheta).all()):
-            raise RuntimeError(
-                f"training diverged at epoch {epoch}: loss={value}"
-            )
-        curve.append(value)
-        theta = theta - cfg.learning_rate * gtheta
-    final_value, _ = _batch_eval(cfg, prep, theta, False)
+    with _prepare_batch(cfg, phantoms) as prep:
+        for epoch in range(cfg.epochs):
+            value, gtheta = _batch_eval(cfg, prep, theta, True)
+            if not (np.isfinite(value) and np.isfinite(gtheta).all()):
+                raise RuntimeError(
+                    f"training diverged at epoch {epoch}: loss={value}"
+                )
+            curve.append(value)
+            theta = theta - cfg.learning_rate * gtheta
+        final_value, _ = _batch_eval(cfg, prep, theta, False)
     if not np.isfinite(final_value):
         raise RuntimeError(f"training diverged after final update: loss={final_value}")
     curve.append(final_value)

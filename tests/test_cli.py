@@ -78,6 +78,7 @@ class TestExitCodes:
         gt, pred = write_worked_example(tmp_path)
         code, _, err = run(capsys, command, "--gt", str(gt), "--pred", str(pred))
         assert code == 1
+        assert err.startswith(f"usage: lesionloss {command} [-h]")
         assert "--kind is required" in err
 
     def test_choices_bind_flags_and_config(self, capsys, tmp_path):

@@ -392,6 +392,17 @@ class TestStructuralInvariances:
             with pytest.raises(ShapeMismatchError):
                 fn(g, p)
 
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_omega_checked_for_every_kind(self, kind):
+        rng = np.random.default_rng(24)
+        gt, pred = random_case(rng, dims=(4, 4, 4))
+        with pytest.raises(ShapeMismatchError):
+            evaluate_loss(kind, gt, pred, omega=uniform_weight_map(
+                mask(np.zeros((9, 9, 9))).shape))
+        fits = uniform_weight_map(gt.shape)
+        with pytest.raises(ShapeMismatchError, match="batch lengths"):
+            evaluate_loss(kind, [gt], [pred], omega=[fits, fits])
+
     def test_non_probability_pred_rejected(self):
         g = mask(np.zeros((2, 2, 2)))
         p = vol(np.full((2, 2, 2), 1.5, np.float32))

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import auc_reference, dice_reference, hausdorff_reference, kappa_reference
 
+import lesionloss
 from lesionloss.loss import TverskyParams, tversky_loss
 from lesionloss.metrics import (
     CaseOutcome,
@@ -90,6 +95,15 @@ class TestDice:
 
 
 class TestHausdorff:
+    def test_import_leaves_scipy_spatial_out(self):
+        # only hausdorff needs scipy.spatial, so importing the package (as
+        # train and loss do) must not pay for it
+        env = dict(os.environ, PYTHONPATH=str(Path(lesionloss.__file__).parents[1]))
+        code = "import sys, lesionloss; print('scipy.spatial' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout
+        assert out.strip() == "False"
+
     def test_identical(self):
         rng = np.random.default_rng(4)
         m = random_mask(rng)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lesionloss.reduction import batch_sum, exact_sum, pairwise_sum
+from lesionloss.reduction import batch_sum, case_sums, exact_sum, pairwise_sum
 
 from oracles import _tree_sum
 
@@ -30,6 +30,15 @@ def test_batch_sum_is_case_by_case_tree_then_exact_sum(layout):
     cases = np.split(values, stops[:-1])
     want = exact_sum(pairwise_sum(c) for c in cases)
     assert batch_sum(values, sizes).hex() == want.hex()
+
+
+@given(layout=_layouts())
+@settings(max_examples=60, deadline=None)
+def test_case_sums_are_the_per_case_trees(layout):
+    sizes, values = layout
+    cases = np.split(values, np.cumsum(sizes)[:-1])
+    got = case_sums(values, sizes)
+    assert [s.hex() for s in got] == [pairwise_sum(c).hex() for c in cases]
 
 
 @given(layout=_layouts())

@@ -1,7 +1,10 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lesionloss.loss import TverskyParams
 from lesionloss.synth import generate
@@ -18,6 +21,7 @@ from lesionloss.trainer import (
     scorer_loss,
     train,
 )
+from lesionloss.trainer import _shard_bounds
 from lesionloss.volume import GridShape, Mask, Volume
 
 
@@ -224,11 +228,72 @@ class TestTrain:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            TrainConfig(threads=0)
 
     def test_negative_corpus_count_rejected(self):
         with pytest.raises(ValueError, match="corpus count must be >= 0"):
             make_corpus(-1, 0)
         assert make_corpus(0, 0) == ()
+
+
+def shard_corpus():
+    """Five cases of four sizes; 18x17x15 is not a multiple of 8 voxels, so
+    the cases after it start off the 64-byte alignment of the batch."""
+    dims = [(16, 16, 16), (18, 17, 15), (16, 16, 16), (20, 18, 16), (16, 16, 16)]
+    specs = tiny_corpus(len(dims), seed=80)
+    return tuple(replace(s, shape=GridShape(d)) for s, d in zip(specs, dims))
+
+
+class TestShardedEpoch:
+    @pytest.mark.parametrize("kind", ["tversky", "tversky+ce", "wlt-combined"])
+    def test_bit_identical_for_any_thread_count(self, kind):
+        specs = shard_corpus()
+        phantoms = [generate(s) for s in specs]
+        runs = []
+        for threads in (1, 2, 3, 8):
+            model, curve = train(TrainConfig(loss_kind=kind, epochs=8, seed=2,
+                                             train_specs=specs, threads=threads))
+            rep = evaluate_lesionwise(model, phantoms)
+            runs.append((model.weights.tobytes(), np.array(curve).tobytes(),
+                         rep.to_text()))
+        assert all(r == runs[0] for r in runs[1:])
+
+    @given(sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=12),
+           threads=st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_shards_are_contiguous_nonempty_and_cover_each_case_once(
+            self, sizes, threads):
+        k = min(threads, len(sizes))
+        bounds = _shard_bounds(sizes, k)
+        assert len(bounds) == k
+        assert bounds[0][0] == 0 and bounds[-1][1] == len(sizes)
+        assert all(first < stop for first, stop in bounds)
+        assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+
+    def test_shards_balance_equal_cases(self):
+        assert _shard_bounds([100] * 40, 2) == [(0, 20), (20, 40)]
+        assert _shard_bounds([100] * 40, 3) == [(0, 13), (13, 27), (27, 40)]
+
+    def test_no_thread_outlives_train(self, monkeypatch):
+        import lesionloss.trainer as trainer_mod
+
+        before = threading.active_count()
+        train(TrainConfig(loss_kind="wlt-combined", epochs=2,
+                          train_specs=tiny_corpus(3), threads=3))
+        assert threading.active_count() == before
+
+        real = trainer_mod._batch_eval
+
+        def poisoned(cfg, prep, theta, want_grad):
+            value, g = real(cfg, prep, theta, want_grad)
+            return float("nan"), g
+
+        monkeypatch.setattr(trainer_mod, "_batch_eval", poisoned)
+        with pytest.raises(RuntimeError, match="diverged at epoch 0"):
+            train(TrainConfig(loss_kind="tversky", epochs=2,
+                              train_specs=tiny_corpus(3), threads=3))
+        assert threading.active_count() == before
 
 
 class _OracleModel:
