@@ -47,12 +47,6 @@ def _switch(text: str) -> int:
     return int(text)
 
 
-_CONNECTIVITY = {
-    6: components.Connectivity.SIX,
-    18: components.Connectivity.EIGHTEEN,
-    26: components.Connectivity.TWENTY_SIX,
-}
-
 # every parameter: config key -> (parser, default, choices, help); the flag
 # is --key with "-" for "_".  A None default means unset: the subcommand
 # derives the value, or requires it.
@@ -60,7 +54,8 @@ _PARAMS = {
     "threads": (int, 1, None,
                 "train: threads sharing each epoch (results do not depend on "
                 "it); other subcommands ignore it"),
-    "connectivity": (int, 26, tuple(_CONNECTIVITY), "lesion adjacency"),
+    "connectivity": (int, 26, tuple(c.value for c in components.Connectivity),
+                     "lesion adjacency"),
     "w_max": (float, 10.0, None, "weight-curve maximum"),
     "w_min": (float, 1.0, None, "weight-curve minimum"),
     "vrange": (float, 350.0, None, "lesion-volume range of the curve"),
@@ -189,7 +184,8 @@ def _tversky(args, kind: str, kinds=loss.LOSS_KINDS) -> loss.TverskyParams:
 
 def _cmd_label(args) -> int:
     mask = volume.load_mask(args.mask)
-    labeling = components.label_components(mask, _CONNECTIVITY[args.connectivity])
+    labeling = components.label_components(
+        mask, components.Connectivity(args.connectivity))
     print(f"lesions={labeling.lesion_count}")
     print("volumes=" + " ".join(str(v) for v in labeling.volumes))
     if args.labels_out:
@@ -205,7 +201,8 @@ def _cmd_label(args) -> int:
 
 def _cmd_weights(args) -> int:
     mask = volume.load_mask(args.gt)
-    labeling = components.label_components(mask, _CONNECTIVITY[args.connectivity])
+    labeling = components.label_components(
+        mask, components.Connectivity(args.connectivity))
     scale = mask.shape.voxel_volume_mm3 if args.units == "mm3" else 1.0
     wm = weighting.build_weight_map(labeling, _curve(args), volume_scale=scale)
     print(f"lesions={labeling.lesion_count}")
@@ -215,21 +212,27 @@ def _cmd_weights(args) -> int:
     return 0
 
 
-def _cmd_loss(args) -> int:
+def _loss_inputs(args) -> tuple:
+    """The kind, truth and prediction of loss and gradcheck, and the
+    keyword options of their objective, checked in that order."""
     kind = _require(args, "kind")
     tversky = _tversky(args, kind)
     gt = volume.load_mask(args.gt)
     pred = volume.load_volume(args.pred)
-    report = loss.evaluate_loss(
-        kind, gt, pred,
+    return kind, gt, pred, dict(
         tversky=tversky,
         curve=_curve(args),
         ce_weight=args.ce_weight,
-        want_grad=bool(args.grad_out),
-        connectivity=_CONNECTIVITY[args.connectivity],
+        connectivity=components.Connectivity(args.connectivity),
         clamp=args.clamp,
         weight_tp_denominator=bool(args.weight_tp_denominator),
     )
+
+
+def _cmd_loss(args) -> int:
+    kind, gt, pred, options = _loss_inputs(args)
+    report = loss.evaluate_loss(kind, gt, pred, want_grad=bool(args.grad_out),
+                                **options)
     print(f"value={_fmt(report.value)}")
     if args.grad_out:
         volume.save_volume(report.gradient, args.grad_out)
@@ -237,22 +240,10 @@ def _cmd_loss(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    kind = _require(args, "kind")
-    tversky = _tversky(args, kind)
-    gt = volume.load_mask(args.gt)
-    pred = volume.load_volume(args.pred)
-    err = loss.grad_check(
-        kind, gt, pred,
-        step=args.step,
-        tversky=tversky,
-        curve=_curve(args),
-        ce_weight=args.ce_weight,
-        connectivity=_CONNECTIVITY[args.connectivity],
-        clamp=args.clamp,
-        weight_tp_denominator=bool(args.weight_tp_denominator),
-        max_voxels=args.max_voxels,
-        seed=args.sample_seed,
-    )
+    kind, gt, pred, options = _loss_inputs(args)
+    err = loss.grad_check(kind, gt, pred, step=args.step,
+                          max_voxels=args.max_voxels, seed=args.sample_seed,
+                          **options)
     print(f"max_rel_error={_fmt(err)}")
     return 0
 
@@ -331,6 +322,7 @@ def _corpus(args, count, start_seed):
 
 
 def _cmd_train(args) -> int:
+    volume.check_threshold(args.threshold)    # before any training
     val_specs = _corpus(args, args.val_count, args.corpus_seed + args.train_count)
     cfg = trainer.TrainConfig(
         loss_kind=args.loss,
@@ -342,7 +334,7 @@ def _cmd_train(args) -> int:
         seed=args.seed,
         train_specs=_corpus(args, args.train_count, args.corpus_seed),
         clamp=args.clamp,
-        connectivity=_CONNECTIVITY[args.connectivity],
+        connectivity=components.Connectivity(args.connectivity),
         threads=args.threads,
     )
     model, curve = trainer.train(cfg)
@@ -374,7 +366,7 @@ def _cmd_eval(args) -> int:
              volume.load_mask(prefix + ".truth"))
         )
     rep = trainer.evaluate_lesionwise(
-        model, cases, args.threshold, _CONNECTIVITY[args.connectivity]
+        model, cases, args.threshold, components.Connectivity(args.connectivity)
     )
     sys.stdout.write(rep.to_text())
     if args.report_out:

@@ -27,18 +27,20 @@ evaluate_loss, grad_check and the trainer.
 A batch is laid out once, as a plan (_truth): the cases one after another
 in x-fastest order, the flat positions of the lesion voxels (the
 foreground index set) and the weights at those positions only; background
-weights are never read.  Predictions arrive as one flat float64 array in
-the same order.  Each lesion-voxel sum (TP, TP.W, FN.W) computes its
-terms at the foreground positions only and scatters them into a zero
-grid, so the reduction adds exactly the terms, zeros included, that a
-full-grid selection would; FP zeroes the lesion voxels of a copy of the
-predictions.
+weights are never read.  A plan always carries weights: plain Tversky is
+WLT's unit-weight case, so an unweighted ratio term gets unit weights and
+every ratio term runs one formula (x * 1.0 == x, so they move no bit).
+Predictions arrive as one flat float64 array in the same order.  Each
+lesion-voxel sum (TP, TP.W, FN.W) computes its terms at the foreground
+positions only and scatters them into a zero grid, so the reduction adds
+exactly the terms, zeros included, that a full-grid selection would; FP
+zeroes the lesion voxels of a copy of the predictions.
 
 Gradients are analytic (quotient rule over the three global sums); the
 grad_check harness cross-checks them against central finite differences.
 
-An evaluation runs in two phases over contiguous case shards, each a plan
-of its own (_Plan.shard):
+An evaluation runs in two phases over contiguous case shards, each with a
+plan of its own built by _truth:
 
     phase 1 (_case_sums)   each shard's per-case sums of every term
     value (_totals)        the global sums, exact_sum over all case sums
@@ -186,32 +188,26 @@ class _Plan:
 
     The cases sit one after another in x-fastest order (case i holds
     sizes[i] voxels); idx holds the ascending flat positions of the lesion
-    voxels and w their weights (None when the objective is unweighted).
+    voxels and w their weights (ones when the ratio term is unweighted).
     Background weights are never kept, so they cannot reach the loss.
     """
 
     sizes: tuple[int, ...]
     idx: np.ndarray
-    w: np.ndarray | None
+    w: np.ndarray
 
     @property
     def n(self) -> int:
         return sum(self.sizes)
-
-    def shard(self, first: int, stop: int) -> _Plan:
-        """The plan of cases first..stop-1 alone, positions made local."""
-        lo, hi = sum(self.sizes[:first]), sum(self.sizes[:stop])
-        a, b = np.searchsorted(self.idx, (lo, hi))
-        return _Plan(self.sizes[first:stop], self.idx[a:b] - lo,
-                     None if self.w is None else self.w[a:b])
 
 
 def _truth(obj: Objective, gts, curve: WeightCurveParams | None,
            connectivity: Connectivity, omega=None) -> _Plan:
     """The plan of ground-truth masks gts; when obj's ratio term is
     weighted, its weights come from omega's maps, else from maps built
-    from the masks' lesion labelings.  Given omega must match gts in batch
-    length and shapes for every kind, used or not."""
+    from the masks' lesion labelings, and otherwise they are ones (no
+    labeling is done).  Given omega must match gts in batch length and
+    shapes for every kind, used or not."""
     fgs = [g.data.ravel(order="F") for g in gts]
     sizes = tuple(fg.size for fg in fgs)
     idx = np.flatnonzero(np.concatenate(fgs))
@@ -222,7 +218,7 @@ def _truth(obj: Objective, gts, curve: WeightCurveParams | None,
         for g, w in zip(gts, maps):
             require_same_shape(g, w)
     if not obj.weighted:
-        return _Plan(sizes, idx, None)
+        return _Plan(sizes, idx, np.ones(idx.size))
     if omega is None:
         maps = (build_weight_map(label_components(g, connectivity), curve)
                 for g in gts)
@@ -266,8 +262,8 @@ def _wrap(value, grad, plan: _Plan, preds, single) -> LossReport:
 
 
 # ---------------------------------------------------------------------------
-# The objective in two phases over contiguous case shards, each a _Plan of
-# its own; flat float64 predictions q in, float64 out
+# The objective in two phases over contiguous case shards, each with a
+# _Plan of its own; flat float64 predictions q in, float64 out
 # ---------------------------------------------------------------------------
 
 def _scratch(obj: Objective, n: int):
@@ -300,7 +296,6 @@ def _case_sums(obj: Objective, plan: _Plan, q, t, r) -> dict[str, list[float]]:
         sums["ce"] = case_sums(np.log(t, out=r), sizes)
     if obj.ratio is None:
         return sums
-    w = plan.w
     q_fg = q[idx]
     r.fill(0.0)
 
@@ -308,8 +303,8 @@ def _case_sums(obj: Objective, plan: _Plan, q, t, r) -> dict[str, list[float]]:
         r[idx] = terms
         return case_sums(r, sizes)
 
-    sums["tp_w"] = fg_sums(q_fg if w is None else q_fg * w)
-    sums["fn_w"] = fg_sums(1.0 - q_fg if w is None else (1.0 - q_fg) * w)
+    sums["tp_w"] = fg_sums(q_fg * plan.w)
+    sums["fn_w"] = fg_sums((1.0 - q_fg) * plan.w)
     if _plain_tp_den(obj):
         sums["tp"] = fg_sums(q_fg)
     np.copyto(r, q)
@@ -356,7 +351,7 @@ def _totals(obj: Objective, parts, n: int) -> _Totals:
 def _gradient(obj: Objective, plan: _Plan, q, totals: _Totals, t, r):
     """Phase 2: the gradient over plan's voxels from the batch's global
     sums, written into t (r when obj has no CE term) and returned."""
-    idx = plan.idx
+    idx, w = plan.idx, plan.w
     if obj.ce:
         # the clamp is flat outside [clamp, 1 - clamp]
         inside = (q >= obj.clamp) & (q <= 1.0 - obj.clamp)
@@ -371,7 +366,6 @@ def _gradient(obj: Objective, plan: _Plan, q, totals: _Totals, t, r):
     # weight w moves TP.W, the denominator TP sum and FN.W
     a, b = obj.tversky.alpha, obj.tversky.beta
     num, den = totals.num, totals.den
-    w = 1.0 if plan.w is None else plan.w
     dden = (1.0 if _plain_tp_den(obj) else w) - b * w
     r.fill(num * (0.0 + a) / (den * den))
     r[idx] = (num * dden - w * den) / (den * den)

@@ -170,16 +170,20 @@ def write_outcomes(outcomes, path) -> None:
 
 
 def read_outcomes(path) -> list[CaseOutcome]:
+    """Read an outcome CSV; empty_seg must be 0 or 1."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        try:
+            rows = list(csv.reader(fh))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if not rows or rows[0] != ["case_id", "score", "label", "empty_seg"]:
         raise ValueError(f"{path}: expected header case_id,score,label,empty_seg")
     out = []
     for row in rows[1:]:
         if len(row) != 4:
             raise ValueError(f"{path}: malformed row {row!r}")
-        out.append(
-            CaseOutcome(row[0], float(row[1]), int(row[2]), bool(int(row[3])))
-        )
+        if row[3] not in ("0", "1"):
+            raise ValueError(f"{path}: empty_seg must be 0 or 1, got {row[3]!r}")
+        out.append(CaseOutcome(row[0], float(row[1]), int(row[2]), row[3] == "1"))
     return out

@@ -1,4 +1,10 @@
-"""Deterministic reductions shared by the loss engine and trainer."""
+"""Deterministic reductions shared by the loss engine and trainer.
+
+A batch's loss sums are exact_sum(case_sums(values, sizes)): each case by
+its own fixed pairwise tree, then the case sums by one exactly rounded
+sum, so a sum is reproducible and independent of case order and of how
+the cases are split into contiguous shards.
+"""
 
 import itertools
 import math
@@ -52,10 +58,3 @@ def case_sums(values, sizes) -> list[float]:
         sums.extend(_tree_rows(v[start:start + k * n].reshape(k, n)).tolist())
         start += k * n
     return sums
-
-
-def batch_sum(values, sizes) -> float:
-    """The loss reduction over a batch: the case sums combined by
-    exact_sum, so the result is reproducible and independent of case order
-    and of how the cases are split into contiguous shards."""
-    return exact_sum(case_sums(values, sizes))

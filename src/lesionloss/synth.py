@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .volume import GridShape, Mask, Volume, _freeze, read_fields
+from .volume import GridShape, Mask, Volume, _freeze, read_fields, save_mask, save_volume
 
 _PLACEMENT_STREAM = (0,)
 _NOISE_STREAM = (1,)
@@ -353,8 +353,6 @@ def shrink(ph: Phantom, factor: float) -> Phantom:
 # ---------------------------------------------------------------------------
 
 def save_phantom(ph: Phantom, prefix) -> None:
-    from .volume import save_mask, save_volume
-
     prefix = str(prefix)
     save_volume(ph.image, prefix + ".image")
     save_mask(ph.truth, prefix + ".truth")

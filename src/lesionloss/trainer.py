@@ -7,18 +7,19 @@ batch gradient descent composes the loss gradients with the logistic
 Jacobian; runs are deterministic for a fixed seed and invariant to the
 order of the training phantoms.
 
-Each epoch splits the batch into min(threads, cases) contiguous case
-shards of about equal voxel count, run in the loss engine's two phases:
-phase 1 scores each shard (one matmul per case, then expit) and reduces it
-to per-case loss sums; the value comes from the global sums; phase 2 turns
-the global sums into each shard's loss gradient, applies the chain rule
-and forms the per-case X @ g partials, which an exact sum combines.  The
-calling thread runs shard 0 and a pool opened for the run takes the rest.
-The calling thread also allocates every shard's buffers (scores, CE
-true-class probabilities, ratio scratch) each epoch and the workers write
-into them, because arrays a worker allocates stay in its own malloc arena
-and raise peak memory.  No sum crosses a case before the exact sum, so the
-trained weights and curve are bit-identical for every thread count.
+The batch is split once into min(threads, cases) contiguous case shards of
+about equal voxel count, each its own features (5 x n) plus its own plan.
+Each epoch runs them in the loss engine's two phases: phase 1 scores each
+shard (one matmul per case, then expit) and reduces it to per-case loss
+sums; the value comes from the global sums; phase 2 turns the global sums
+into each shard's loss gradient, applies the chain rule and forms the
+per-case X @ g partials, which an exact sum combines.  The calling thread
+runs shard 0 and a pool opened for the run takes the rest.  It also
+allocates every shard's buffers (scores, CE true-class probabilities,
+ratio scratch) each epoch and the workers write into them, because arrays
+a worker allocates stay in its own malloc arena and raise peak memory.  No
+sum crosses a case before the exact sum, so the trained weights and curve
+are bit-identical for every thread count.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .loss import (
 )
 from .reduction import exact_sum
 from .synth import Phantom, PhantomSpec, generate
-from .volume import GridShape, Mask, Volume, _freeze, threshold
+from .volume import GridShape, Mask, Volume, _freeze, require_same_shape, threshold
 from .weighting import WeightCurveParams
 
 FEATURE_NAMES = ("raw", "mean3", "mean5", "var3", "bias")
@@ -137,31 +138,32 @@ def _shard_bounds(sizes, k: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class _Batch:
-    """A training batch laid out once: the stacked features (5 x n voxels,
-    cases in plan order), and its contiguous case shards as (first voxel,
-    shard plan) with the pool that runs shards 1 onwards."""
+    """A training batch laid out once: its contiguous case shards, each as
+    (features, plan) with the features 5 x n voxels in plan order, the
+    batch's voxel count n and the pool that runs shards 1 onwards."""
 
-    X: np.ndarray
+    shards: tuple[tuple[np.ndarray, _Plan], ...]
     n: int
-    shards: tuple[tuple[int, _Plan], ...]
     pool: ThreadPoolExecutor
 
 
 @contextmanager
 def _prepare_batch(cfg: TrainConfig, phantoms):
-    """The batch of phantoms in min(cfg.threads, cases) shards; the pool
-    is shut down when the block exits, on return or on error."""
-    plan = _truth(cfg.objective(), [ph.truth for ph in phantoms],
-                  cfg.curve, cfg.connectivity)
-    X = np.empty((len(FEATURE_NAMES), plan.n))
-    for ph, (start, stop) in zip(phantoms, _bounds(plan.sizes)):
-        X[:, start:stop] = extract_features(ph.image).T
-    bounds = _shard_bounds(plan.sizes, min(cfg.threads, len(plan.sizes)))
-    shards = tuple((sum(plan.sizes[:first]), plan.shard(first, stop))
-                   for first, stop in bounds)
+    """The batch of phantoms in min(cfg.threads, cases) shards of
+    (features, plan); the pool is shut down when the block exits, on
+    return or on error."""
+    sizes = [ph.truth.shape.voxel_count for ph in phantoms]
+    shards = []
+    for first, stop in _shard_bounds(sizes, min(cfg.threads, len(sizes))):
+        plan = _truth(cfg.objective(), [ph.truth for ph in phantoms[first:stop]],
+                      cfg.curve, cfg.connectivity)
+        X = np.empty((len(FEATURE_NAMES), plan.n))
+        for ph, (a, b) in zip(phantoms[first:stop], _bounds(plan.sizes)):
+            X[:, a:b] = extract_features(ph.image).T
+        shards.append((X, plan))
     # the pool starts no thread until a second shard is submitted
     with ThreadPoolExecutor(max(1, len(shards) - 1)) as pool:
-        yield _Batch(X, plan.n, shards, pool)
+        yield _Batch(tuple(shards), sum(sizes), pool)
 
 
 def _run(pool: ThreadPoolExecutor, fn, k: int) -> list:
@@ -173,17 +175,17 @@ def _run(pool: ThreadPoolExecutor, fn, k: int) -> list:
 
 def _batch_eval(cfg: TrainConfig, prep: _Batch, theta, want_grad):
     obj = cfg.objective()
-    X, shards = prep.X, prep.shards
+    shards = prep.shards
     # shard-sized buffers come from the calling thread (module docstring)
     bufs = [(np.empty(sh.n),) + _scratch(obj, sh.n) for _, sh in shards]
 
     def forward(i):
-        start, sh = shards[i]
+        X, sh = shards[i]
         z, t, r = bufs[i]
         # one matmul per case: each voxel's score then depends on its own
         # case only, never on where the case sits in the batch or shard
         for a, b in _bounds(sh.sizes):
-            np.matmul(theta, X[:, start + a:start + b], out=z[a:b])
+            np.matmul(theta, X[:, a:b], out=z[a:b])
         expit(z, out=z)
         return _case_sums(obj, sh, z, t, r)
 
@@ -192,14 +194,14 @@ def _batch_eval(cfg: TrainConfig, prep: _Batch, theta, want_grad):
         return totals.value, None
 
     def backward(i):
-        start, sh = shards[i]
+        X, sh = shards[i]
         z, t, r = bufs[i]
         g = _gradient(obj, sh, z, totals, t, r)
         # chain rule through the logistic unit, g * q * (1 - q) in place,
         # then the per-case partials
         g *= z
         g *= np.subtract(1.0, z, out=z)
-        return [X[:, start + a:start + b] @ g[a:b] for a, b in _bounds(sh.sizes)]
+        return [X[:, a:b] @ g[a:b] for a, b in _bounds(sh.sizes)]
 
     partials = [c for part in _run(prep.pool, backward, len(shards)) for c in part]
     gtheta = np.array(
@@ -298,7 +300,8 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
                         connectivity: Connectivity = DEFAULT_CONNECTIVITY
                         ) -> LesionRecallReport:
     """Recall per size bucket; a truth lesion counts as detected when one
-    predicted component covers at least half of its voxels."""
+    predicted component covers at least half of its voxels.  A case whose
+    scores and truth differ in grid raises ShapeMismatchError."""
     totals = {"small": 0, "medium": 0, "large": 0}
     detected = {"small": 0, "medium": 0, "large": 0}
     for case in cases:
@@ -308,7 +311,9 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
             image, truth = case
         if not isinstance(image, Volume) or not isinstance(truth, Mask):
             raise TypeError("cases must be Phantoms or (Volume, Mask) pairs")
-        pred_mask = threshold(model.score_volume(image), thresh)
+        pred = model.score_volume(image)
+        require_same_shape(pred, truth)
+        pred_mask = threshold(pred, thresh)
         pred_lab = label_components(pred_mask, connectivity).labels
         truth_lab = label_components(truth, connectivity)
         for lesion_id, vol in enumerate(truth_lab.volumes, start=1):

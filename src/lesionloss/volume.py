@@ -145,10 +145,15 @@ def threshold(v: Volume, t: float) -> Mask:
     equal to stored values behave inclusively.
     """
     v.require_probability()
+    return Mask(v.shape, v.data >= np.float32(check_threshold(t)))
+
+
+def check_threshold(t) -> float:
+    """t as a float, rejected unless it lies in [0, 1]."""
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {t}")
-    return Mask(v.shape, v.data >= np.float32(t))
+    return t
 
 
 # ---------------------------------------------------------------------------

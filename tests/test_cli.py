@@ -3,6 +3,7 @@ import pytest
 
 from lesionloss.cli import _PARAMS, _flag, _switch, build_parser, main
 from lesionloss.loss import LOSS_KINDS
+from lesionloss.trainer import VoxelScorer, save_scorer
 from lesionloss.volume import Mask, Volume, load_volume, save_mask, save_volume
 
 
@@ -338,8 +339,42 @@ class TestMetricsCommand:
         code, _, err = run(capsys, "metrics")
         assert code == 2
 
+    @pytest.mark.parametrize("row,message", [
+        ("c1,0.0,1,2", "empty_seg must be 0 or 1"),
+        ("c" * 131073 + ",0.5,1,0", "field larger than field limit"),
+    ], ids=["empty_seg_2", "oversized_field"])
+    def test_bad_outcome_csv_is_data_error(self, capsys, tmp_path, row, message):
+        csv = tmp_path / "cases.csv"
+        csv.write_text("case_id,score,label,empty_seg\n" + row + "\n")
+        code, out, err = run(capsys, "metrics", "--outcomes", str(csv))
+        assert code == 2 and out == ""
+        assert message in err and str(csv) in err
+        assert "Traceback" not in err
+
 
 class TestSynthShrinkEval:
+    def test_eval_rejects_image_and_truth_of_different_grids(self, capsys,
+                                                             tmp_path):
+        save_scorer(VoxelScorer(np.zeros(5)), tmp_path / "m.vec")
+        save_volume(Volume.from_array(np.zeros((10, 10, 10), np.float32)),
+                    tmp_path / "a.image")
+        save_mask(Mask.from_array(np.zeros((12, 12, 12), np.uint8)),
+                  tmp_path / "a.truth")
+        code, out, err = run(capsys, "eval", "--model", str(tmp_path / "m.vec"),
+                             "--phantom", str(tmp_path / "a"))
+        assert code == 2 and out == ""
+        assert "grid shapes differ" in err and "Traceback" not in err
+
+    def test_train_checks_threshold_before_training(self, capsys, tmp_path):
+        model, log = tmp_path / "m.vec", tmp_path / "l.csv"
+        code, out, err = run(capsys, "train", "--epochs", "3",
+                             "--train-count", "4", "--val-count", "2",
+                             "--threshold", "2", "--model-out", str(model),
+                             "--log-out", str(log))
+        assert code == 2 and out == ""
+        assert "threshold must lie in [0, 1], got 2.0" in err
+        assert not model.exists() and not log.exists()
+
     def test_synth_writes_triplet(self, capsys, tmp_path):
         code, out, _ = run(capsys, "synth", "--out", str(tmp_path / "ph"),
                            "--dims", "16 16 16", "--n-lesions", "2",

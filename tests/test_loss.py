@@ -536,6 +536,45 @@ class TestFloatProductOracle:
             assert v.data.tobytes() == want.tobytes()
 
 
+class TestUnitWeights:
+    """Plain Tversky is WLT's unit-weight case, and unit weights leave the
+    weighted-TP-denominator switch nothing to change, byte for byte."""
+
+    @given(batch=_batches(), alpha=st.floats(0.0, 2.0),
+           beta=st.floats(0.0, 2.0), smooth=st.sampled_from([1e-6, 0.5, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_tversky_is_one_plus_unit_weight_wlt(self, batch, alpha, beta,
+                                                 smooth):
+        assume(alpha + beta > 0.0)
+        gts, preds = batch
+        params = TverskyParams(alpha, beta, smooth)
+        ones = [uniform_weight_map(g.shape) for g in gts]
+        tv = evaluate_loss("tversky", gts, preds, tversky=params,
+                           want_grad=True)
+        wlt = evaluate_loss("wlt", gts, preds, tversky=params, omega=ones,
+                            want_grad=True)
+        assert tv.value.hex() == (1.0 + wlt.value).hex()
+        for a, b in zip(tv.gradient, wlt.gradient):
+            assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("kind", ["wlt", "combined"])
+    @given(batch=_batches(), alpha=st.floats(0.0, 2.0),
+           beta=st.floats(0.0, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_unit_omega_makes_tp_denominator_switch_inert(self, kind, batch,
+                                                          alpha, beta):
+        assume(alpha + beta > 0.0)
+        gts, preds = batch
+        ones = [uniform_weight_map(g.shape) for g in gts]
+        off, on = (evaluate_loss(kind, gts, preds, omega=ones, want_grad=True,
+                                 tversky=TverskyParams(alpha, beta, 1e-6),
+                                 weight_tp_denominator=switch)
+                   for switch in (False, True))
+        assert off.value.hex() == on.value.hex()
+        for a, b in zip(off.gradient, on.gradient):
+            assert a.data.tobytes() == b.data.tobytes()
+
+
 _CASE = random_case(np.random.default_rng(22), dims=(4, 4, 4))
 
 

@@ -327,6 +327,22 @@ class TestOutcomeCsv:
         with pytest.raises(ValueError, match="header"):
             read_outcomes(p)
 
+    @pytest.mark.parametrize("flag", ["2", "-1", "true", "", " 1", "01"],
+                             ids=["2", "-1", "true", "empty", "space-1", "01"])
+    def test_empty_seg_must_be_zero_or_one(self, tmp_path, flag):
+        p = tmp_path / "cases.csv"
+        p.write_text(f"case_id,score,label,empty_seg\nc1,0.0,1,{flag}\n")
+        with pytest.raises(ValueError, match="empty_seg must be 0 or 1"):
+            read_outcomes(p)
+
+    def test_oversized_field_names_the_file(self, tmp_path):
+        # the csv module refuses a field above its 131072-character limit
+        p = tmp_path / "huge.csv"
+        p.write_text("case_id,score,label,empty_seg\n"
+                     + "c" * 131073 + ",0.5,1,0\n")
+        with pytest.raises(ValueError, match="huge.csv"):
+            read_outcomes(p)
+
 
 class TestMetricReport:
     def test_text_block(self):

@@ -22,7 +22,7 @@ from lesionloss.trainer import (
     train,
 )
 from lesionloss.trainer import _shard_bounds
-from lesionloss.volume import GridShape, Mask, Volume
+from lesionloss.volume import GridShape, Mask, ShapeMismatchError, Volume
 
 
 def tiny_corpus(count=4, seed=70, dims=(14, 14, 14)):
@@ -380,6 +380,15 @@ class TestEvaluateLesionwise:
         phantoms = [generate(s) for s in specs]
         rep = evaluate_lesionwise(_ZeroModel(), phantoms, 0.5)
         assert rep.small.lesions_total + rep.large.lesions_total > 0
+
+    @pytest.mark.parametrize("image", [
+        Volume.from_array(np.zeros((8, 8, 8), np.float32)),
+        Volume.from_array(np.zeros((9, 9, 9), np.float32), (1.0, 1.0, 2.0)),
+    ])
+    def test_image_and_truth_grids_must_match(self, image):
+        truth = Mask.from_array(np.ones((9, 9, 9), bool))
+        with pytest.raises(ShapeMismatchError, match="grid shapes differ"):
+            evaluate_lesionwise(_ZeroModel(), [(image, truth)], 0.5)
 
     def test_report_text(self):
         truth = block_truth()

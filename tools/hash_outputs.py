@@ -1,0 +1,173 @@
+"""Hash the numeric outputs of lesionloss, one digest per group.
+
+    python3 tools/hash_outputs.py                  # the package in ./src
+    python3 tools/hash_outputs.py --src OTHER/src  # another tree's package
+
+Prints one "group count sha256" line per group, where count is the number
+of outputs hashed.  Two trees whose lines are equal produce bit-identical
+outputs on every case below, so a refactor that must not move a bit is
+checked by running this with each tree's src and comparing the lines.
+
+    loss       evaluate_loss values and float32 gradients: every kind, the
+               weighted-TP-denominator switch off and on, three Tversky
+               settings (one with alpha = 0), single, 5-case mixed-size and
+               3-case batches
+    gradcheck  grad_check over the same kinds and batches, 6 voxels per case
+    train      train weights and loss curves, and scorer_loss with its
+               gradient: every train kind, an equal-size, a mixed-size and
+               the 40-phantom 24^3 A/B corpus, threads 1, 2 and 3
+    recall     evaluate_lesionwise text at three thresholds on fragmented
+               phantoms
+    synth      generate and shrink image and truth bytes
+
+Runs in well under a minute on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+from dataclasses import replace
+
+import numpy as np
+
+
+class _Group:
+    def __init__(self, name):
+        self.name, self.count, self.h = name, 0, hashlib.sha256()
+
+    def add(self, *items):
+        for x in items:
+            if isinstance(x, np.ndarray):
+                x = x.dtype.str.encode() + repr(x.shape).encode() + x.tobytes()
+            elif isinstance(x, float):
+                x = x.hex().encode()
+            elif not isinstance(x, bytes):
+                x = repr(x).encode()
+            self.h.update(len(x).to_bytes(8, "little") + x)
+        self.count += 1
+
+    def line(self):
+        return f"{self.name} {self.count} {self.h.hexdigest()}"
+
+
+def _cases(ll, rng, dims_list):
+    gts, preds = [], []
+    for dims in dims_list:
+        gts.append(ll.volume.Mask.from_array(rng.random(dims) < 0.25))
+        preds.append(ll.volume.Volume.from_array(
+            rng.uniform(0.02, 0.98, dims).astype(np.float32)))
+    return gts, preds
+
+
+def _batches(ll):
+    rng = np.random.default_rng(20240)
+    single = _cases(ll, rng, [(9, 8, 7)])
+    mixed = _cases(ll, rng, [(12, 12, 12), (9, 9, 9), (12, 12, 12),
+                             (7, 8, 9), (12, 12, 12)])
+    three = _cases(ll, rng, [(10, 10, 10)] * 3)
+    return {"single": (single[0][0], single[1][0]), "mixed": mixed,
+            "three": three}
+
+
+def _loss(ll, g):
+    params = [ll.loss.TverskyParams(), ll.loss.TverskyParams(0.0, 1.0, 1e-6),
+              ll.loss.TverskyParams(0.7, 0.4, 0.5)]
+    for name, (gt, pred) in _batches(ll).items():
+        for kind in ll.loss.LOSS_KINDS:
+            for wtd in (False, True):
+                for p in params:
+                    for want_grad in (False, True):
+                        rep = ll.loss.evaluate_loss(
+                            kind, gt, pred, tversky=p, want_grad=want_grad,
+                            weight_tp_denominator=wtd)
+                        grads = rep.gradient
+                        if grads is not None and not isinstance(grads, list):
+                            grads = [grads]
+                        g.add(name, kind, wtd, p, rep.value,
+                              *[v.data for v in grads or ()])
+
+
+def _gradcheck(ll, g):
+    for name, (gt, pred) in _batches(ll).items():
+        for kind in ll.loss.LOSS_KINDS:
+            for wtd in (False, True):
+                err = ll.loss.grad_check(kind, gt, pred, max_voxels=6,
+                                         weight_tp_denominator=wtd)
+                g.add(name, kind, wtd, err)
+
+
+def _corpora(ll):
+    equal = ll.trainer.make_corpus(6, 300, dims=(16, 16, 16))
+    dims = [(16, 16, 16), (9, 9, 9), (18, 17, 15), (7, 8, 9), (16, 16, 16)]
+    mixed = tuple(
+        ll.synth.PhantomSpec(ll.volume.GridShape(d), 2, (1.3, 2.0),
+                             noise_sigma=0.6, seed=400 + i)
+        for i, d in enumerate(dims))
+    return {"equal": equal, "mixed": mixed,
+            "criterion7": ll.trainer.make_corpus(40, 100)}
+
+
+def _train(ll, g):
+    for name, specs in _corpora(ll).items():
+        phantoms = [ll.synth.generate(s) for s in specs]
+        for kind in ll.trainer.TRAIN_LOSS_KINDS:
+            for threads in (1, 2, 3):
+                cfg = ll.trainer.TrainConfig(loss_kind=kind, epochs=20, seed=3,
+                                             train_specs=specs, threads=threads)
+                model, curve = ll.trainer.train(cfg)
+                g.add(name, kind, threads, model.weights, np.array(curve))
+                value, grad = ll.trainer.scorer_loss(
+                    replace(cfg, epochs=0), model.weights, phantoms, True)
+                g.add(name, kind, threads, value, grad)
+
+
+def _fragmented(ll):
+    """Four 32^3 phantoms, alternately of large and of small lesions, most
+    broken up: every recall bucket holds lesions."""
+    return [ll.synth.generate(ll.synth.PhantomSpec(
+        ll.volume.GridShape((32, 32, 32)), 6, (1.0, 1.7) if i % 2 else (2.5, 5.5),
+        fragmentation_prob=0.6, fragments_per_lesion=(2, 6), noise_sigma=0.5,
+        seed=500 + i))
+        for i in range(4)]
+
+
+def _recall(ll, g):
+    phantoms = _fragmented(ll)
+    model = ll.trainer.VoxelScorer(np.array([1.1, 2.3, -0.4, 0.2, -2.0]))
+    for thresh in (0.3, 0.5, 0.7):
+        g.add(thresh, ll.trainer.evaluate_lesionwise(model, phantoms, thresh)
+              .to_text())
+
+
+def _synth(ll, g):
+    for ph in _fragmented(ll):
+        for p in (ph, ll.synth.shrink(ph, 0.6), ll.synth.shrink(ph, 0.2)):
+            g.add(p.image.data, p.truth.data, p.shrink_factors)
+
+
+GROUPS = {"loss": _loss, "gradcheck": _gradcheck, "train": _train,
+          "recall": _recall, "synth": _synth}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default="src",
+                    help="directory holding the lesionloss package (default src)")
+    args = ap.parse_args(argv)
+    sys.path.insert(0, os.path.abspath(args.src))
+    import lesionloss as ll
+    import lesionloss.cli  # noqa: F401  (loads every submodule)
+
+    print(f"# lesionloss from {os.path.dirname(ll.__file__)}", file=sys.stderr)
+    for name, fn in GROUPS.items():
+        g = _Group(name)
+        fn(ll, g)
+        print(g.line(), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
