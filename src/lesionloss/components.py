@@ -54,6 +54,12 @@ class LesionLabeling:
         return len(self.volumes)
 
 
+def _raw_labels(mask: Mask, connectivity: Connectivity) -> tuple[np.ndarray, int]:
+    """scipy's labeling of a mask's foreground: int32 ids 1..n in the
+    labeling pass's own order (0 = background) and the count n."""
+    return ndimage.label(mask.data, structure=_STRUCTURES[connectivity])
+
+
 def label_components(
     mask: Mask, connectivity: Connectivity = DEFAULT_CONNECTIVITY
 ) -> LesionLabeling:
@@ -63,7 +69,7 @@ def label_components(
     component's first voxel, so labels are reproducible regardless of
     the underlying labeling pass.
     """
-    raw, n = ndimage.label(mask.data, structure=_STRUCTURES[connectivity])
+    raw, n = _raw_labels(mask, connectivity)
     if n == 0:
         return LesionLabeling(mask.shape, np.zeros(mask.shape.dims, np.int32), ())
     flat = raw.ravel(order="F")

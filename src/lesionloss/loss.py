@@ -24,17 +24,21 @@ negated ratio in roughly [-w_max, 0], unlike the "1 - ratio" form.  One
 set of phase functions evaluates any row for the public loss functions,
 evaluate_loss, grad_check and the trainer.
 
-A batch is laid out once, as a plan (_truth): the cases one after another
-in x-fastest order, the flat positions of the lesion voxels (the
+A batch is laid out once, as a plan (_truth; once per loss or grad_check
+call and once per shard of a train run): the cases one after another in
+x-fastest order, the flat positions of the lesion voxels (the
 foreground index set) and the weights at those positions only; background
 weights are never read.  A plan always carries weights: plain Tversky is
 WLT's unit-weight case, so an unweighted ratio term gets unit weights and
 every ratio term runs one formula (x * 1.0 == x, so they move no bit).
-Predictions arrive as one flat float64 array in the same order.  Each
-lesion-voxel sum (TP, TP.W, FN.W) computes its terms at the foreground
-positions only and scatters them into a zero grid, so the reduction adds
-exactly the terms, zeros included, that a full-grid selection would; FP
-zeroes the lesion voxels of a copy of the predictions.
+A weighted plan's weights come from the raw lesion labeling, one omega
+per lesion volume read at the lesion voxels; no full-grid weight map is
+built.  Predictions arrive as one flat float64 array in the same order.
+The lesion-voxel sums (TP, TP.W, FN.W) take their terms at the foreground
+positions only and reduce them there by the plan's merge schedule
+(reduction.merge_schedule), which runs each case's tree without the
+zeros a full-grid selection would add, bit for bit; only the terms that
+live on every voxel, FP and CE, are full-grid sums.
 
 Gradients are analytic (quotient rule over the three global sums); the
 grad_check harness cross-checks them against central finite differences.
@@ -62,10 +66,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import Connectivity, DEFAULT_CONNECTIVITY, label_components
-from .reduction import case_sums, exact_sum
+from .components import Connectivity, DEFAULT_CONNECTIVITY, _raw_labels
+from .reduction import (MergeSchedule, case_sums, exact_sum, merge_schedule,
+                        sparse_case_sums)
 from .volume import Mask, ShapeMismatchError, Volume, require_same_shape
-from .weighting import WeightCurveParams, WeightMap, build_weight_map
+from .weighting import WeightCurveParams, WeightMap, _omega_lut
 
 CE_CLAMP_DEFAULT = 1e-7
 WLT_SMOOTH_DEFAULT = 1e-6
@@ -188,13 +193,16 @@ class _Plan:
 
     The cases sit one after another in x-fastest order (case i holds
     sizes[i] voxels); idx holds the ascending flat positions of the lesion
-    voxels and w their weights (ones when the ratio term is unweighted).
-    Background weights are never kept, so they cannot reach the loss.
+    voxels, w their weights (ones when the ratio term is unweighted) and
+    merge the merge schedule of idx, by which the lesion-voxel sums run
+    their case trees over the lesion voxels only.  Background weights are
+    never kept, so they cannot reach the loss.
     """
 
     sizes: tuple[int, ...]
     idx: np.ndarray
     w: np.ndarray
+    merge: MergeSchedule
 
     @property
     def n(self) -> int:
@@ -204,13 +212,14 @@ class _Plan:
 def _truth(obj: Objective, gts, curve: WeightCurveParams | None,
            connectivity: Connectivity, omega=None) -> _Plan:
     """The plan of ground-truth masks gts; when obj's ratio term is
-    weighted, its weights come from omega's maps, else from maps built
-    from the masks' lesion labelings, and otherwise they are ones (no
-    labeling is done).  Given omega must match gts in batch length and
-    shapes for every kind, used or not."""
+    weighted, its weights come from omega's maps, else from the masks'
+    lesion labelings, and otherwise they are ones (no labeling is done).
+    Given omega must match gts in batch length and shapes for every kind,
+    used or not."""
     fgs = [g.data.ravel(order="F") for g in gts]
     sizes = tuple(fg.size for fg in fgs)
     idx = np.flatnonzero(np.concatenate(fgs))
+    merge = merge_schedule(idx, sizes)
     if omega is not None:
         maps, _ = _as_list(omega, WeightMap)
         if len(maps) != len(gts):
@@ -218,12 +227,24 @@ def _truth(obj: Objective, gts, curve: WeightCurveParams | None,
         for g, w in zip(gts, maps):
             require_same_shape(g, w)
     if not obj.weighted:
-        return _Plan(sizes, idx, np.ones(idx.size))
-    if omega is None:
-        maps = (build_weight_map(label_components(g, connectivity), curve)
-                for g in gts)
-    w = np.concatenate([m.weights.ravel(order="F")[fg] for m, fg in zip(maps, fgs)])
-    return _Plan(sizes, idx, w)
+        return _Plan(sizes, idx, np.ones(idx.size), merge)
+    if omega is not None:
+        w = [m.weights.ravel(order="F")[fg] for m, fg in zip(maps, fgs)]
+    else:
+        w = [_lesion_weights(g, fg, curve, connectivity) for g, fg in zip(gts, fgs)]
+    return _Plan(sizes, idx, np.concatenate(w), merge)
+
+
+def _lesion_weights(g: Mask, fg, curve: WeightCurveParams | None,
+                    connectivity: Connectivity) -> np.ndarray:
+    """omega of each lesion voxel's lesion volume, in x-fastest order (fg
+    is g's flattened foreground).  A weight depends on its lesion's volume
+    only, never on its id, so scipy's raw labeling serves as it comes: its
+    ids at the lesion voxels count the volumes and index the weights, and
+    no canonical relabeling or full-grid weight map is built."""
+    raw, _ = _raw_labels(g, connectivity)
+    ids = raw.ravel(order="F")[fg]
+    return _omega_lut(np.bincount(ids)[1:], curve)[ids]
 
 
 def _bounds(sizes):
@@ -281,11 +302,12 @@ def _case_sums(obj: Objective, plan: _Plan, q, t, r) -> dict[str, list[float]]:
     """Phase 1: the per-case sums of each term of obj over plan's cases.
 
     "ce" sums the log true-class probabilities, clamped, which stay in t
-    for phase 2.  The ratio terms ("tp_w", "fn_w", "tp" for an unweighted
-    denominator TP sum, "fp") use r as scratch: each lesion-voxel sum
-    places its terms in a zero grid, so the tree adds the same zeros as a
-    full-grid selection would.  With r given, the CE logs go to r too, so
-    the only shard-sized arrays allocated here are the tree's levels.
+    for phase 2; the logs go to r, so the only shard-sized arrays
+    allocated here are the tree's levels.  The lesion-voxel sums ("tp_w",
+    "fn_w" and "tp" for an unweighted denominator TP sum) take their terms
+    at the lesion voxels only and reduce them by plan's merge schedule,
+    the case trees of a full-grid selection without its zeros; "fp"
+    zeroes the lesion voxels of a copy of q in r.
     """
     idx, sizes = plan.idx, plan.sizes
     sums = {}
@@ -296,17 +318,14 @@ def _case_sums(obj: Objective, plan: _Plan, q, t, r) -> dict[str, list[float]]:
         sums["ce"] = case_sums(np.log(t, out=r), sizes)
     if obj.ratio is None:
         return sums
+    keys = ("tp_w", "fn_w", "tp") if _plain_tp_den(obj) else ("tp_w", "fn_w")
     q_fg = q[idx]
-    r.fill(0.0)
-
-    def fg_sums(terms):
-        r[idx] = terms
-        return case_sums(r, sizes)
-
-    sums["tp_w"] = fg_sums(q_fg * plan.w)
-    sums["fn_w"] = fg_sums((1.0 - q_fg) * plan.w)
-    if _plain_tp_den(obj):
-        sums["tp"] = fg_sums(q_fg)
+    terms = np.empty((len(keys), idx.size))
+    np.multiply(q_fg, plan.w, out=terms[0])
+    np.subtract(1.0, q_fg, out=terms[1])
+    terms[1] *= plan.w
+    terms[2:] = q_fg    # the denominator TP, when it is a sum of its own
+    sums.update(zip(keys, sparse_case_sums(terms, plan.merge).tolist()))
     np.copyto(r, q)
     r[idx] = 0.0
     sums["fp"] = case_sums(r, sizes)
@@ -433,7 +452,7 @@ def combined_loss(gt, pred, params: CombinedParams | None = None,
                   connectivity: Connectivity = DEFAULT_CONNECTIVITY,
                   clamp: float = CE_CLAMP_DEFAULT,
                   weight_tp_denominator: bool = False) -> LossReport:
-    """ce_weight * CE + (1 - ce_weight) * WLT, weight maps built internally."""
+    """ce_weight * CE + (1 - ce_weight) * WLT, weights from the truth's labeling."""
     params = params if params is not None else CombinedParams()
     return evaluate_loss("combined", gt, pred, tversky=params.tversky,
                          curve=params.curve, ce_weight=params.ce_weight,
@@ -450,8 +469,8 @@ def evaluate_loss(kind: str, gt, pred, *, tversky: TverskyParams | None = None,
                   omega=None) -> LossReport:
     """Evaluate a loss by name: tversky | ce | wlt | combined.
 
-    For wlt and combined the weight map is built from the ground-truth
-    labeling unless one is passed explicitly.
+    For wlt and combined the lesion weights come from the ground-truth
+    labeling unless weight maps are passed as omega.
     """
     obj, plan, q, preds, single = _prepare(
         kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,

@@ -170,7 +170,8 @@ def write_outcomes(outcomes, path) -> None:
 
 
 def read_outcomes(path) -> list[CaseOutcome]:
-    """Read an outcome CSV; empty_seg must be 0 or 1."""
+    """Read an outcome CSV; label and empty_seg must be exactly 0 or 1.  A
+    bad row's error names the file and the row (the header is row 1)."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -180,10 +181,24 @@ def read_outcomes(path) -> list[CaseOutcome]:
     if not rows or rows[0] != ["case_id", "score", "label", "empty_seg"]:
         raise ValueError(f"{path}: expected header case_id,score,label,empty_seg")
     out = []
-    for row in rows[1:]:
-        if len(row) != 4:
-            raise ValueError(f"{path}: malformed row {row!r}")
-        if row[3] not in ("0", "1"):
-            raise ValueError(f"{path}: empty_seg must be 0 or 1, got {row[3]!r}")
-        out.append(CaseOutcome(row[0], float(row[1]), int(row[2]), row[3] == "1"))
+    for number, row in enumerate(rows[1:], start=2):
+        try:
+            out.append(_outcome(row))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {number}: {exc}") from exc
     return out
+
+
+def _outcome(row) -> CaseOutcome:
+    """The outcome of one CSV row of four fields."""
+    if len(row) != 4:
+        raise ValueError(f"malformed row {row!r}")
+    case_id, score, label, empty_seg = row
+    try:
+        value = float(score)
+    except ValueError:
+        raise ValueError(f"score must be a number, got {score!r}") from None
+    for name, flag in (("label", label), ("empty_seg", empty_seg)):
+        if flag not in ("0", "1"):
+            raise ValueError(f"{name} must be 0 or 1, got {flag!r}")
+    return CaseOutcome(case_id, value, int(label), empty_seg == "1")

@@ -77,14 +77,25 @@ def build_weight_map(
     volume_scale converts voxel counts before the curve is applied (pass
     the voxel volume in mm^3 for physical units); background stays w_min.
     """
-    p = params if params is not None else WeightCurveParams()
     if not volume_scale > 0.0:
         raise ValueError("volume_scale must be positive")
-    lut = np.empty(labeling.lesion_count + 1, dtype=np.float64)
-    lut[0] = p.w_min
-    for i, count in enumerate(labeling.volumes):
-        lut[i + 1] = omega(count * volume_scale, p)
+    lut = _omega_lut(labeling.volumes, params, volume_scale)
     return WeightMap(labeling.shape, lut[labeling.labels])
+
+
+def _omega_lut(volumes, params: WeightCurveParams | None = None,
+               volume_scale: float = 1.0) -> np.ndarray:
+    """Weight by label: w_min at 0, then omega of each lesion's voxel count
+    times volume_scale.  Every entry is checked positive and finite, as a
+    WeightMap's weights are."""
+    p = params if params is not None else WeightCurveParams()
+    lut = np.empty(len(volumes) + 1, dtype=np.float64)
+    lut[0] = p.w_min
+    for i, count in enumerate(volumes):
+        lut[i + 1] = omega(int(count) * volume_scale, p)
+    if not np.isfinite(lut).all() or (lut <= 0.0).any():
+        raise ValueError("weights must be positive and finite")
+    return lut
 
 
 def weight_map_to_volume(w: WeightMap) -> Volume:

@@ -342,7 +342,9 @@ class TestMetricsCommand:
     @pytest.mark.parametrize("row,message", [
         ("c1,0.0,1,2", "empty_seg must be 0 or 1"),
         ("c" * 131073 + ",0.5,1,0", "field larger than field limit"),
-    ], ids=["empty_seg_2", "oversized_field"])
+        ("c1,abc,1,0", "row 2: score must be a number, got 'abc'"),
+        ("c1,0.5, 1,0", "row 2: label must be 0 or 1, got ' 1'"),
+    ], ids=["empty_seg_2", "oversized_field", "score_abc", "label_space_1"])
     def test_bad_outcome_csv_is_data_error(self, capsys, tmp_path, row, message):
         csv = tmp_path / "cases.csv"
         csv.write_text("case_id,score,label,empty_seg\n" + row + "\n")

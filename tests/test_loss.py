@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lesionloss.cli import main
-from lesionloss.components import label_components
+from lesionloss.components import Connectivity, label_components
 from lesionloss.loss import (
     CE_CLAMP_DEFAULT,
     LOSS_KINDS,
@@ -17,13 +17,15 @@ from lesionloss.loss import (
     cross_entropy_loss,
     default_wlt_params,
     evaluate_loss,
+    _truth,
     grad_check,
+    objective,
     tversky_loss,
     wlt_loss,
 )
 from lesionloss.trainer import TrainConfig
 from lesionloss.volume import Mask, ShapeMismatchError, Volume, save_mask, save_volume
-from lesionloss.weighting import WeightMap, build_weight_map
+from lesionloss.weighting import WeightCurveParams, WeightMap, build_weight_map
 
 from oracles import loss_reference
 
@@ -573,6 +575,82 @@ class TestUnitWeights:
         assert off.value.hex() == on.value.hex()
         for a, b in zip(off.gradient, on.gradient):
             assert a.data.tobytes() == b.data.tobytes()
+
+
+class TestPlanWeights:
+    """A plan's weights come from the raw labeling at the lesion voxels;
+    they equal the public weight map's, byte for byte."""
+
+    @pytest.mark.parametrize("curve", [None, WeightCurveParams(
+        w_max=6.0, w_min=0.5, vrange=40.0, k=3.0, a_shift=2.0)],
+        ids=["default", "custom"])
+    @pytest.mark.parametrize("connectivity", list(Connectivity))
+    def test_plan_weights_are_the_weight_map_at_the_lesion_voxels(
+            self, connectivity, curve):
+        rng = np.random.default_rng(31)
+        gts = [mask(rng.random((7, 8, 9)) < 0.3), mask(np.zeros((5, 5, 5))),
+               mask(rng.random((6, 6, 6)) < 0.1), mask(np.ones((3, 3, 3)))]
+        for batch in (gts, gts[:1], gts[1:2]):
+            plan = _truth(objective("wlt"), batch, curve, connectivity)
+            want = np.concatenate([
+                build_weight_map(label_components(g, connectivity), curve)
+                .weights.ravel(order="F")[g.data.ravel(order="F")]
+                for g in batch])
+            assert plan.w.tobytes() == want.tobytes()
+
+    def test_weights_that_are_not_positive_are_rejected(self):
+        # w_max - (w_max - w_min) / (1 + 1e-300 * ...) rounds to 0.0
+        curve = WeightCurveParams(w_max=1e308, w_min=1e-308, a_shift=1e-300)
+        gt = mask(np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="positive and finite"):
+            evaluate_loss("wlt", gt, vol(np.full((2, 2, 2), 0.5)), curve=curve)
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_weight_map(label_components(gt), curve)
+
+
+_DEGENERATE_DIMS = [(4, 4, 4), (3, 4, 5), (1, 1, 1)]
+
+
+class TestDegenerateBatches:
+    """All-empty and all-foreground truth with predictions of exactly 0.0,
+    -0.0 and 1.0 (alone or mixed), on a power-of-two, an odd and a
+    one-voxel case, alone and as a batch: byte-equal to the float-product
+    oracle for every kind, and grad_check stays finite and small."""
+
+    @pytest.mark.parametrize("pred", ["0.0", "-0.0", "1.0", "mixed"])
+    @pytest.mark.parametrize("truth", ["empty", "full"])
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_value_and_gradient_bytes(self, kind, truth, pred):
+        rng = np.random.default_rng(41)
+        gts = [mask(np.full(d, truth == "full")) for d in _DEGENERATE_DIMS]
+        preds = [vol(rng.choice([0.0, -0.0, 1.0], d) if pred == "mixed"
+                     else np.full(d, float(pred))) for d in _DEGENERATE_DIMS]
+        for n in (1, len(gts)):
+            for wtd in (False, True):
+                got = evaluate_loss(kind, gts[:n], preds[:n], want_grad=True,
+                                    weight_tp_denominator=wtd)
+                tv = default_wlt_params() if kind != "tversky" else TverskyParams()
+                value, grads = loss_reference(
+                    kind, [g.data.ravel(order="F").astype(np.float64) for g in gts[:n]],
+                    [p.data.ravel(order="F").astype(np.float64) for p in preds[:n]],
+                    [build_weight_map(label_components(g)).weights.ravel(order="F")
+                     for g in gts[:n]],
+                    alpha=tv.alpha, beta=tv.beta, smooth=tv.smooth, ce_weight=0.5,
+                    clamp=CE_CLAMP_DEFAULT, weight_tp_denominator=wtd)
+                assert float(value).hex() == got.value.hex()
+                for v, g in zip(got.gradient, grads):
+                    want = g.reshape(v.shape.dims, order="F").astype(np.float32)
+                    assert v.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("truth", ["empty", "full"])
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_grad_check_is_finite_and_small(self, kind, truth):
+        rng = np.random.default_rng(43)
+        gts = [mask(np.full(d, truth == "full")) for d in _DEGENERATE_DIMS]
+        preds = [vol(rng.uniform(0.05, 0.95, d)) for d in _DEGENERATE_DIMS]
+        for n in (1, len(gts)):
+            err = grad_check(kind, gts[:n], preds[:n])
+            assert math.isfinite(err) and err < 1e-4
 
 
 _CASE = random_case(np.random.default_rng(22), dims=(4, 4, 4))

@@ -335,6 +335,31 @@ class TestOutcomeCsv:
         with pytest.raises(ValueError, match="empty_seg must be 0 or 1"):
             read_outcomes(p)
 
+    @pytest.mark.parametrize("label", ["2", "-1", "true", "", " 1", "1 ", "01",
+                                       "1.0"])
+    def test_label_must_be_zero_or_one(self, tmp_path, label):
+        p = tmp_path / "cases.csv"
+        p.write_text(f"case_id,score,label,empty_seg\nc1,0.5,{label},0\n")
+        with pytest.raises(ValueError, match="label must be 0 or 1"):
+            read_outcomes(p)
+
+    @pytest.mark.parametrize("row,message", [
+        ("c3,abc,1,0", "score must be a number, got 'abc'"),
+        ("c3,0.5,x,0", "label must be 0 or 1, got 'x'"),
+        ("c3,1.5,1,0", "score must lie in"),
+        ("c3,nan,0,0", "score must lie in"),
+        ("c3,0.5,1", "malformed row"),
+    ], ids=["score", "label", "range", "nan", "short"])
+    def test_bad_row_names_the_file_and_the_row(self, tmp_path, row, message):
+        # the header is row 1, so the third case sits on row 4
+        p = tmp_path / "cases.csv"
+        p.write_text("case_id,score,label,empty_seg\nc1,0.5,1,0\nc2,0.25,0,0\n"
+                     + row + "\n")
+        with pytest.raises(ValueError) as info:
+            read_outcomes(p)
+        assert str(info.value).startswith(f"{p}: row 4: ")
+        assert message in str(info.value)
+
     def test_oversized_field_names_the_file(self, tmp_path):
         # the csv module refuses a field above its 131072-character limit
         p = tmp_path / "huge.csv"

@@ -13,6 +13,11 @@ checked by running this with each tree's src and comparing the lines.
                settings (one with alpha = 0), single, 5-case mixed-size and
                3-case batches
     gradcheck  grad_check over the same kinds and batches, 6 voxels per case
+    degenerate evaluate_loss values and gradients on all-empty and
+               all-foreground truth with predictions of exactly 0.0, -0.0,
+               1.0 or a mix of them (a 4^3, a 3x4x5 and a one-voxel case,
+               alone and as a batch), every kind, the switch off and on;
+               and grad_check of every kind on empty and full truth
     train      train weights and loss curves, and scorer_loss with its
                gradient: every train kind, an equal-size, a mixed-size and
                the 40-phantom 24^3 A/B corpus, threads 1, 2 and 3
@@ -99,6 +104,32 @@ def _gradcheck(ll, g):
                 g.add(name, kind, wtd, err)
 
 
+def _degenerate(ll, g):
+    rng = np.random.default_rng(20241)
+    dims = [(4, 4, 4), (3, 4, 5), (1, 1, 1)]
+    preds = {"0.0": [np.full(d, 0.0) for d in dims],
+             "-0.0": [np.full(d, -0.0) for d in dims],
+             "1.0": [np.full(d, 1.0) for d in dims],
+             "mixed": [rng.choice([0.0, -0.0, 1.0], d) for d in dims]}
+    inside = [ll.volume.Volume.from_array(rng.uniform(0.05, 0.95, d)
+                                          .astype(np.float32)) for d in dims]
+    for truth in ("empty", "full"):
+        gts = [ll.volume.Mask.from_array(np.full(d, truth == "full")) for d in dims]
+        for n in (1, len(dims)):
+            for kind in ll.loss.LOSS_KINDS:
+                for name, qs in preds.items():
+                    vols = [ll.volume.Volume.from_array(q.astype(np.float32))
+                            for q in qs[:n]]
+                    for wtd in (False, True):
+                        rep = ll.loss.evaluate_loss(
+                            kind, gts[:n], vols, want_grad=True,
+                            weight_tp_denominator=wtd)
+                        g.add(truth, name, n, kind, wtd, rep.value,
+                              *[v.data for v in rep.gradient])
+                g.add(truth, n, kind,
+                      ll.loss.grad_check(kind, gts[:n], inside[:n]))
+
+
 def _corpora(ll):
     equal = ll.trainer.make_corpus(6, 300, dims=(16, 16, 16))
     dims = [(16, 16, 16), (9, 9, 9), (18, 17, 15), (7, 8, 9), (16, 16, 16)]
@@ -148,8 +179,8 @@ def _synth(ll, g):
             g.add(p.image.data, p.truth.data, p.shrink_factors)
 
 
-GROUPS = {"loss": _loss, "gradcheck": _gradcheck, "train": _train,
-          "recall": _recall, "synth": _synth}
+GROUPS = {"loss": _loss, "gradcheck": _gradcheck, "degenerate": _degenerate,
+          "train": _train, "recall": _recall, "synth": _synth}
 
 
 def main(argv=None) -> int:
