@@ -195,14 +195,15 @@ class _Plan:
     sizes[i] voxels); idx holds the ascending flat positions of the lesion
     voxels, w their weights (ones when the ratio term is unweighted) and
     merge the merge schedule of idx, by which the lesion-voxel sums run
-    their case trees over the lesion voxels only.  Background weights are
-    never kept, so they cannot reach the loss.
+    their case trees over the lesion voxels only (None without a ratio
+    term: only its sums read it).  Background weights are never kept, so
+    they cannot reach the loss.
     """
 
     sizes: tuple[int, ...]
     idx: np.ndarray
     w: np.ndarray
-    merge: MergeSchedule
+    merge: MergeSchedule | None
 
     @property
     def n(self) -> int:
@@ -219,7 +220,7 @@ def _truth(obj: Objective, gts, curve: WeightCurveParams | None,
     fgs = [g.data.ravel(order="F") for g in gts]
     sizes = tuple(fg.size for fg in fgs)
     idx = np.flatnonzero(np.concatenate(fgs))
-    merge = merge_schedule(idx, sizes)
+    merge = merge_schedule(idx, sizes) if obj.ratio is not None else None
     if omega is not None:
         maps, _ = _as_list(omega, WeightMap)
         if len(maps) != len(gts):

@@ -11,12 +11,16 @@ generators keyed off numpy SeedSequence streams of the spec seed:
 Lesions are ellipsoids voxelized at voxel centers, placed so that no two
 lesions touch even diagonally.  A lesion that breaks up is replaced by k
 separated blobs grown voxel-by-voxel to equal target sizes whose total
-exactly matches the intact lesion's voxel count.  The image is Gaussian
-background noise plus a constant contrast on the lesion support.
+exactly matches the intact lesion's voxel count; blobs grow inside a
+search box about the lesion, each step drawing uniformly from the blob's
+frontier in sorted (x, y, z) order, an order the determinism contract
+fixes.  The image is Gaussian background noise plus a constant contrast
+on the lesion support.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,29 +135,21 @@ def _scan_sorted(coords: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(coords[order], dtype=np.int64)
 
 
-def _coords_to_mask(dims, coords) -> np.ndarray:
-    m = np.zeros(dims, dtype=bool)
-    if len(coords):
-        m[coords[:, 0], coords[:, 1], coords[:, 2]] = True
-    return m
-
-
-def _halo(dims, coords) -> np.ndarray:
-    """The voxels at coords dilated by the 26-neighborhood, as a grid mask.
-
-    The dilation runs on the coordinates' bounding box grown by one voxel
-    and clipped to the grid; it is empty outside that box, and the grid's
-    own faces bound it as before, so the result equals the full-grid
-    dilation.
+def _halo(dims, coords):
+    """The voxels at coords dilated by the 26-neighborhood, as (box, mask):
+    mask is the dilation on box, the coordinates' bounding box grown by one
+    voxel and clipped to the grid.  The dilation is empty outside box and
+    the grid's own faces bound it, so `grid[box] |= mask` applies the
+    full-grid dilation.  No coordinates give an empty box.
     """
-    out = np.zeros(dims, dtype=bool)
     if len(coords) == 0:
-        return out
+        return (slice(0, 0),) * 3, np.zeros((0, 0, 0), dtype=bool)
     lo = np.maximum(coords.min(axis=0) - 1, 0)
     hi = np.minimum(coords.max(axis=0) + 2, dims)
-    box = tuple(slice(a, b) for a, b in zip(lo, hi))
-    out[box] = ndimage.binary_dilation(_coords_to_mask(hi - lo, coords - lo), _HALO)
-    return out
+    seeds = np.zeros(hi - lo, dtype=bool)
+    seeds[tuple((coords - lo).T)] = True
+    return (tuple(slice(a, b) for a, b in zip(lo, hi)),
+            ndimage.binary_dilation(seeds, _HALO))
 
 
 def _pick_seeds(rng, support, k):
@@ -169,49 +165,39 @@ def _pick_seeds(rng, support, k):
     return None
 
 
-_FACE_OFFSETS = np.array(
-    [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]],
-    dtype=np.int64,
-)
+_FACE_OFFSETS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
 
 
 def _grow_blob(rng, seed_vox, target, allowed):
     """Grow a connected blob of exactly `target` voxels by random accretion.
 
-    Consumes voxels from `allowed` in place; returns None if the blob gets
-    boxed in before reaching its target size.
+    Each step takes a uniform draw from the sorted pool of allowed face
+    neighbours of the blob.  A voxel leaves `allowed` (in place) when it
+    joins the pool, so the pool holds it once.  Returns None if the blob
+    gets boxed in before reaching its target size.
     """
     dims = allowed.shape
-    taken = [tuple(int(v) for v in seed_vox)]
-    allowed[taken[0]] = False
-    candidates = set()
-
-    def extend(vox):
-        for off in _FACE_OFFSETS:
-            n = (vox[0] + off[0], vox[1] + off[1], vox[2] + off[2])
-            if (
-                0 <= n[0] < dims[0]
-                and 0 <= n[1] < dims[1]
-                and 0 <= n[2] < dims[2]
-                and allowed[n]
-            ):
-                candidates.add(n)
-
-    extend(taken[0])
-    while len(taken) < target:
-        if not candidates:
+    taken, pool = [], []
+    vox = seed_vox
+    allowed[vox] = False
+    while True:
+        taken.append(vox)
+        for dx, dy, dz in _FACE_OFFSETS:
+            n = (vox[0] + dx, vox[1] + dy, vox[2] + dz)
+            if (0 <= n[0] < dims[0] and 0 <= n[1] < dims[1]
+                    and 0 <= n[2] < dims[2] and allowed[n]):
+                allowed[n] = False
+                bisect.insort(pool, n)
+        if len(taken) == target:
+            return _scan_sorted(np.array(taken, dtype=np.int64))
+        if not pool:
             return None
-        pool = sorted(candidates)
-        pick = pool[int(rng.integers(len(pool)))]
-        candidates.discard(pick)
-        allowed[pick] = False
-        taken.append(pick)
-        extend(pick)
-    return _scan_sorted(np.array(taken, dtype=np.int64))
+        vox = pool.pop(int(rng.integers(len(pool))))
 
 
 def _grow_fragments(rng, dims, support, radii, blocked, k):
-    """Split a lesion's voxel budget into k separated equal-size blobs."""
+    """Split a lesion's voxel budget into k separated equal-size blobs,
+    grown inside a search box about the lesion that holds its support."""
     volume = len(support)
     k = max(1, min(k, volume))
     targets = [volume // k + (1 if j < volume % k else 0) for j in range(k)]
@@ -220,24 +206,25 @@ def _grow_fragments(rng, dims, support, radii, blocked, k):
         return None
     margin = int(np.ceil(2.0 * max(radii))) + 2
     center = support.mean(axis=0)
-    allowed = np.zeros(dims, dtype=bool)
-    sl = tuple(
+    box = tuple(
         slice(max(0, int(c - max(radii) - margin)),
               min(d, int(c + max(radii) + margin) + 1))
         for c, d in zip(center, dims)
     )
-    allowed[sl] = True
-    allowed &= ~blocked
+    origin = np.array([s.start for s in box], dtype=np.int64)
+    allowed = ~blocked[box]    # in box coordinates
     fragments = []
     for seed_vox, target in zip(seeds, targets):
-        if not allowed[tuple(int(v) for v in seed_vox)]:
+        seed = tuple(int(v) for v in seed_vox - origin)
+        if not allowed[seed]:
             return None
-        blob = _grow_blob(rng, seed_vox, target, allowed)
+        blob = _grow_blob(rng, seed, target, allowed)
         if blob is None:
             return None
-        fragments.append(blob)
+        fragments.append(blob + origin)
         # keep later fragments from touching this one, even diagonally
-        allowed &= ~_halo(dims, blob)
+        halo_box, halo = _halo(allowed.shape, blob)
+        allowed[halo_box] &= ~halo
     return tuple(_freeze(f) for f in fragments)
 
 
@@ -289,8 +276,9 @@ def generate(spec: PhantomSpec) -> Phantom:
                 fragments,
             )
             occupied = geom.support_voxels(dims)
-            truth |= _coords_to_mask(dims, occupied)
-            blocked |= _halo(dims, occupied)
+            truth[tuple(occupied.T)] = True
+            halo_box, halo = _halo(dims, occupied)
+            blocked[halo_box] |= halo
             lesions.append(geom)
             placed = True
             break
@@ -336,8 +324,7 @@ def shrink(ph: Phantom, factor: float) -> Phantom:
                 order = np.lexsort((flat, d2))
                 kept.append(_freeze(_scan_sorted(frag[order[:target]])))
             new_geom = LesionGeometry(geom.center, geom.radii, tuple(kept))
-        coords = new_geom.support_voxels(dims)
-        truth |= _coords_to_mask(dims, coords)
+        truth[tuple(new_geom.support_voxels(dims).T)] = True
         new_lesions.append(new_geom)
     return Phantom(
         _render_image(ph.spec, truth),

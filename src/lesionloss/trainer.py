@@ -32,7 +32,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import expit
 
-from .components import Connectivity, DEFAULT_CONNECTIVITY, label_components
+from .components import Connectivity, DEFAULT_CONNECTIVITY, _raw_labels
 from .loss import (
     CE_CLAMP_DEFAULT,
     TRAIN_LOSS_KINDS,
@@ -301,7 +301,10 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
                         ) -> LesionRecallReport:
     """Recall per size bucket; a truth lesion counts as detected when one
     predicted component covers at least half of its voxels.  A case whose
-    scores and truth differ in grid raises ShapeMismatchError."""
+    scores and truth differ in grid raises ShapeMismatchError.  Recall
+    needs lesion volumes and overlaps, never ids, so scipy's raw labelings
+    of the truth and of the thresholded scores are read at the truth
+    voxels only."""
     totals = {"small": 0, "medium": 0, "large": 0}
     detected = {"small": 0, "medium": 0, "large": 0}
     for case in cases:
@@ -313,12 +316,10 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
             raise TypeError("cases must be Phantoms or (Volume, Mask) pairs")
         pred = model.score_volume(image)
         require_same_shape(pred, truth)
-        pred_mask = threshold(pred, thresh)
-        pred_lab = label_components(pred_mask, connectivity).labels
-        truth_lab = label_components(truth, connectivity)
-        for lesion_id, vol in enumerate(truth_lab.volumes, start=1):
-            overlap = pred_lab[truth_lab.labels == lesion_id]
-            counts = np.bincount(overlap)
+        t = _raw_labels(truth, connectivity)[0][truth.data]
+        p = _raw_labels(threshold(pred, thresh), connectivity)[0][truth.data]
+        for lesion_id, vol in enumerate(np.bincount(t)[1:].tolist(), start=1):
+            counts = np.bincount(p[t == lesion_id])
             best = int(counts[1:].max()) if counts.size > 1 else 0
             bucket = _bucket_of(vol)
             totals[bucket] += 1

@@ -73,6 +73,33 @@ def halo_reference(dims, coords) -> np.ndarray:
     return out
 
 
+def recall_reference(cases, connectivity: Connectivity) -> dict:
+    """Reference lesion-wise recall over (truth, prediction) boolean grid
+    pairs: {bucket: (lesions, detected)}.  Lesions of both grids come from
+    flood_fill_labels; voxel by voxel, each truth lesion counts its volume
+    and its overlap with every predicted lesion, and it is detected when
+    one overlap reaches half its volume.  Small is below 20 voxels, large
+    above 200."""
+    out = {"small": [0, 0], "medium": [0, 0], "large": [0, 0]}
+    for truth, pred in cases:
+        t = flood_fill_labels(truth, connectivity)
+        p = flood_fill_labels(pred, connectivity)
+        volume, overlap = {}, {}
+        for pos in np.ndindex(truth.shape):
+            lesion, hit = int(t[pos]), int(p[pos])
+            if lesion:
+                volume[lesion] = volume.get(lesion, 0) + 1
+                if hit:
+                    counts = overlap.setdefault(lesion, {})
+                    counts[hit] = counts.get(hit, 0) + 1
+        for lesion, vol in volume.items():
+            bucket = "small" if vol < 20 else "large" if vol > 200 else "medium"
+            out[bucket][0] += 1
+            if 2 * max(overlap.get(lesion, {0: 0}).values()) >= vol:
+                out[bucket][1] += 1
+    return {name: tuple(v) for name, v in out.items()}
+
+
 def omega_reference(v, w_max=10.0, w_min=1.0, vrange=350.0, k=7.0,
                     a_shift=math.sqrt(math.exp(7.0))):
     """Direct evaluation of the lesion weight curve."""

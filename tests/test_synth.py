@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -153,7 +154,14 @@ class TestFragmentation:
 
 
 class TestHalo:
-    """The cropped dilation against the whole-grid one."""
+    """The cropped dilation, pasted into the grid, against the whole-grid one."""
+
+    @staticmethod
+    def pasted(dims, coords):
+        box, mask = _halo(dims, coords)
+        out = np.zeros(dims, dtype=bool)
+        out[box] = mask
+        return out
 
     @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 3, 1), (9, 7, 5), (20, 17, 9)])
     def test_matches_full_grid_dilation(self, dims):
@@ -170,11 +178,37 @@ class TestHalo:
             box = np.argwhere(rng.random(hi - lo) < 0.5) + lo
             blobs.append(box if len(box) else lo.reshape(1, 3))
         for coords in blobs:
-            assert np.array_equal(_halo(dims, coords), halo_reference(dims, coords))
+            assert np.array_equal(self.pasted(dims, coords),
+                                  halo_reference(dims, coords))
 
     def test_empty_coordinates(self):
-        out = _halo((4, 5, 6), np.empty((0, 3), np.int64))
-        assert out.shape == (4, 5, 6) and not out.any()
+        coords = np.empty((0, 3), np.int64)
+        box, mask = _halo((4, 5, 6), coords)
+        assert mask.size == 0
+        assert np.array_equal(self.pasted((4, 5, 6), coords),
+                              halo_reference((4, 5, 6), coords))
+
+
+class TestPinnedBytes:
+    """sha256 of generate and shrink image and truth bytes for two broken-up
+    specs: any change to the phantom bits (placement, seed picks, growth
+    draws, halos, shrink order or noise) fails here."""
+
+    @pytest.mark.parametrize("dims, n, radius, seed, digest", [
+        ((28, 24, 20), 3, (2.5, 4.0), 61,
+         "1f7a70b61972a677746c98d2f84ea5e9ca3b17696df518ec16c374f4ec26a3e4"),
+        ((40, 40, 40), 5, (1.5, 5.5), 62,
+         "5f5858991a8d3022b3ab73902dec217b9b985fa5b9ab3b4f30eeae1f4deb6dc3"),
+    ])
+    def test_generate_and_shrink_bytes(self, dims, n, radius, seed, digest):
+        ph = generate(spec(dims=dims, n=n, radius=radius, seed=seed,
+                           fragmentation_prob=1.0, fragments_per_lesion=(1, 6),
+                           noise_sigma=0.4))
+        h = hashlib.sha256()
+        for p in (ph, shrink(ph, 0.55)):
+            h.update(p.image.data.tobytes(order="F"))
+            h.update(p.truth.data.tobytes(order="F"))
+        assert h.hexdigest() == digest
 
 
 class TestShrink:

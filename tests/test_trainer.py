@@ -3,13 +3,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
+from lesionloss.components import Connectivity
 from lesionloss.loss import TverskyParams
-from lesionloss.synth import generate
+import lesionloss.trainer as trainer_mod
+from lesionloss.synth import Phantom, PhantomSpec, generate
 from lesionloss.trainer import (
     FEATURE_NAMES,
+    TRAIN_LOSS_KINDS,
     TrainConfig,
     VoxelScorer,
     evaluate_lesionwise,
@@ -23,6 +27,8 @@ from lesionloss.trainer import (
 )
 from lesionloss.trainer import _shard_bounds
 from lesionloss.volume import GridShape, Mask, ShapeMismatchError, Volume
+
+from oracles import recall_reference
 
 
 def tiny_corpus(count=4, seed=70, dims=(14, 14, 14)):
@@ -276,8 +282,6 @@ class TestShardedEpoch:
         assert _shard_bounds([100] * 40, 3) == [(0, 13), (13, 27), (27, 40)]
 
     def test_no_thread_outlives_train(self, monkeypatch):
-        import lesionloss.trainer as trainer_mod
-
         before = threading.active_count()
         train(TrainConfig(loss_kind="wlt-combined", epochs=2,
                           train_specs=tiny_corpus(3), threads=3))
@@ -398,12 +402,124 @@ class TestEvaluateLesionwise:
         assert "small_total=1" in text and "large_recall=1" in text
 
 
+def degenerate_batch(truth):
+    """Noise images of 6^3, 5x4x7 and 3^3 with all-empty, all-foreground or
+    mixed truth (one empty, one full and one random case)."""
+    rng = np.random.default_rng(91)
+    dims = [(6, 6, 6), (5, 4, 7), (3, 3, 3)]
+    fills = {"empty": [False] * 3, "full": [True] * 3,
+             "mixed": [False, True, None]}[truth]
+    phantoms = []
+    for i, (d, fill) in enumerate(zip(dims, fills)):
+        data = rng.random(d) < 0.3 if fill is None else np.full(d, fill)
+        image = Volume.from_array(rng.normal(0.0, 0.6, d).astype(np.float32))
+        spec = PhantomSpec(GridShape(d), 0, (1.0, 1.0), seed=900 + i)
+        phantoms.append(Phantom(image, Mask.from_array(data), spec))
+    return phantoms
+
+
+class TestDegenerateBatches:
+    """All-empty, all-foreground and mixed truth in the trainer, with
+    scores that a bias of -800 or +800 saturates to exactly 0.0 or 1.0:
+    the value and gradient stay finite and bit-identical for any thread
+    count."""
+
+    @pytest.mark.parametrize("kind", TRAIN_LOSS_KINDS)
+    @pytest.mark.parametrize("truth", ["empty", "full", "mixed"])
+    def test_scorer_loss(self, kind, truth):
+        phantoms = degenerate_batch(truth)
+        specs = tuple(ph.spec for ph in phantoms)
+        for bias in (-800.0, 0.0, 800.0):
+            theta = np.array([0.0, 0.0, 0.0, 0.0, bias])
+            assert expit(bias) in (0.0, 0.5, 1.0)
+            runs = []
+            for threads in (1, 2, 3):
+                cfg = TrainConfig(loss_kind=kind, train_specs=specs,
+                                  threads=threads)
+                value, grad = scorer_loss(cfg, theta, phantoms, want_grad=True)
+                assert np.isfinite(value) and np.isfinite(grad).all()
+                runs.append((float(value).hex(), grad.tobytes()))
+            assert runs[1:] == runs[:1] * 2
+
+    @pytest.mark.parametrize("kind", TRAIN_LOSS_KINDS)
+    @pytest.mark.parametrize("truth", ["empty", "full", "mixed"])
+    def test_train(self, kind, truth, monkeypatch):
+        phantoms = degenerate_batch(truth)
+        monkeypatch.setattr(trainer_mod, "generate",
+                            {ph.spec: ph for ph in phantoms}.__getitem__)
+        runs = []
+        for threads in (1, 2, 3):
+            model, curve = train(TrainConfig(
+                loss_kind=kind, epochs=2, seed=4, threads=threads,
+                train_specs=tuple(ph.spec for ph in phantoms)))
+            assert np.isfinite(curve).all()
+            runs.append((model.weights.tobytes(), np.array(curve).tobytes()))
+        assert runs[1:] == runs[:1] * 2
+
+    @pytest.mark.parametrize("bias", [-800.0, 0.0, 800.0])
+    def test_lesion_free_corpus_has_zero_totals(self, bias):
+        phantoms = [generate(replace(s, n_lesions=0)) for s in tiny_corpus(3)]
+        model = VoxelScorer(np.array([0.0, 0.0, 0.0, 0.0, bias]))
+        rep = evaluate_lesionwise(model, phantoms)
+        assert rep.to_text() == (
+            "small_total=0 small_detected=0 small_recall=0\n"
+            "medium_total=0 medium_detected=0 medium_recall=0\n"
+            "large_total=0 large_detected=0 large_recall=0\n")
+
+
 class _FixedModel:
     def __init__(self, scores):
         self._scores = np.asarray(scores, np.float32)
 
     def score_volume(self, image):
         return Volume(image.shape, self._scores)
+
+
+_EMPTY = np.zeros((4, 3, 5), bool)
+_BARS = np.zeros((4, 3, 5), bool)    # two lesions; a full prediction spans both
+_BARS[:, 0, 0] = _BARS[:, 2, 4] = True
+
+
+@st.composite
+def recall_cases(draw):
+    """1-3 (truth, prediction) boolean grids of sides 1-9, each drawn at a
+    density from empty to full."""
+    cases = []
+    for _ in range(draw(st.integers(1, 3))):
+        dims = draw(st.tuples(*[st.integers(1, 9)] * 3))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        densities = [draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8, 1.0]))
+                     for _ in range(2)]
+        cases.append(tuple(rng.random(dims) < d for d in densities))
+    return cases
+
+
+class _EchoModel:
+    """Scores each image as itself: the image is the given prediction."""
+
+    def score_volume(self, image):
+        return image
+
+
+class TestRecallOracle:
+    """evaluate_lesionwise against the flood-fill recall oracle over
+    random truth and prediction grids, in one call per draw."""
+
+    @given(cases=recall_cases(), connectivity=st.sampled_from(list(Connectivity)))
+    @example(cases=[(_EMPTY, _BARS)], connectivity=Connectivity.SIX)
+    @example(cases=[(_BARS, _EMPTY)], connectivity=Connectivity.SIX)
+    @example(cases=[(_BARS, np.ones((4, 3, 5), bool))],
+             connectivity=Connectivity.TWENTY_SIX)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_reference(self, cases, connectivity):
+        rep = evaluate_lesionwise(
+            _EchoModel(), [(Volume.from_array(pred.astype(np.float32)),
+                            Mask.from_array(truth)) for truth, pred in cases],
+            0.5, connectivity)
+        want = recall_reference(cases, connectivity)
+        for name in ("small", "medium", "large"):
+            b = getattr(rep, name)
+            assert (b.lesions_total, b.lesions_detected) == want[name]
 
 
 class TestMakeCorpus:

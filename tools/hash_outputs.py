@@ -24,6 +24,11 @@ checked by running this with each tree's src and comparing the lines.
     recall     evaluate_lesionwise text at three thresholds on fragmented
                phantoms
     synth      generate and shrink image and truth bytes
+    phantoms   generate and one shrink of 128 seeded random specs (grid
+               sides 10-40, random radius ranges, fragmentation 0, 0.5 or
+               1, 1-6 fragments per lesion; the message when placement
+               fails) and of five specs shaped like the benchmark's: two
+               96^3 with 24 lesions, three 48^3 with 8
 
 Runs in well under a minute on two cores.
 """
@@ -179,8 +184,37 @@ def _synth(ll, g):
             g.add(p.image.data, p.truth.data, p.shrink_factors)
 
 
+def _phantoms(ll, g):
+    rng = np.random.default_rng(20242)
+    specs = []
+    for _ in range(128):
+        side = rng.integers(10, 41, 3)
+        rmax = float(rng.uniform(0.8, (side.min() - 1) / 2.0))
+        fmin = int(rng.integers(1, 7))
+        specs.append(ll.synth.PhantomSpec(
+            ll.volume.GridShape(tuple(int(d) for d in side)),
+            int(rng.integers(0, 7)), (float(rng.uniform(0.6, rmax)), rmax),
+            fragmentation_prob=float(rng.choice([0.0, 0.5, 1.0])),
+            fragments_per_lesion=(fmin, int(rng.integers(fmin, 7))),
+            noise_sigma=0.3, seed=int(rng.integers(2**32))))
+    for dim, lesions, rmax, seeds in ((96, 24, 6.0, (0, 1)), (48, 8, 5.0, (0, 1, 2))):
+        specs += [ll.synth.PhantomSpec(ll.volume.GridShape((dim,) * 3), lesions,
+                                       (1.3, rmax), fragmentation_prob=0.3,
+                                       noise_sigma=0.6, seed=s) for s in seeds]
+    for spec in specs:
+        factor = float(rng.uniform(0.05, 1.0))
+        try:
+            ph = ll.synth.generate(spec)
+        except RuntimeError as exc:
+            g.add(spec, str(exc))
+            continue
+        for p in (ph, ll.synth.shrink(ph, factor)):
+            g.add(spec, p.image.data, p.truth.data, p.shrink_factors)
+
+
 GROUPS = {"loss": _loss, "gradcheck": _gradcheck, "degenerate": _degenerate,
-          "train": _train, "recall": _recall, "synth": _synth}
+          "train": _train, "recall": _recall, "synth": _synth,
+          "phantoms": _phantoms}
 
 
 def main(argv=None) -> int:
