@@ -492,8 +492,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except _UsageError as exc:
         return _usage_error(parser, argv, exc)
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
+        print(f"{PROG}: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

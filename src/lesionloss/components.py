@@ -1,4 +1,10 @@
-"""Connected-lesion labeling and per-lesion volume measurement."""
+"""Connected-lesion labeling and per-lesion volume measurement.
+
+_flat_labels is the one lesion labeling, read by every stage.  Its id
+order, the x-fastest scan rank of each lesion's first voxel, is scipy's own
+scan-order numbering of the (z, y, x) grid; the Hypothesis test against the
+flood-fill oracle in tests/test_components.py pins it.
+"""
 
 from __future__ import annotations
 
@@ -54,10 +60,13 @@ class LesionLabeling:
         return len(self.volumes)
 
 
-def _raw_labels(mask: Mask, connectivity: Connectivity) -> tuple[np.ndarray, int]:
-    """scipy's labeling of a mask's foreground: int32 ids 1..n in the
-    labeling pass's own order (0 = background) and the count n."""
-    return ndimage.label(mask.data, structure=_STRUCTURES[connectivity])
+def _flat_labels(fg, dims, connectivity: Connectivity) -> tuple[np.ndarray, int]:
+    """Lesion ids 1..n (int32, 0 = background) of the foreground fg of a
+    grid of dims, both flat in x-fastest order, and the count n: scipy
+    labels fg as the C-ordered (z, y, x) grid."""
+    ids, n = ndimage.label(fg.reshape(dims[::-1]),
+                           structure=_STRUCTURES[connectivity])
+    return ids.ravel(), n
 
 
 def label_components(
@@ -66,20 +75,13 @@ def label_components(
     """Label connected foreground components of a mask.
 
     Component ids are assigned by the x-fastest scan position of each
-    component's first voxel, so labels are reproducible regardless of
-    the underlying labeling pass.
+    component's first voxel (_flat_labels).
     """
-    raw, n = _raw_labels(mask, connectivity)
-    if n == 0:
-        return LesionLabeling(mask.shape, np.zeros(mask.shape.dims, np.int32), ())
-    flat = raw.ravel(order="F")
-    nonzero = np.flatnonzero(flat)
-    uniq, first_pos = np.unique(flat[nonzero], return_index=True)
-    remap = np.zeros(n + 1, dtype=np.int32)
-    remap[uniq[np.argsort(first_pos, kind="stable")]] = np.arange(1, n + 1)
-    labels = remap[raw]
-    volumes = np.bincount(labels.ravel(), minlength=n + 1)[1:]
-    return LesionLabeling(mask.shape, labels, tuple(int(v) for v in volumes))
+    dims = mask.shape.dims
+    ids, n = _flat_labels(mask.data.ravel(order="F"), dims, connectivity)
+    labels = np.ascontiguousarray(ids.reshape(dims, order="F"))  # C, as every grid
+    return LesionLabeling(mask.shape, labels,
+                          tuple(np.bincount(ids, minlength=n + 1)[1:].tolist()))
 
 
 def lesion_volume_mm3(labeling: LesionLabeling, lesion_id: int) -> float:

@@ -31,8 +31,8 @@ foreground index set) and the weights at those positions only; background
 weights are never read.  A plan always carries weights: plain Tversky is
 WLT's unit-weight case, so an unweighted ratio term gets unit weights and
 every ratio term runs one formula (x * 1.0 == x, so they move no bit).
-A weighted plan's weights come from the raw lesion labeling, one omega
-per lesion volume read at the lesion voxels; no full-grid weight map is
+A weighted plan's weights come from the lesion labeling, one omega per
+lesion volume read at the lesion voxels; no full-grid weight map is
 built.  Predictions arrive as one flat float64 array in the same order.
 The lesion-voxel sums (TP, TP.W, FN.W) take their terms at the foreground
 positions only and reduce them there by the plan's merge schedule
@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import Connectivity, DEFAULT_CONNECTIVITY, _raw_labels
+from .components import Connectivity, DEFAULT_CONNECTIVITY, _flat_labels
 from .reduction import (MergeSchedule, case_sums, exact_sum, merge_schedule,
                         sparse_case_sums)
 from .volume import Mask, ShapeMismatchError, Volume, require_same_shape
@@ -239,12 +239,8 @@ def _truth(obj: Objective, gts, curve: WeightCurveParams | None,
 def _lesion_weights(g: Mask, fg, curve: WeightCurveParams | None,
                     connectivity: Connectivity) -> np.ndarray:
     """omega of each lesion voxel's lesion volume, in x-fastest order (fg
-    is g's flattened foreground).  A weight depends on its lesion's volume
-    only, never on its id, so scipy's raw labeling serves as it comes: its
-    ids at the lesion voxels count the volumes and index the weights, and
-    no canonical relabeling or full-grid weight map is built."""
-    raw, _ = _raw_labels(g, connectivity)
-    ids = raw.ravel(order="F")[fg]
+    is g's flattened foreground), without a full-grid weight map."""
+    ids = _flat_labels(fg, g.shape.dims, connectivity)[0][fg]
     return _omega_lut(np.bincount(ids)[1:], curve)[ids]
 
 

@@ -153,15 +153,18 @@ def _halo(dims, coords):
 
 
 def _pick_seeds(rng, support, k):
+    """k rows of support at pairwise Chebyshev distance >= 3, or None: the
+    greedy pick along each of up to 60 random permutations of support."""
     for _ in range(_SEED_PICK_TRIES):
-        perm = rng.permutation(len(support))
+        cand = support[rng.permutation(len(support))]
+        free = np.ones(len(cand), dtype=bool)
         seeds: list[np.ndarray] = []
-        for i in perm:
-            c = support[i]
-            if all(np.abs(c - s).max() >= _MIN_SEED_SEPARATION for s in seeds):
-                seeds.append(c)
-                if len(seeds) == k:
-                    return seeds
+        while free.any():
+            c = cand[np.argmax(free)]
+            seeds.append(c)
+            if len(seeds) == k:
+                return seeds
+            free &= np.abs(cand - c).max(axis=1) >= _MIN_SEED_SEPARATION
     return None
 
 

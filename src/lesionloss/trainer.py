@@ -32,7 +32,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import expit
 
-from .components import Connectivity, DEFAULT_CONNECTIVITY, _raw_labels
+from .components import Connectivity, DEFAULT_CONNECTIVITY, _flat_labels
 from .loss import (
     CE_CLAMP_DEFAULT,
     TRAIN_LOSS_KINDS,
@@ -84,11 +84,8 @@ class VoxelScorer:
         object.__setattr__(self, "weights", _freeze(w.copy()))
 
     def score_volume(self, image: Volume) -> Volume:
-        q = expit(extract_features(image) @ self.weights)
-        return Volume(
-            image.shape,
-            q.reshape(image.shape.dims, order="F").astype(np.float32),
-        )
+        q = expit(extract_features(image) @ self.weights).astype(np.float32)
+        return Volume(image.shape, q.reshape(image.shape.dims, order="F"))
 
 
 def initial_scorer(seed: int) -> VoxelScorer:
@@ -301,10 +298,8 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
                         ) -> LesionRecallReport:
     """Recall per size bucket; a truth lesion counts as detected when one
     predicted component covers at least half of its voxels.  A case whose
-    scores and truth differ in grid raises ShapeMismatchError.  Recall
-    needs lesion volumes and overlaps, never ids, so scipy's raw labelings
-    of the truth and of the thresholded scores are read at the truth
-    voxels only."""
+    scores and truth differ in grid raises ShapeMismatchError.  Both
+    labelings are read at the truth voxels only."""
     totals = {"small": 0, "medium": 0, "large": 0}
     detected = {"small": 0, "medium": 0, "large": 0}
     for case in cases:
@@ -316,8 +311,10 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
             raise TypeError("cases must be Phantoms or (Volume, Mask) pairs")
         pred = model.score_volume(image)
         require_same_shape(pred, truth)
-        t = _raw_labels(truth, connectivity)[0][truth.data]
-        p = _raw_labels(threshold(pred, thresh), connectivity)[0][truth.data]
+        fg = truth.data.ravel(order="F")
+        hit = threshold(pred, thresh).data.ravel(order="F")
+        t = _flat_labels(fg, truth.shape.dims, connectivity)[0][fg]
+        p = _flat_labels(hit, truth.shape.dims, connectivity)[0][fg]
         for lesion_id, vol in enumerate(np.bincount(t)[1:].tolist(), start=1):
             counts = np.bincount(p[t == lesion_id])
             best = int(counts[1:].max()) if counts.size > 1 else 0

@@ -234,3 +234,19 @@ def loss_reference(kind, ps, qs, ws, *, alpha, beta, smooth, ce_weight, clamp,
     lam = ce_weight
     return (lam * ce_v + (1.0 - lam) * r_v,
             [lam * g1 + (1.0 - lam) * g2 for g1, g2 in zip(ce_g, r_g)])
+
+
+def pick_seeds_reference(rng, support, k, tries=60, separation=3):
+    """Reference seed picking: up to `tries` random permutations of support,
+    each walked voxel by voxel, keeping a voxel when its Chebyshev distance
+    to every kept one is at least `separation`; the first k kept, or None."""
+    for _ in range(tries):
+        perm = rng.permutation(len(support))
+        seeds = []
+        for i in perm:
+            c = support[i]
+            if all(np.abs(c - s).max() >= separation for s in seeds):
+                seeds.append(c)
+                if len(seeds) == k:
+                    return seeds
+    return None

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lesionloss.cli as cli_mod
 from lesionloss.cli import _PARAMS, _flag, _switch, build_parser, main
 from lesionloss.loss import LOSS_KINDS
 from lesionloss.trainer import VoxelScorer, save_scorer
@@ -129,6 +130,21 @@ class TestExitCodes:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("weight_tp_denominator=1\n")
         assert run(capsys, *small, "--config", str(cfg)) == run(capsys, *small)
+
+    @pytest.mark.parametrize("exc,message", [
+        (MemoryError("Unable to allocate 7.11 PiB for an array"),
+         "Unable to allocate 7.11 PiB for an array"),
+        (MemoryError(), "out of memory"),
+    ])
+    def test_allocation_failure_is_data_error(self, capsys, monkeypatch, exc,
+                                              message):
+        def fail(args):
+            raise exc
+        monkeypatch.setattr(cli_mod, "_cmd_synth", fail)
+        code, out, err = run(capsys, "synth", "--out", "x",
+                             "--dims", "2000000 2000000 2000")
+        assert code == 2 and out == ""
+        assert err == f"lesionloss: error: {message}\n"
 
     def test_negative_corpus_count_is_data_error(self, capsys):
         code, out, err = run(capsys, "train", "--epochs", "1", "--train-count", "2",

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import flood_fill_labels
 
 from lesionloss.components import (
@@ -60,6 +62,26 @@ class TestFloodFillOracle:
             # label grids must agree exactly, not just up to renaming
             expected = flood_fill_labels(data, connectivity)
             assert np.array_equal(lab.labels, expected)
+
+    @given(dims=st.tuples(*[st.integers(1, 10)] * 3),
+           seed=st.integers(0, 2**32 - 1),
+           density=st.sampled_from([0.0, 0.05, 0.2, 0.4, 0.6, 0.9, 1.0]),
+           connectivity=st.sampled_from(list(Connectivity)))
+    @example(dims=(1, 1, 1), seed=0, density=1.0, connectivity=Connectivity.SIX)
+    @example(dims=(10, 1, 1), seed=3, density=0.5, connectivity=Connectivity.SIX)
+    @example(dims=(1, 10, 10), seed=4, density=0.4,
+             connectivity=Connectivity.EIGHTEEN)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_exactly(self, dims, seed, density, connectivity):
+        """Ids and volumes equal the flood fill's, with no renaming: this
+        pins the x-fastest scan order of scipy's numbering that
+        components._flat_labels relies on."""
+        data = np.random.default_rng(seed).random(dims) < density
+        lab = label_components(Mask.from_array(data), connectivity)
+        expected = flood_fill_labels(data, connectivity)
+        assert lab.labels.dtype == np.int32
+        assert np.array_equal(lab.labels, expected)
+        assert lab.volumes == tuple(np.bincount(expected.ravel())[1:].tolist())
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)

@@ -577,8 +577,74 @@ class TestUnitWeights:
             assert a.data.tobytes() == b.data.tobytes()
 
 
+@st.composite
+def _weighted_batches(draw):
+    """2-4 cases of sides 1-6, each with at least one lesion voxel, float32
+    predictions inside (0, 1), and weight maps of non-unit lesion weights:
+    from the truth's labeling ("built", omega=None) or drawn at random
+    ("given")."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gts, preds, given_maps = [], [], []
+    for _ in range(draw(st.integers(2, 4))):
+        dims = draw(st.tuples(*[st.integers(1, 6)] * 3))
+        fg = rng.random(dims) < draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+        fg[tuple(rng.integers(0, dims))] = True
+        gts.append(mask(fg))
+        preds.append(vol(rng.uniform(0.02, 0.98, dims)))
+        given_maps.append(WeightMap(gts[-1].shape, rng.uniform(0.5, 9.0, dims)))
+    return gts, preds, (given_maps if draw(st.booleans()) else None)
+
+
+class TestBatchIsGlobalRatio:
+    """With non-unit lesion weights, a wlt or combined batch is one ratio of
+    the batch's summed sums (and one CE mean over all its voxels), not the
+    mean of the per-case values."""
+
+    @staticmethod
+    def expected(kind, gts, preds, maps, wtd):
+        tv = default_wlt_params()
+        p = [g.data.ravel().astype(np.float64) for g in gts]
+        q = [v.data.ravel().astype(np.float64) for v in preds]
+        w = [m.weights.ravel() for m in maps]
+
+        def total(terms):
+            return math.fsum(math.fsum(t.tolist()) for t in terms)
+
+        tp_w = total(a * b * c for a, b, c in zip(p, q, w))
+        tp = total(a * b for a, b in zip(p, q))
+        fp = total((1 - a) * b for a, b in zip(p, q))
+        fn_w = total(a * (1 - b) * c for a, b, c in zip(p, q, w))
+        wlt = -(tv.smooth + tp_w) / (tv.smooth + (tp_w if wtd else tp)
+                                      + tv.alpha * fp + tv.beta * fn_w)
+        if kind == "wlt":
+            return wlt
+        lo, hi = CE_CLAMP_DEFAULT, 1 - CE_CLAMP_DEFAULT
+        ce = total(-np.log(np.clip(np.where(a == 1, b, 1 - b), lo, hi))
+                   for a, b in zip(p, q)) / sum(a.size for a in p)
+        return 0.5 * ce + 0.5 * wlt
+
+    @given(batch=_weighted_batches(), kind=st.sampled_from(["wlt", "combined"]),
+           wtd=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_value_is_the_ratio_of_summed_sums(self, batch, kind, wtd):
+        gts, preds, omega = batch
+        maps = omega or [build_weight_map(label_components(g)) for g in gts]
+        global_ratio = self.expected(kind, gts, preds, maps, wtd)
+        case_mean = math.fsum(self.expected(kind, [g], [v], [m], wtd)
+                              for g, v, m in zip(gts, preds, maps)) / len(gts)
+        assume(not math.isclose(global_ratio, case_mean, rel_tol=1e-6))
+        value = evaluate_loss(kind, gts, preds, omega=omega,
+                              weight_tp_denominator=wtd).value
+        assert value == pytest.approx(global_ratio, rel=1e-12, abs=1e-15)
+        per_case = [evaluate_loss(kind, g, v, omega=None if omega is None else m,
+                                  weight_tp_denominator=wtd).value
+                    for g, v, m in zip(gts, preds, maps)]
+        assert not math.isclose(value, math.fsum(per_case) / len(gts),
+                                rel_tol=1e-7)
+
+
 class TestPlanWeights:
-    """A plan's weights come from the raw labeling at the lesion voxels;
+    """A plan's weights come from the lesion labeling at the lesion voxels;
     they equal the public weight map's, byte for byte."""
 
     @pytest.mark.parametrize("curve", [None, WeightCurveParams(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lesionloss.components import Connectivity, label_components
 from lesionloss.synth import (
@@ -10,6 +12,7 @@ from lesionloss.synth import (
     PhantomSpec,
     _ellipsoid_voxels,
     _halo,
+    _pick_seeds,
     generate,
     read_phantom_sidecar,
     regenerate_phantom,
@@ -18,7 +21,7 @@ from lesionloss.synth import (
 )
 from lesionloss.volume import GridShape, load_mask, load_volume
 
-from oracles import halo_reference
+from oracles import halo_reference, pick_seeds_reference
 
 
 def spec(dims=(24, 24, 24), n=2, radius=(3.0, 3.0), seed=42, **kw):
@@ -187,6 +190,31 @@ class TestHalo:
         assert mask.size == 0
         assert np.array_equal(self.pasted((4, 5, 6), coords),
                               halo_reference((4, 5, 6), coords))
+
+
+class TestPickSeeds:
+    """The vectorized greedy pick against the voxel-by-voxel loop: the same
+    seeds (or None) and the same generator state afterwards."""
+
+    @given(side=st.integers(1, 9), density=st.sampled_from([0.05, 0.3, 0.7, 1.0]),
+           k=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+           rng_seed=st.integers(0, 2**32 - 1))
+    @example(side=1, density=1.0, k=2, seed=0, rng_seed=0)     # one voxel, k > 1
+    @example(side=3, density=1.0, k=2, seed=0, rng_seed=1)     # no two 3 apart
+    @example(side=4, density=1.0, k=8, seed=0, rng_seed=2)     # only the corners
+    @example(side=5, density=0.0, k=1, seed=0, rng_seed=3)     # empty support
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference(self, side, density, k, seed, rng_seed):
+        support = np.argwhere(
+            np.random.default_rng(seed).random((side,) * 3) < density
+        ).astype(np.int64) + 7
+        rng, ref_rng = (np.random.default_rng(rng_seed) for _ in range(2))
+        got = _pick_seeds(rng, support, k)
+        want = pick_seeds_reference(ref_rng, support, k)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(np.array(got), np.array(want))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestPinnedBytes:

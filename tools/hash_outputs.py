@@ -29,6 +29,12 @@ checked by running this with each tree's src and comparing the lines.
                1, 1-6 fragments per lesion; the message when placement
                fails) and of five specs shaped like the benchmark's: two
                96^3 with 24 lesions, three 48^3 with 8
+    labels     label_components ids and volumes and build_weight_map bytes
+               (unit volume scale, and mm^3 scale on an anisotropic
+               spacing) for every connectivity, on 120 seeded random masks
+               of 1-16 voxels per axis, 1-voxel-thick slabs and lines,
+               single voxels, empty and full grids and a fragmented 48^3
+               phantom truth
 
 Runs in well under a minute on two cores.
 """
@@ -212,9 +218,42 @@ def _phantoms(ll, g):
             g.add(spec, p.image.data, p.truth.data, p.shrink_factors)
 
 
+def _label_masks(ll, rng):
+    masks = []
+    for _ in range(120):
+        dims = tuple(int(d) for d in rng.integers(1, 17, 3))
+        masks.append(rng.random(dims) < rng.choice([0.05, 0.2, 0.35, 0.6, 0.9]))
+    for thin in ((1, 9, 11), (7, 1, 12), (13, 10, 1), (1, 1, 14), (1, 15, 1),
+                 (16, 1, 1), (1, 1, 1)):
+        for density in (0.3, 0.7):
+            masks.append(rng.random(thin) < density)
+    masks += [np.ones((1, 1, 1), bool), np.zeros((5, 6, 7), bool),
+              np.ones((6, 5, 4), bool)]
+    masks.append(ll.synth.generate(ll.synth.PhantomSpec(
+        ll.volume.GridShape((48, 48, 48)), 10, (1.0, 4.0),
+        fragmentation_prob=0.5, fragments_per_lesion=(2, 5), seed=600)
+        ).truth.data)
+    return masks
+
+
+def _labels(ll, g):
+    rng = np.random.default_rng(20243)
+    spacing = (0.5, 1.25, 3.0)
+    for data in _label_masks(ll, rng):
+        for conn in ll.components.Connectivity:
+            for sp in ((1.0, 1.0, 1.0), spacing):
+                m = ll.volume.Mask.from_array(data, spacing=sp)
+                lab = ll.components.label_components(m, conn)
+                unit = ll.weighting.build_weight_map(lab)
+                mm3 = ll.weighting.build_weight_map(
+                    lab, volume_scale=m.shape.voxel_volume_mm3)
+                g.add(conn.value, sp, lab.labels, lab.volumes, unit.weights,
+                      mm3.weights)
+
+
 GROUPS = {"loss": _loss, "gradcheck": _gradcheck, "degenerate": _degenerate,
           "train": _train, "recall": _recall, "synth": _synth,
-          "phantoms": _phantoms}
+          "phantoms": _phantoms, "labels": _labels}
 
 
 def main(argv=None) -> int:
