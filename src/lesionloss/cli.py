@@ -119,28 +119,44 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _read_config(path) -> dict[str, str]:
-    out = volume.read_fields(path, "config", comments=True)
-    for key in out:
-        if key not in _PARAMS:
-            raise ValueError(f"config: unknown parameter {key!r}")
-    return out
+def _unset(args, key: str) -> bool:
+    """Whether the subcommand declares key and the command line left it
+    unset."""
+    return key in vars(args) and getattr(args, key) is None
+
+
+def _read_config(args) -> dict:
+    """The --config value of each parameter that is _unset, parsed and
+    checked; an error names the file, and the key of a bad value."""
+    with volume._naming(args.config):
+        fields = volume.read_fields(args.config, "config", comments=True)
+        values = {}
+        for key in fields:
+            if key not in _PARAMS:
+                raise ValueError(f"config: unknown parameter {key!r}")
+            if not _unset(args, key):
+                continue
+            parse, _, choices, _ = _PARAMS[key]
+            values[key] = volume._field(fields, key, parse)
+            if choices is not None and values[key] not in choices:
+                raise ValueError(
+                    f"config: {key} must be one of "
+                    f"{', '.join(map(str, choices))}, got {fields[key]!r}"
+                )
+            if key == "threads" and values[key] < 1:
+                raise ValueError("threads must be >= 1")
+        return values
 
 
 def _fill_params(args) -> None:
-    """Give each parameter the subcommand declares and the command line
-    left unset its --config value, else its default."""
-    cfg = _read_config(args.config) if args.config else {}
-    for key, (parse, default, choices, _) in _PARAMS.items():
-        if key not in vars(args) or getattr(args, key) is not None:
-            continue
-        value = parse(cfg[key]) if key in cfg else default
-        if key in cfg and choices is not None and value not in choices:
-            raise ValueError(
-                f"config: {key} must be one of "
-                f"{', '.join(map(str, choices))}, got {cfg[key]!r}"
-            )
-        setattr(args, key, value)
+    """Give each parameter that is _unset its --config value, else its
+    default."""
+    cfg = _read_config(args) if args.config else {}
+    for key, (_, default, _, _) in _PARAMS.items():
+        if _unset(args, key):
+            setattr(args, key, cfg.get(key, default))
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
 
 
 def _require(args, key):
@@ -298,8 +314,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_shrink(args) -> int:
     factor = _require(args, "factor")
-    spec, factors = synth.read_phantom_sidecar(str(args.input) + ".spec")
-    ph = synth.regenerate_phantom(spec, factors)
+    path = str(args.input) + ".spec"
+    spec, factors = synth.read_phantom_sidecar(path)
+    with volume._naming(path):    # the sidecar's phantom must replay
+        ph = synth.regenerate_phantom(spec, factors)
     print(f"truth_voxels_before={ph.truth.foreground_count}")
     ph = synth.shrink(ph, factor)
     synth.save_phantom(ph, args.out)
@@ -487,8 +505,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         _fill_params(args)
-        if args.threads < 1:
-            raise ValueError("--threads must be >= 1")
         return args.func(args)
     except _UsageError as exc:
         return _usage_error(parser, argv, exc)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .volume import GridShape, Mask, Volume, _freeze
+from .volume import GridShape, Mask, Volume, _flat, _grid, _store
 
 
 class Connectivity(enum.Enum):
@@ -41,18 +41,18 @@ class LesionLabeling:
     volumes: tuple[int, ...]
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int32)
+        labels = _store(self.labels, np.int32)
         if labels.shape != self.shape.dims:
             raise ValueError("labels grid does not match shape dims")
         n = len(self.volumes)
         if labels.min(initial=0) < 0 or labels.max(initial=0) != n:
             raise ValueError("labels must cover the contiguous range 0..L")
-        counts = np.bincount(labels.ravel(), minlength=n + 1)
+        counts = np.bincount(_flat(labels), minlength=n + 1)
         if n and (counts[1:] == 0).any():
             raise ValueError("labels must cover the contiguous range 0..L")
         if tuple(int(c) for c in counts[1:]) != tuple(int(v) for v in self.volumes):
             raise ValueError("volumes do not match label counts")
-        object.__setattr__(self, "labels", _freeze(labels.copy()))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "volumes", tuple(int(v) for v in self.volumes))
 
     @property
@@ -78,9 +78,8 @@ def label_components(
     component's first voxel (_flat_labels).
     """
     dims = mask.shape.dims
-    ids, n = _flat_labels(mask.data.ravel(order="F"), dims, connectivity)
-    labels = np.ascontiguousarray(ids.reshape(dims, order="F"))  # C, as every grid
-    return LesionLabeling(mask.shape, labels,
+    ids, n = _flat_labels(_flat(mask.data), dims, connectivity)
+    return LesionLabeling(mask.shape, _grid(ids, dims),
                           tuple(np.bincount(ids, minlength=n + 1)[1:].tolist()))
 
 
@@ -95,4 +94,4 @@ def lesion_volume_mm3(labeling: LesionLabeling, lesion_id: int) -> float:
 
 def labeling_to_volume(labeling: LesionLabeling) -> Volume:
     """Export label ids as a float32 volume for inspection."""
-    return Volume(labeling.shape, labeling.labels.astype(np.float32))
+    return Volume(labeling.shape, labeling.labels)

@@ -69,7 +69,8 @@ import numpy as np
 from .components import Connectivity, DEFAULT_CONNECTIVITY, _flat_labels
 from .reduction import (MergeSchedule, case_sums, exact_sum, merge_schedule,
                         sparse_case_sums)
-from .volume import Mask, ShapeMismatchError, Volume, require_same_shape
+from .volume import (Mask, ShapeMismatchError, Volume, _flat, _grid,
+                     require_same_shape)
 from .weighting import WeightCurveParams, WeightMap, _omega_lut
 
 CE_CLAMP_DEFAULT = 1e-7
@@ -217,7 +218,7 @@ def _truth(obj: Objective, gts, curve: WeightCurveParams | None,
     lesion labelings, and otherwise they are ones (no labeling is done).
     Given omega must match gts in batch length and shapes for every kind,
     used or not."""
-    fgs = [g.data.ravel(order="F") for g in gts]
+    fgs = [_flat(g.data) for g in gts]
     sizes = tuple(fg.size for fg in fgs)
     idx = np.flatnonzero(np.concatenate(fgs))
     merge = merge_schedule(idx, sizes) if obj.ratio is not None else None
@@ -230,7 +231,7 @@ def _truth(obj: Objective, gts, curve: WeightCurveParams | None,
     if not obj.weighted:
         return _Plan(sizes, idx, np.ones(idx.size), merge)
     if omega is not None:
-        w = [m.weights.ravel(order="F")[fg] for m, fg in zip(maps, fgs)]
+        w = [_flat(m.weights)[fg] for m, fg in zip(maps, fgs)]
     else:
         w = [_lesion_weights(g, fg, curve, connectivity) for g, fg in zip(gts, fgs)]
     return _Plan(sizes, idx, np.concatenate(w), merge)
@@ -264,18 +265,15 @@ def _prepare(kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
     plan = _truth(obj, gts, curve, connectivity, omega)
     q = np.empty(plan.n)    # the predictions, flat float64, in plan order
     for p, (start, stop) in zip(preds, _bounds(plan.sizes)):
-        q[start:stop].reshape(p.shape.dims, order="F")[...] = p.data
+        q[start:stop] = _flat(p.data)
     return obj, plan, q, preds, single
 
 
 def _wrap(value, grad, plan: _Plan, preds, single) -> LossReport:
     if grad is None:
         return LossReport(float(value))
-    vols = [
-        Volume(p.shape, grad[start:stop].reshape(p.shape.dims, order="F")
-               .astype(np.float32))
-        for p, (start, stop) in zip(preds, _bounds(plan.sizes))
-    ]
+    vols = [Volume(p.shape, _grid(grad[start:stop], p.shape.dims))
+            for p, (start, stop) in zip(preds, _bounds(plan.sizes))]
     return LossReport(float(value), vols[0] if single else vols)
 
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .volume import GridShape, Mask, Volume, _freeze, read_fields, save_mask, save_volume
+from .volume import (GridShape, Mask, Volume, _field, _floats, _freeze, _grid,
+                     _ints, _naming, read_fields, save_mask, save_volume)
 
 _PLACEMENT_STREAM = (0,)
 _NOISE_STREAM = (1,)
@@ -55,6 +56,9 @@ class PhantomSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if len(self.radius_range_vox) != 2 or len(self.fragments_per_lesion) != 2:
+            raise ValueError("radius_range_vox and fragments_per_lesion take "
+                             "two values each")
         object.__setattr__(
             self, "radius_range_vox",
             (float(self.radius_range_vox[0]), float(self.radius_range_vox[1])),
@@ -234,15 +238,15 @@ def _grow_fragments(rng, dims, support, radii, blocked, k):
 def _render_image(spec: PhantomSpec, truth: np.ndarray) -> Volume:
     rng = _stream(spec.seed, _NOISE_STREAM)
     flat = rng.normal(0.0, spec.noise_sigma, size=spec.shape.voxel_count)
-    img = flat.reshape(spec.shape.dims, order="F") + spec.contrast * truth
-    return Volume(spec.shape, img.astype(np.float32))
+    return Volume(spec.shape,
+                  _grid(flat, spec.shape.dims) + spec.contrast * truth)
 
 
 def generate(spec: PhantomSpec) -> Phantom:
     """Generate a phantom; identical spec gives a bit-identical phantom."""
     dims = spec.shape.dims
     place_rng = _stream(spec.seed, _PLACEMENT_STREAM)
-    truth = np.zeros(dims, dtype=bool)
+    truth = _grid(np.zeros(spec.shape.voxel_count, dtype=bool), dims)
     blocked = np.zeros(dims, dtype=bool)
     lesions: list[LesionGeometry] = []
 
@@ -306,7 +310,7 @@ def shrink(ph: Phantom, factor: float) -> Phantom:
     if not 0.0 < factor <= 1.0:
         raise ValueError(f"shrink factor must lie in (0, 1], got {factor}")
     dims = ph.spec.shape.dims
-    truth = np.zeros(dims, dtype=bool)
+    truth = _grid(np.zeros(ph.spec.shape.voxel_count, dtype=bool), dims)
     new_lesions = []
     for geom in ph.lesions:
         if geom.fragments is None:
@@ -364,36 +368,33 @@ def save_phantom(ph: Phantom, prefix) -> None:
 
 
 def read_phantom_sidecar(path) -> tuple[PhantomSpec, tuple[float, ...]]:
-    """Read a .spec sidecar; a duplicate, missing or unknown key is an error."""
-    fields = read_fields(path, "sidecar")
-    required = {
-        "dims", "spacing", "n_lesions", "radius_range_vox",
-        "fragmentation_prob", "fragments_per_lesion", "noise_sigma",
-        "contrast", "seed", "shrink_factors",
-    }
-    missing = required - fields.keys()
-    if missing:
-        raise ValueError(f"sidecar missing fields: {sorted(missing)}")
-    unknown = fields.keys() - required
-    if unknown:
-        raise ValueError(f"sidecar unknown fields: {sorted(unknown)}")
-    spec = PhantomSpec(
-        shape=GridShape(
-            tuple(int(x) for x in fields["dims"].split()),
-            tuple(float(x) for x in fields["spacing"].split()),
-        ),
-        n_lesions=int(fields["n_lesions"]),
-        radius_range_vox=tuple(float(x) for x in fields["radius_range_vox"].split()),
-        fragmentation_prob=float(fields["fragmentation_prob"]),
-        fragments_per_lesion=tuple(
-            int(x) for x in fields["fragments_per_lesion"].split()
-        ),
-        noise_sigma=float(fields["noise_sigma"]),
-        contrast=float(fields["contrast"]),
-        seed=int(fields["seed"]),
-    )
-    factors = tuple(float(x) for x in fields["shrink_factors"].split())
-    return spec, factors
+    """Read a .spec sidecar; a duplicate, missing or unknown key is an
+    error, and every error names the file."""
+    with _naming(path):
+        fields = read_fields(path, "sidecar")
+        required = {
+            "dims", "spacing", "n_lesions", "radius_range_vox",
+            "fragmentation_prob", "fragments_per_lesion", "noise_sigma",
+            "contrast", "seed", "shrink_factors",
+        }
+        missing = required - fields.keys()
+        if missing:
+            raise ValueError(f"sidecar missing fields: {sorted(missing)}")
+        unknown = fields.keys() - required
+        if unknown:
+            raise ValueError(f"sidecar unknown fields: {sorted(unknown)}")
+        spec = PhantomSpec(
+            shape=GridShape(_field(fields, "dims", _ints),
+                            _field(fields, "spacing", _floats)),
+            n_lesions=_field(fields, "n_lesions", int),
+            radius_range_vox=_field(fields, "radius_range_vox", _floats),
+            fragmentation_prob=_field(fields, "fragmentation_prob", float),
+            fragments_per_lesion=_field(fields, "fragments_per_lesion", _ints),
+            noise_sigma=_field(fields, "noise_sigma", float),
+            contrast=_field(fields, "contrast", float),
+            seed=_field(fields, "seed", int),
+        )
+        return spec, _field(fields, "shrink_factors", _floats)
 
 
 def regenerate_phantom(spec: PhantomSpec,

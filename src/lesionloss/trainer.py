@@ -49,7 +49,8 @@ from .loss import (
 )
 from .reduction import exact_sum
 from .synth import Phantom, PhantomSpec, generate
-from .volume import GridShape, Mask, Volume, _freeze, require_same_shape, threshold
+from .volume import (GridShape, Mask, Volume, _flat, _freeze, _grid, _naming,
+                     require_same_shape, threshold)
 from .weighting import WeightCurveParams
 
 FEATURE_NAMES = ("raw", "mean3", "mean5", "var3", "bias")
@@ -59,14 +60,23 @@ LARGE_BUCKET_MIN = 200   # lesion is large when voxels > 200
 
 
 def extract_features(image: Volume) -> np.ndarray:
-    """Per-voxel feature matrix (voxels x 5), rows in x-fastest order."""
-    img = image.data.astype(np.float64)
-    m3 = ndimage.uniform_filter(img, size=3, mode="reflect")
-    m5 = ndimage.uniform_filter(img, size=5, mode="reflect")
-    v3 = np.clip(ndimage.uniform_filter(img * img, size=3, mode="reflect")
-                 - m3 * m3, 0.0, None)
-    cols = (img, m3, m5, v3, np.ones_like(img))
-    return np.stack([c.ravel(order="F") for c in cols], axis=1)
+    """Per-voxel feature matrix (voxels x 5), rows in x-fastest order.
+
+    The features are the rows of one C-ordered 5 x n matrix, the trainer's
+    X; each filter writes its row through the row's [x, y, z] grid view.
+    The (n, 5) view of X is returned, so .T gives X back with no copy.
+    """
+    X = np.empty((len(FEATURE_NAMES), image.shape.voxel_count))
+    raw, m3, m5, v3, bias = (_grid(row, image.shape.dims) for row in X)
+    raw[...] = image.data
+    ndimage.uniform_filter(raw, size=3, mode="reflect", output=m3)
+    ndimage.uniform_filter(raw, size=5, mode="reflect", output=m5)
+    np.multiply(raw, raw, out=v3)
+    ndimage.uniform_filter(v3, size=3, mode="reflect", output=v3)
+    v3 -= np.multiply(m3, m3, out=bias)    # the bias row as scratch
+    np.clip(v3, 0.0, None, out=v3)
+    bias[...] = 1.0
+    return X.T
 
 
 @dataclass(frozen=True)
@@ -85,7 +95,7 @@ class VoxelScorer:
 
     def score_volume(self, image: Volume) -> Volume:
         q = expit(extract_features(image) @ self.weights).astype(np.float32)
-        return Volume(image.shape, q.reshape(image.shape.dims, order="F"))
+        return Volume(image.shape, _grid(q, image.shape.dims))
 
 
 def initial_scorer(seed: int) -> VoxelScorer:
@@ -311,8 +321,8 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
             raise TypeError("cases must be Phantoms or (Volume, Mask) pairs")
         pred = model.score_volume(image)
         require_same_shape(pred, truth)
-        fg = truth.data.ravel(order="F")
-        hit = threshold(pred, thresh).data.ravel(order="F")
+        fg = _flat(truth.data)
+        hit = _flat(threshold(pred, thresh).data)
         t = _flat_labels(fg, truth.shape.dims, connectivity)[0][fg]
         p = _flat_labels(hit, truth.shape.dims, connectivity)[0][fg]
         for lesion_id, vol in enumerate(np.bincount(t)[1:].tolist(), start=1):
@@ -373,13 +383,14 @@ def save_scorer(model: VoxelScorer, path) -> None:
 
 
 def load_scorer(path) -> VoxelScorer:
+    """Read a save_scorer file; every error names the file."""
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != _SCORER_MAGIC:
-        raise ValueError(f"{path}: not a f32vec scorer file")
-    count = int(parts[1])
-    if len(payload) != 4 * count:
-        raise ValueError(f"{path}: vector payload size mismatch")
-    return VoxelScorer(np.frombuffer(payload, dtype="<f4").astype(np.float64))
+    with _naming(path):
+        parts = header.split()
+        if len(parts) != 2 or parts[0] != _SCORER_MAGIC:
+            raise ValueError("not a f32vec scorer file")
+        if len(payload) != 4 * int(parts[1]):
+            raise ValueError("vector payload size mismatch")
+        return VoxelScorer(np.frombuffer(payload, dtype="<f4").astype(np.float64))

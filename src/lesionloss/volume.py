@@ -12,11 +12,21 @@ stream.  Header fields:
 The raw stream is laid out x-fastest (linear index = x + X*(y + Y*z)).
 Masks are stored as u8 with values {0,1}.  Save followed by load
 reproduces every bit, and vice versa.
+
+Memory order is the file order: every grid the package hands out (a
+Volume's or Mask's data, a lesion labeling's ids, a weight map's weights)
+holds its [x, y, z] array x-fastest, that is F-contiguous.  Its flat
+x-fastest view, the order of the files and of every flat array the loss
+engine and the trainer work on, is then free, and so is the grid view of
+such a flat array.  The layout is spelled in this module alone: _store
+keeps a grid's array, _flat takes its flat view and _grid builds a grid
+from a flat array.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,6 +83,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _store(arr, dtype) -> np.ndarray:
+    """A read-only x-fastest copy of the grid arr, cast to dtype."""
+    return _freeze(np.array(arr, dtype=dtype, order="F"))
+
+
+def _flat(grid: np.ndarray) -> np.ndarray:
+    """The x-fastest flat view of a grid; no copy for a stored grid."""
+    return grid.ravel(order="F")
+
+
+def _grid(flat: np.ndarray, dims) -> np.ndarray:
+    """The [x, y, z] grid view of dims over an x-fastest flat array."""
+    return flat.reshape(dims, order="F")
+
+
 @dataclass(frozen=True)
 class Volume:
     """Dense scalar grid, stored at float32 precision, indexed [x, y, z]."""
@@ -81,14 +106,14 @@ class Volume:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float32)
+        arr = _store(self.data, np.float32)
         if arr.shape != self.shape.dims:
             raise ShapeMismatchError(
                 f"data shape {arr.shape} does not match dims {self.shape.dims}"
             )
         if not np.isfinite(arr).all():
             raise ValueError("volume contains non-finite values")
-        object.__setattr__(self, "data", _freeze(arr.copy()))
+        object.__setattr__(self, "data", arr)
 
     @classmethod
     def from_array(cls, arr, spacing=(1.0, 1.0, 1.0)) -> "Volume":
@@ -113,15 +138,13 @@ class Mask:
 
     def __post_init__(self):
         arr = np.asarray(self.data)
-        if arr.dtype != np.bool_:
-            if not np.isin(arr, (0, 1)).all():
-                raise ValueError("mask values must be 0 or 1")
-            arr = arr.astype(bool)
+        if arr.dtype != np.bool_ and not np.isin(arr, (0, 1)).all():
+            raise ValueError("mask values must be 0 or 1")
         if arr.shape != self.shape.dims:
             raise ShapeMismatchError(
                 f"data shape {arr.shape} does not match dims {self.shape.dims}"
             )
-        object.__setattr__(self, "data", _freeze(arr.copy()))
+        object.__setattr__(self, "data", _store(arr, bool))
 
     @classmethod
     def from_array(cls, arr, spacing=(1.0, 1.0, 1.0)) -> "Mask":
@@ -185,6 +208,33 @@ def _write_pair(shape: GridShape, dtype_token: str, payload: bytes, path) -> Non
     raw_path.write_bytes(payload)
 
 
+@contextmanager
+def _naming(name, error: type[ValueError] = ValueError):
+    """Put name in front of the message of a ValueError (re-raised as
+    error) or a RuntimeError raised in the block: the file being read, or
+    the key of the value being parsed."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(f"{name}: {exc}") from exc
+    except RuntimeError as exc:
+        raise RuntimeError(f"{name}: {exc}") from exc
+
+
+def _field(fields: dict[str, str], key: str, parse):
+    """parse(fields[key]); a value that does not parse names its key."""
+    with _naming(key):
+        return parse(fields[key])
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split())
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split())
+
+
 def read_fields(path, what: str, *, comments: bool = False,
                 error: type[ValueError] = ValueError) -> dict[str, str]:
     """The ``key=value`` lines of a UTF-8 text file as a dict.
@@ -223,15 +273,16 @@ def _read_header(hdr_path: Path) -> tuple[GridShape, str]:
     if dtype not in ("f32", "u8"):
         raise VolumeFormatError(f"unknown dtype: {dtype!r}")
     try:
-        dims = tuple(int(x) for x in fields["dims"].split())
-        spacing = tuple(float(x) for x in fields["spacing"].split())
-        shape = GridShape(dims, spacing)
+        shape = GridShape(_field(fields, "dims", _ints),
+                          _field(fields, "spacing", _floats))
     except ValueError as exc:
         raise VolumeFormatError(f"invalid header geometry: {exc}") from exc
     return shape, dtype
 
 
 def _read_payload(shape: GridShape, dtype: str, raw_path: Path) -> np.ndarray:
+    """The raw stream as a read-only [x, y, z] grid: float32 values, all
+    finite, or mask bits."""
     itemsize = 4 if dtype == "f32" else 1
     expected = shape.voxel_count * itemsize
     payload = raw_path.read_bytes()
@@ -240,42 +291,48 @@ def _read_payload(shape: GridShape, dtype: str, raw_path: Path) -> np.ndarray:
             f"raw size mismatch: header implies {expected} bytes, "
             f"file holds {len(payload)}"
         )
-    np_dtype = "<f4" if dtype == "f32" else np.uint8
-    flat = np.frombuffer(payload, dtype=np_dtype)
-    return flat.reshape(shape.dims, order="F")
+    if dtype == "f32":
+        flat = np.frombuffer(payload, dtype="<f4")
+        if not np.isfinite(flat).all():
+            raise VolumeFormatError("raw data contains non-finite values")
+    else:
+        flat = np.frombuffer(payload, dtype=np.uint8)
+        if flat.max(initial=0) > 1:
+            raise VolumeFormatError("mask raw data contains values outside {0,1}")
+        flat = flat.view(bool)
+    return _grid(flat, shape.dims)
+
+
+_OTHER_LOADER = {"f32": "file stores f32 scalar data; use load_volume",
+                 "u8": "file stores u8 mask data; use load_mask"}
+
+
+def _read_pair(path, dtype: str) -> tuple[GridShape, np.ndarray]:
+    """The shape and grid of a header+raw pair that must store dtype; an
+    error names the file it is found in."""
+    hdr_path, raw_path = _pair_paths(path)
+    with _naming(hdr_path, VolumeFormatError):
+        shape, stored = _read_header(hdr_path)
+        if stored != dtype:
+            raise VolumeFormatError(_OTHER_LOADER[stored])
+    with _naming(raw_path, VolumeFormatError):
+        return shape, _read_payload(shape, dtype, raw_path)
 
 
 def save_volume(v: Volume, path) -> None:
     """Write a float32 header+raw pair that load_volume inverts exactly."""
-    payload = np.ascontiguousarray(v.data.ravel(order="F"), dtype="<f4").tobytes()
+    payload = _flat(v.data).astype("<f4", copy=False).tobytes()
     _write_pair(v.shape, "f32", payload, path)
 
 
 def load_volume(path) -> Volume:
-    hdr_path, raw_path = _pair_paths(path)
-    shape, dtype = _read_header(hdr_path)
-    if dtype != "f32":
-        raise VolumeFormatError("file stores u8 mask data; use load_mask")
-    data = _read_payload(shape, dtype, raw_path)
-    if not np.isfinite(data).all():
-        raise VolumeFormatError("raw data contains non-finite values")
-    return Volume(shape, data)
+    return Volume(*_read_pair(path, "f32"))
 
 
 def save_mask(m: Mask, path) -> None:
     """Write a u8 header+raw pair holding {0,1} voxel values."""
-    payload = np.ascontiguousarray(
-        m.data.ravel(order="F").astype(np.uint8)
-    ).tobytes()
-    _write_pair(m.shape, "u8", payload, path)
+    _write_pair(m.shape, "u8", _flat(m.data).view(np.uint8).tobytes(), path)
 
 
 def load_mask(path) -> Mask:
-    hdr_path, raw_path = _pair_paths(path)
-    shape, dtype = _read_header(hdr_path)
-    if dtype != "u8":
-        raise VolumeFormatError("file stores f32 scalar data; use load_volume")
-    data = _read_payload(shape, dtype, raw_path)
-    if data.max(initial=0) > 1:
-        raise VolumeFormatError("mask raw data contains values outside {0,1}")
-    return Mask(shape, data.astype(bool))
+    return Mask(*_read_pair(path, "u8"))

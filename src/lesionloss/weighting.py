@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import LesionLabeling
-from .volume import GridShape, Volume, _freeze
+from .volume import GridShape, Volume, _store
 
 # default curve shift: sqrt(e^7) = e^3.5
 DEFAULT_A_SHIFT = math.exp(3.5)
@@ -50,12 +50,12 @@ class WeightMap:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
+        w = _store(self.weights, np.float64)
         if w.shape != self.shape.dims:
             raise ValueError("weights grid does not match shape dims")
         if not np.isfinite(w).all() or (w <= 0.0).any():
             raise ValueError("weights must be positive and finite")
-        object.__setattr__(self, "weights", _freeze(w.copy()))
+        object.__setattr__(self, "weights", w)
 
 
 def omega(v: float, params: WeightCurveParams | None = None) -> float:
@@ -100,4 +100,4 @@ def _omega_lut(volumes, params: WeightCurveParams | None = None,
 
 def weight_map_to_volume(w: WeightMap) -> Volume:
     """Export a weight map as a float32 volume."""
-    return Volume(w.shape, w.weights.astype(np.float32))
+    return Volume(w.shape, w.weights)

@@ -1,11 +1,20 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lesionloss.cli as cli_mod
 from lesionloss.cli import _PARAMS, _flag, _switch, build_parser, main
 from lesionloss.loss import LOSS_KINDS
+from lesionloss.synth import PhantomSpec, generate, save_phantom
 from lesionloss.trainer import VoxelScorer, save_scorer
-from lesionloss.volume import Mask, Volume, load_volume, save_mask, save_volume
+from lesionloss.volume import (GridShape, Mask, Volume, load_volume, save_mask,
+                               save_volume)
 
 
 def run(capsys, *argv):
@@ -451,6 +460,116 @@ class TestSynthShrinkEval:
         assert code == 0
         assert "medium_total=1" in out  # radius ~2.3 lesion is ~50 voxels
         assert (tmp_path / "recall.txt").read_text() == out
+
+
+def write_inputs(root: Path) -> dict[str, tuple[Path, list[str]]]:
+    """A valid file of each kind the CLI reads, with the arguments of a run
+    that reads it: name -> (file, argv)."""
+    save_mask(Mask.from_array(np.arange(64).reshape(4, 4, 4) % 3 == 0),
+              root / "m")
+    save_phantom(generate(PhantomSpec(GridShape((6, 6, 6)), 1, (1.0, 1.2),
+                                      noise_sigma=0.5, seed=2)), root / "ph")
+    (root / "run.cfg").write_text("connectivity=18\nthreads=1\n"
+                                  "# a comment\nseed=3\n")
+    save_scorer(VoxelScorer(np.array([1.1, 2.3, -0.4, 0.2, -2.0])),
+                root / "s.vec")
+    return {
+        "vhdr": (root / "m.vhdr", ["label", "--mask", str(root / "m.vhdr")]),
+        "spec": (root / "ph.spec", ["shrink", "--in", str(root / "ph"),
+                                    "--factor", "0.5", "--out",
+                                    str(root / "out")]),
+        "config": (root / "run.cfg", ["label", "--mask", str(root / "m.vhdr"),
+                                      "--config", str(root / "run.cfg")]),
+        "f32vec": (root / "s.vec", ["eval", "--model", str(root / "s.vec"),
+                                    "--phantom", str(root / "ph")]),
+    }
+
+
+def run_quiet(argv) -> tuple[int, str]:
+    """main(argv)'s exit code and stderr, without pytest's capture."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestFileErrorsNameTheFile:
+    @pytest.mark.parametrize("kind, edit, message", [
+        ("vhdr", lambda b: b.replace(b"dtype", b"dty\xffpe"), "codec can't decode"),
+        ("vhdr", lambda b: b + b"junk\n", "malformed header line: 'junk'"),
+        ("vhdr", lambda b: b.replace(b"dims=4 4 4", b"dims=8 8 x"),
+         "invalid header geometry: dims: invalid literal for int()"),
+        ("config", lambda b: b + b"seed=x\n", "duplicate config field: seed"),
+        ("config", lambda b: b.replace(b"connectivity=18", b"connectivity=x"),
+         "connectivity: invalid literal for int()"),
+        ("config", lambda b: b.replace(b"threads=1", b"threads=0"),
+         "threads must be >= 1"),
+        ("spec", lambda b: b.replace(b"seed=2", b"seed=abc"),
+         "seed: invalid literal for int() with base 10: 'abc'"),
+        ("spec", lambda b: b.replace(b"radius_range_vox=1.0", b"radius_range_vox="),
+         "take two values each"),
+        ("spec", lambda b: b.replace(b"n_lesions=1", b"n_lesions=40"),
+         "could not place lesion"),
+        ("spec", lambda b: b.replace(b"shrink_factors=", b"shrink_factors=2"),
+         "shrink factor must lie in (0, 1]"),
+        ("f32vec", lambda b: b.replace(b"f32vec 5", b"f32vec abc"),
+         "invalid literal for int() with base 10: b'abc'"),
+        ("f32vec", lambda b: b.replace(b"f32vec 5", b"f32vec 0")[:9],
+         "expected 5 weights, got (0,)"),
+    ])
+    def test_named(self, tmp_path, kind, edit, message):
+        path, argv = write_inputs(tmp_path)[kind]
+        path.write_bytes(edit(path.read_bytes()))
+        code, err = run_quiet(argv)
+        assert code == 2
+        assert err.startswith(f"lesionloss: error: {path}: ")
+        if message is not None:
+            assert message in err
+
+    def test_config_value_names_file_and_key(self, tmp_path):
+        # seed is not a label parameter; synth reads it
+        path = tmp_path / "run.cfg"
+        path.write_text("seed=x\n")
+        code, err = run_quiet(["synth", "--out", str(tmp_path / "ph"),
+                               "--config", str(path)])
+        assert code == 2
+        assert err == (f"lesionloss: error: {path}: seed: invalid literal for "
+                       "int() with base 10: 'x'\n")
+
+    def test_short_raw_names_the_raw_file(self, tmp_path):
+        path, argv = write_inputs(tmp_path)["vhdr"]
+        raw = path.with_suffix(".vraw")
+        raw.write_bytes(raw.read_bytes()[:-1])
+        code, err = run_quiet(argv)
+        assert code == 2
+        assert err.startswith(f"lesionloss: error: {raw}: raw size mismatch")
+
+    @settings(max_examples=160, deadline=None)
+    @given(kind=st.sampled_from(["vhdr", "spec", "config", "f32vec"]),
+           edits=st.lists(st.tuples(
+               st.sampled_from(["replace", "insert", "delete"]),
+               st.integers(0, 2**16),
+               st.one_of(st.sampled_from(b"0123456789 .-=e#x\n"),
+                         st.integers(0, 255))), min_size=1, max_size=3))
+    def test_fuzzed_file_runs_or_fails_naming_it(self, kind, edits):
+        """Up to three byte edits of a valid file: the run exits 0, or exits
+        2 naming the file (for a header, the file or its raw partner);
+        no other exception leaves main."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path, argv = write_inputs(Path(tmp))[kind]
+            data = bytearray(path.read_bytes())
+            for op, at, byte in edits:
+                i = at % (len(data) + (op == "insert"))
+                if op == "insert":
+                    data[i:i] = bytes([byte])
+                elif op == "replace":
+                    data[i] = byte
+                else:
+                    del data[i]
+            path.write_bytes(bytes(data))
+            code, err = run_quiet(argv)
+            names = {str(path), str(path.with_suffix(".vraw"))}
+            assert code == 0 or (code == 2 and any(n in err for n in names)), err
 
 
 def artifact_bytes(root):

@@ -1,0 +1,123 @@
+"""Every grid is stored x-fastest, as on disk, and is scored one way.
+
+A stored grid is F-contiguous, so its flat x-fastest view shares its
+memory: the engine's flat arrays, the files and the grids are one layout.
+The scorer that eval applies is, bit for bit, the product the trainer
+optimizes.
+"""
+
+import numpy as np
+import pytest
+from scipy.special import expit
+
+from lesionloss.components import label_components, labeling_to_volume
+from lesionloss.loss import LOSS_KINDS, evaluate_loss
+from lesionloss.synth import PhantomSpec, generate, shrink
+from lesionloss.trainer import (
+    TrainConfig,
+    VoxelScorer,
+    _prepare_batch,
+    extract_features,
+    initial_scorer,
+)
+from lesionloss.volume import (
+    GridShape,
+    Mask,
+    Volume,
+    load_mask,
+    load_volume,
+    save_mask,
+    save_volume,
+    threshold,
+)
+from lesionloss.weighting import build_weight_map, weight_map_to_volume
+
+DIMS = (7, 5, 4)
+
+
+def assert_stored(grid):
+    """grid is x-fastest in memory: its flat x-fastest view is free."""
+    assert grid.ndim == 3
+    assert grid.flags.f_contiguous
+    assert np.shares_memory(grid, grid.ravel(order="F"))
+
+
+@pytest.fixture
+def pair():
+    rng = np.random.default_rng(11)
+    c_bits = np.ascontiguousarray(rng.random(DIMS) < 0.3)
+    c_vals = np.ascontiguousarray(rng.uniform(0.05, 0.95, DIMS).astype(np.float32))
+    assert c_bits.flags.c_contiguous and not c_bits.flags.f_contiguous
+    return Mask.from_array(c_bits), Volume.from_array(c_vals)
+
+
+def test_types_built_from_c_arrays(pair):
+    gt, pred = pair
+    assert_stored(gt.data)
+    assert_stored(pred.data)
+
+
+def test_loaded_grids(pair, tmp_path):
+    gt, pred = pair
+    save_mask(gt, tmp_path / "g")
+    save_volume(pred, tmp_path / "p")
+    assert_stored(load_mask(tmp_path / "g").data)
+    assert_stored(load_volume(tmp_path / "p").data)
+
+
+def test_phantom_image_and_truth():
+    ph = generate(PhantomSpec(GridShape((12, 10, 9)), 2, (1.3, 2.0),
+                              fragmentation_prob=0.5, seed=4))
+    for p in (ph, shrink(ph, 0.7)):
+        assert_stored(p.image.data)
+        assert_stored(p.truth.data)
+
+
+def test_threshold_labels_and_weights(pair):
+    gt, pred = pair
+    assert_stored(threshold(pred, 0.5).data)
+    labeling = label_components(gt)
+    weights = build_weight_map(labeling)
+    assert_stored(labeling.labels)
+    assert_stored(weights.weights)
+    assert_stored(labeling_to_volume(labeling).data)
+    assert_stored(weight_map_to_volume(weights).data)
+
+
+def test_scores(pair):
+    _, pred = pair
+    assert_stored(initial_scorer(0).score_volume(pred).data)
+
+
+@pytest.mark.parametrize("kind", LOSS_KINDS)
+def test_loss_gradients_single_and_batched(pair, kind):
+    gt, pred = pair
+    assert_stored(evaluate_loss(kind, gt, pred, want_grad=True).gradient.data)
+    for g in evaluate_loss(kind, [gt, gt], [pred, pred], want_grad=True).gradient:
+        assert_stored(g.data)
+
+
+def test_feature_rows_are_one_c_matrix(pair):
+    _, pred = pair
+    X = extract_features(pred)
+    assert X.shape == (pred.shape.voxel_count, 5)
+    assert X.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("dims, lesions", [((48, 48, 48), 6), ((9, 8, 7), 1)])
+def test_score_volume_runs_the_trainers_product(dims, lesions):
+    """extract_features(img) @ w is the trainer's np.matmul(w, X) over the
+    shard matrix it builds for the same phantom, bit for bit."""
+    ph = generate(PhantomSpec(GridShape(dims), lesions, (1.2, 2.0),
+                              noise_sigma=0.6, seed=12))
+    weights = [initial_scorer(0).weights, np.array([1.1, 2.3, -0.4, 0.2, -2.0]),
+               np.random.default_rng(5).normal(0.0, 3.0, 5)]
+    with _prepare_batch(TrainConfig(), [ph]) as prep:
+        [(X, _plan)] = prep.shards
+        for w in weights:
+            want = np.matmul(w, X)
+            got = extract_features(ph.image) @ w
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            scores = VoxelScorer(w).score_volume(ph.image).data
+            assert np.array_equal(scores.ravel(order="F"),
+                                  expit(want).astype(np.float32))

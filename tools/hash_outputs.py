@@ -35,6 +35,14 @@ checked by running this with each tree's src and comparing the lines.
                of 1-16 voxels per axis, 1-voxel-thick slabs and lines,
                single voxels, empty and full grids and a fragmented 48^3
                phantom truth
+    scores     extract_features values and score_volume float32 bytes for
+               fixed weights and for weights trained on a small corpus, on
+               the recall group's fragmented phantoms and the phantoms
+               group's benchmark-shaped 96^3 and 48^3 specs
+    files      the exact bytes save_volume, save_mask, save_phantom (both
+               grids and the .spec sidecar) and save_scorer write, for
+               C-ordered, F-ordered and strided inputs, and what load_volume,
+               load_mask, read_phantom_sidecar and load_scorer read back
 
 Runs in well under a minute on two cores.
 """
@@ -45,7 +53,9 @@ import argparse
 import hashlib
 import os
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -190,6 +200,17 @@ def _synth(ll, g):
             g.add(p.image.data, p.truth.data, p.shrink_factors)
 
 
+def _bench_specs(ll):
+    """Five specs shaped like the benchmark's: two 96^3 with 24 lesions,
+    three 48^3 with 8."""
+    return [ll.synth.PhantomSpec(ll.volume.GridShape((dim,) * 3), lesions,
+                                 (1.3, rmax), fragmentation_prob=0.3,
+                                 noise_sigma=0.6, seed=s)
+            for dim, lesions, rmax, seeds in ((96, 24, 6.0, (0, 1)),
+                                              (48, 8, 5.0, (0, 1, 2)))
+            for s in seeds]
+
+
 def _phantoms(ll, g):
     rng = np.random.default_rng(20242)
     specs = []
@@ -203,11 +224,7 @@ def _phantoms(ll, g):
             fragmentation_prob=float(rng.choice([0.0, 0.5, 1.0])),
             fragments_per_lesion=(fmin, int(rng.integers(fmin, 7))),
             noise_sigma=0.3, seed=int(rng.integers(2**32))))
-    for dim, lesions, rmax, seeds in ((96, 24, 6.0, (0, 1)), (48, 8, 5.0, (0, 1, 2))):
-        specs += [ll.synth.PhantomSpec(ll.volume.GridShape((dim,) * 3), lesions,
-                                       (1.3, rmax), fragmentation_prob=0.3,
-                                       noise_sigma=0.6, seed=s) for s in seeds]
-    for spec in specs:
+    for spec in specs + _bench_specs(ll):
         factor = float(rng.uniform(0.05, 1.0))
         try:
             ph = ll.synth.generate(spec)
@@ -251,9 +268,78 @@ def _labels(ll, g):
                       mm3.weights)
 
 
+def _scores(ll, g):
+    cfg = ll.trainer.TrainConfig(epochs=20, seed=3, train_specs=ll.trainer
+                                 .make_corpus(6, 300, dims=(16, 16, 16)))
+    models = [ll.trainer.VoxelScorer(np.array([1.1, 2.3, -0.4, 0.2, -2.0])),
+              ll.trainer.initial_scorer(0), ll.trainer.train(cfg)[0]]
+    phantoms = _fragmented(ll) + [ll.synth.generate(s) for s in _bench_specs(ll)]
+    for ph in phantoms:
+        g.add(ll.trainer.extract_features(ph.image))
+        for model in models:
+            g.add(model.weights, model.score_volume(ph.image).data)
+
+
+def _file_bytes(g, prefix):
+    """Every file written under the path prefix, by name."""
+    for path in sorted(prefix.parent.glob(prefix.name + ".*")):
+        g.add(path.name, path.read_bytes())
+
+
+def _files(ll, g):
+    rng = np.random.default_rng(20244)
+    vol, syn = ll.volume, ll.synth
+    grids = []
+    for dims in ((9, 8, 7), (1, 1, 1), (3, 4, 5), (16, 1, 6), (12, 12, 12)):
+        vals = rng.normal(0.0, 3.0, dims).astype(np.float32)
+        vals.flat[::5] = -0.0
+        vals.flat[1::7] = np.float32(1e-40)
+        grids.append((vals, rng.random(dims) < 0.3))
+    big_v = rng.random((20, 18, 16)).astype(np.float32)
+    big_m = rng.random((20, 18, 16)) < 0.5
+    grids += [(np.asfortranarray(big_v), np.asfortranarray(big_m)),
+              (big_v[::2, 1::3, ::-1], big_m[::2, 1::3, ::-1]),
+              (big_v.transpose(2, 0, 1), big_m.transpose(2, 0, 1).astype(np.uint8))]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for i, (vals, bits) in enumerate(grids):
+            for sp in ((1.0, 1.0, 1.0), (0.5, 1.25, 3.0)):
+                v = vol.Volume.from_array(vals, spacing=sp)
+                m = vol.Mask.from_array(bits, spacing=sp)
+                vol.save_volume(v, tmp / f"v{i}")
+                vol.save_mask(m, tmp / f"m{i}.vhdr")
+                _file_bytes(g, tmp / f"v{i}")
+                _file_bytes(g, tmp / f"m{i}")
+                back_v = vol.load_volume(tmp / f"v{i}.vraw")
+                back_m = vol.load_mask(tmp / f"m{i}")
+                assert back_v.shape == v.shape and back_m.shape == m.shape
+                assert np.array_equal(back_v.data.view(np.uint32),
+                                      v.data.view(np.uint32))
+                assert np.array_equal(back_m.data, m.data)
+                g.add(back_v.shape, back_v.data, back_m.shape, back_m.data)
+        for i, ph in enumerate(_fragmented(ll)[:2]):
+            for p in (ph, syn.shrink(syn.shrink(ph, 0.7), 0.5)):
+                prefix = tmp / f"ph{i}_{len(p.shrink_factors)}"
+                syn.save_phantom(p, prefix)
+                _file_bytes(g, prefix)
+                spec, factors = syn.read_phantom_sidecar(str(prefix) + ".spec")
+                again = syn.regenerate_phantom(spec, factors)
+                g.add(spec, factors, again.image.data, again.truth.data,
+                      vol.load_volume(str(prefix) + ".image").data,
+                      vol.load_mask(str(prefix) + ".truth").data)
+        for i, w in enumerate(([1.1, 2.3, -0.4, 0.2, -2.0],
+                               [0.0, -0.0, 1e-40, 3e38, -7.25])):
+            for model in (ll.trainer.VoxelScorer(np.array(w)),
+                          ll.trainer.initial_scorer(i)):
+                path = tmp / f"scorer{i}.f32"
+                ll.trainer.save_scorer(model, path)
+                g.add(path.read_bytes(), ll.trainer.load_scorer(path).weights)
+
+
 GROUPS = {"loss": _loss, "gradcheck": _gradcheck, "degenerate": _degenerate,
           "train": _train, "recall": _recall, "synth": _synth,
-          "phantoms": _phantoms, "labels": _labels}
+          "phantoms": _phantoms, "labels": _labels, "scores": _scores,
+          "files": _files}
 
 
 def main(argv=None) -> int:
