@@ -48,8 +48,9 @@ def _switch(text: str) -> int:
 
 
 # every parameter: config key -> (parser, default, choices, help); the flag
-# is --key with "-" for "_".  A None default means unset: the subcommand
-# derives the value, or requires it.
+# is --key with "-" for "_".  A default is given as the parser's input (a
+# number tuple in its text form).  A None default means unset: the
+# subcommand derives the value, or requires it.
 _PARAMS = {
     "threads": (int, 1, None,
                 "train: threads sharing each epoch (results do not depend on "
@@ -87,13 +88,15 @@ _PARAMS = {
     "epochs": (int, 300, None, "full-batch training epochs"),
     "loss": (str, "wlt-combined", loss.TRAIN_LOSS_KINDS, "training objective"),
     "kind": (str, None, loss.LOSS_KINDS, "loss to evaluate (required)"),
-    "dims": (str, "24 24 24", None, "voxels per axis"),
-    "spacing": (str, "1.0 1.0 1.0", None, "mm per voxel along each axis"),
+    "dims": (volume._values(int, 3), "24 24 24", None, "voxels per axis"),
+    "spacing": (volume._values(float, 3), "1.0 1.0 1.0", None,
+                "mm per voxel along each axis"),
     "n_lesions": (int, 2, None, "lesions in the phantom"),
-    "radius_range": (str, "1.5 4.0", None, "lesion radius range in voxels"),
+    "radius_range": (volume._values(float, 2), "1.5 4.0", None,
+                     "lesion radius range in voxels"),
     "fragmentation_prob": (float, 0.0, None,
                            "probability that a lesion breaks up"),
-    "fragments_per_lesion": (str, "2 4", None,
+    "fragments_per_lesion": (volume._values(int, 2), "2 4", None,
                              "fragment count range of a broken-up lesion"),
     "noise_sigma": (float, 0.6, None, "background noise standard deviation"),
     "contrast": (float, 1.0, None, "image contrast on the lesion support"),
@@ -102,9 +105,9 @@ _PARAMS = {
     "val_count": (int, 0, None,
                   "validation phantoms; above 0, recall is reported"),
     "corpus_seed": (int, 100, None, "seed of the first corpus phantom"),
-    "small_radius": (str, "1.3 1.7", None,
+    "small_radius": (volume._values(float, 2), "1.3 1.7", None,
                      "lesion radius range of small-lesion phantoms"),
-    "large_radius": (str, "3.8 4.4", None,
+    "large_radius": (volume._values(float, 2), "3.8 4.4", None,
                      "lesion radius range of large-lesion phantoms"),
     "small_lesions": (int, 3, None, "lesions per small-lesion phantom"),
     "large_lesions": (int, 1, None, "lesions per large-lesion phantom"),
@@ -150,11 +153,11 @@ def _read_config(args) -> dict:
 
 def _fill_params(args) -> None:
     """Give each parameter that is _unset its --config value, else its
-    default."""
+    parsed default."""
     cfg = _read_config(args) if args.config else {}
-    for key, (_, default, _, _) in _PARAMS.items():
-        if _unset(args, key):
-            setattr(args, key, cfg.get(key, default))
+    for key, (parse, default, _, _) in _PARAMS.items():
+        if _unset(args, key) and (key in cfg or default is not None):
+            setattr(args, key, cfg[key] if key in cfg else parse(default))
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
 
@@ -164,20 +167,6 @@ def _require(args, key):
     if value is None:
         raise _UsageError(f"{_flag(key)} is required")
     return value
-
-
-def _triple(text, parse):
-    parts = [parse(x) for x in str(text).split()]
-    if len(parts) != 3:
-        raise ValueError(f"expected three values, got {text!r}")
-    return tuple(parts)
-
-
-def _pair(text, parse):
-    parts = [parse(x) for x in str(text).split()]
-    if len(parts) != 2:
-        raise ValueError(f"expected two values, got {text!r}")
-    return tuple(parts)
 
 
 def _curve(args) -> weighting.WeightCurveParams:
@@ -275,8 +264,9 @@ def _cmd_metrics(args) -> int:
         hd_v = metrics.hausdorff(a, b, percentile=args.hd_percentile)
     if args.outcomes:
         outcomes = metrics.read_outcomes(args.outcomes)
-        auc_v = metrics.auc(outcomes)
-        kappa_v = metrics.kappa(outcomes, args.kappa_threshold)
+        with volume._naming(args.outcomes):    # its cases must define both
+            auc_v = metrics.auc(outcomes)
+            kappa_v = metrics.kappa(outcomes, args.kappa_threshold)
     if dice_v is None and auc_v is None:
         raise ValueError("nothing to compute: pass mask pair and/or --outcomes")
     report = metrics.MetricReport(dice=dice_v, hausdorff_mm=hd_v,
@@ -291,13 +281,11 @@ def _cmd_metrics(args) -> int:
 
 def _phantom_spec(args) -> synth.PhantomSpec:
     return synth.PhantomSpec(
-        shape=volume.GridShape(
-            _triple(args.dims, int), _triple(args.spacing, float)
-        ),
+        shape=volume.GridShape(args.dims, args.spacing),
         n_lesions=args.n_lesions,
-        radius_range_vox=_pair(args.radius_range, float),
+        radius_range_vox=args.radius_range,
         fragmentation_prob=args.fragmentation_prob,
-        fragments_per_lesion=_pair(args.fragments_per_lesion, int),
+        fragments_per_lesion=args.fragments_per_lesion,
         noise_sigma=args.noise_sigma,
         contrast=args.contrast,
         seed=args.seed,
@@ -328,14 +316,14 @@ def _cmd_shrink(args) -> int:
 def _corpus(args, count, start_seed):
     return trainer.make_corpus(
         count, start_seed,
-        dims=_triple(args.dims, int),
-        small_radius=_pair(args.small_radius, float),
-        large_radius=_pair(args.large_radius, float),
+        dims=args.dims,
+        small_radius=args.small_radius,
+        large_radius=args.large_radius,
         small_lesions=args.small_lesions,
         large_lesions=args.large_lesions,
         noise_sigma=args.noise_sigma,
         contrast=args.contrast,
-        spacing=_triple(args.spacing, float),
+        spacing=args.spacing,
     )
 
 

@@ -12,11 +12,10 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
-from .volume import Mask, require_same_shape
+from .volume import Mask, _naming, require_same_shape
 
 
 class UndefinedMetricError(ValueError):
@@ -170,23 +169,21 @@ def write_outcomes(outcomes, path) -> None:
 
 
 def read_outcomes(path) -> list[CaseOutcome]:
-    """Read an outcome CSV; label and empty_seg must be exactly 0 or 1.  A
-    bad row's error names the file and the row (the header is row 1)."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Read an outcome CSV; label and empty_seg must be exactly 0 or 1.
+    Every error names the file, and a bad row's the row too (the header is
+    row 1)."""
+    with _naming(path), open(path, newline="", encoding="utf-8") as fh:
         try:
             rows = list(csv.reader(fh))
         except csv.Error as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    if not rows or rows[0] != ["case_id", "score", "label", "empty_seg"]:
-        raise ValueError(f"{path}: expected header case_id,score,label,empty_seg")
-    out = []
-    for number, row in enumerate(rows[1:], start=2):
-        try:
-            out.append(_outcome(row))
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {number}: {exc}") from exc
-    return out
+            raise ValueError(exc) from exc
+        if not rows or rows[0] != ["case_id", "score", "label", "empty_seg"]:
+            raise ValueError("expected header case_id,score,label,empty_seg")
+        out = []
+        for number, row in enumerate(rows[1:], start=2):
+            with _naming(f"row {number}"):
+                out.append(_outcome(row))
+        return out
 
 
 def _outcome(row) -> CaseOutcome:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .volume import (GridShape, Mask, Volume, _field, _floats, _freeze, _grid,
-                     _ints, _naming, read_fields, save_mask, save_volume)
+from .volume import (GridShape, Mask, Volume, _field, _freeze, _grid, _naming,
+                     _values, read_fields, save_mask, save_volume, write_fields)
 
 _PLACEMENT_STREAM = (0,)
 _NOISE_STREAM = (1,)
@@ -346,55 +346,50 @@ def shrink(ph: Phantom, factor: float) -> Phantom:
 # Phantom files: image/truth volume pairs plus a flat key=value sidecar
 # ---------------------------------------------------------------------------
 
+# sidecar key -> parser of its value
+_SIDECAR = {
+    "dims": _values(int, 3),
+    "spacing": _values(float, 3),
+    "n_lesions": int,
+    "radius_range_vox": _values(float, 2),
+    "fragmentation_prob": float,
+    "fragments_per_lesion": _values(int, 2),
+    "noise_sigma": float,
+    "contrast": float,
+    "seed": int,
+    "shrink_factors": _values(float),
+}
+
+
 def save_phantom(ph: Phantom, prefix) -> None:
     prefix = str(prefix)
     save_volume(ph.image, prefix + ".image")
     save_mask(ph.truth, prefix + ".truth")
     s = ph.spec
-    lines = [
-        f"dims={s.shape.dims[0]} {s.shape.dims[1]} {s.shape.dims[2]}",
-        "spacing=" + " ".join(repr(v) for v in s.shape.spacing),
-        f"n_lesions={s.n_lesions}",
-        "radius_range_vox=" + " ".join(repr(v) for v in s.radius_range_vox),
-        f"fragmentation_prob={s.fragmentation_prob!r}",
-        f"fragments_per_lesion={s.fragments_per_lesion[0]} {s.fragments_per_lesion[1]}",
-        f"noise_sigma={s.noise_sigma!r}",
-        f"contrast={s.contrast!r}",
-        f"seed={s.seed}",
-        "shrink_factors=" + " ".join(repr(f) for f in ph.shrink_factors),
-    ]
-    with open(prefix + ".spec", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_fields(prefix + ".spec", {
+        "dims": s.shape.dims,
+        "spacing": s.shape.spacing,
+        "n_lesions": s.n_lesions,
+        "radius_range_vox": s.radius_range_vox,
+        "fragmentation_prob": s.fragmentation_prob,
+        "fragments_per_lesion": s.fragments_per_lesion,
+        "noise_sigma": s.noise_sigma,
+        "contrast": s.contrast,
+        "seed": s.seed,
+        "shrink_factors": ph.shrink_factors,
+    })
 
 
 def read_phantom_sidecar(path) -> tuple[PhantomSpec, tuple[float, ...]]:
     """Read a .spec sidecar; a duplicate, missing or unknown key is an
     error, and every error names the file."""
     with _naming(path):
-        fields = read_fields(path, "sidecar")
-        required = {
-            "dims", "spacing", "n_lesions", "radius_range_vox",
-            "fragmentation_prob", "fragments_per_lesion", "noise_sigma",
-            "contrast", "seed", "shrink_factors",
-        }
-        missing = required - fields.keys()
-        if missing:
-            raise ValueError(f"sidecar missing fields: {sorted(missing)}")
-        unknown = fields.keys() - required
-        if unknown:
-            raise ValueError(f"sidecar unknown fields: {sorted(unknown)}")
-        spec = PhantomSpec(
-            shape=GridShape(_field(fields, "dims", _ints),
-                            _field(fields, "spacing", _floats)),
-            n_lesions=_field(fields, "n_lesions", int),
-            radius_range_vox=_field(fields, "radius_range_vox", _floats),
-            fragmentation_prob=_field(fields, "fragmentation_prob", float),
-            fragments_per_lesion=_field(fields, "fragments_per_lesion", _ints),
-            noise_sigma=_field(fields, "noise_sigma", float),
-            contrast=_field(fields, "contrast", float),
-            seed=_field(fields, "seed", int),
-        )
-        return spec, _field(fields, "shrink_factors", _floats)
+        fields = read_fields(path, "sidecar", _SIDECAR.keys())
+        values = {key: _field(fields, key, parse)
+                  for key, parse in _SIDECAR.items()}
+        shape = GridShape(values.pop("dims"), values.pop("spacing"))
+        factors = values.pop("shrink_factors")
+        return PhantomSpec(shape=shape, **values), factors
 
 
 def regenerate_phantom(spec: PhantomSpec,

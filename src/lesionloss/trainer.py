@@ -375,7 +375,11 @@ _SCORER_MAGIC = b"f32vec"
 
 
 def save_scorer(model: VoxelScorer, path) -> None:
-    """Write weights as a little-endian float32 vector with a text header."""
+    """Write weights as a little-endian float32 vector with a text header.
+
+    The weights are rounded to float32, so a loaded scorer applies the
+    trained weights so rounded, not bit for bit the ones training optimized.
+    """
     payload = np.asarray(model.weights, dtype="<f4").tobytes()
     with open(path, "wb") as fh:
         fh.write(_SCORER_MAGIC + b" %d\n" % len(model.weights))

@@ -192,33 +192,26 @@ def _pair_paths(path) -> tuple[Path, Path]:
     return p.with_name(p.name + HEADER_SUFFIX), p.with_name(p.name + RAW_SUFFIX)
 
 
-def _repr_floats(vals) -> str:
-    return " ".join(repr(float(v)) for v in vals)
-
-
 def _write_pair(shape: GridShape, dtype_token: str, payload: bytes, path) -> None:
     hdr_path, raw_path = _pair_paths(path)
-    header = (
-        f"dims={shape.dims[0]} {shape.dims[1]} {shape.dims[2]}\n"
-        f"spacing={_repr_floats(shape.spacing)}\n"
-        f"dtype={dtype_token}\n"
-        f"order={STORAGE_ORDER}\n"
-    )
-    hdr_path.write_text(header, encoding="utf-8")
+    write_fields(hdr_path, {"dims": shape.dims, "spacing": shape.spacing,
+                            "dtype": dtype_token, "order": STORAGE_ORDER})
     raw_path.write_bytes(payload)
 
 
 @contextmanager
 def _naming(name, error: type[ValueError] = ValueError):
     """Put name in front of the message of a ValueError (re-raised as
-    error) or a RuntimeError raised in the block: the file being read, or
-    the key of the value being parsed."""
+    error), a RuntimeError or a MemoryError raised in the block: the file
+    being read, or the key or row of the value being parsed."""
     try:
         yield
     except ValueError as exc:
         raise error(f"{name}: {exc}") from exc
     except RuntimeError as exc:
         raise RuntimeError(f"{name}: {exc}") from exc
+    except MemoryError as exc:
+        raise MemoryError(f"{name}: {exc or 'out of memory'}") from exc
 
 
 def _field(fields: dict[str, str], key: str, parse):
@@ -227,21 +220,42 @@ def _field(fields: dict[str, str], key: str, parse):
         return parse(fields[key])
 
 
-def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split())
+def _values(parse, count: int | None = None):
+    """The parser of a number tuple's text form: whitespace-separated
+    values, each through parse; with count, exactly count of them.  Its
+    __name__ states the count, for argparse's message."""
+    def values(text: str) -> tuple:
+        parts = tuple(parse(x) for x in text.split())
+        if count is not None and len(parts) != count:
+            raise ValueError(f"expected {count} values, got {text!r}")
+        return parts
+    values.__name__ = f"{count or 'any'}-{parse.__name__}"
+    return values
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split())
+def _join(values) -> str:
+    """The text form of a tuple of Python numbers, which _values reads."""
+    return " ".join(map(str, values))
 
 
-def read_fields(path, what: str, *, comments: bool = False,
+def write_fields(path, fields: dict) -> None:
+    """Write the ``key=value`` lines that read_fields reads back; a tuple
+    value is written in its _join text form."""
+    Path(path).write_text(
+        "".join(f"{key}={_join(v) if isinstance(v, tuple) else v}\n"
+                for key, v in fields.items()),
+        encoding="utf-8",
+    )
+
+
+def read_fields(path, what: str, keys=None, *, comments: bool = False,
                 error: type[ValueError] = ValueError) -> dict[str, str]:
     """The ``key=value`` lines of a UTF-8 text file as a dict.
 
     Blank lines are skipped, and with ``comments`` so is everything after
-    a ``#``.  A line without ``=`` or a repeated key raises ``error``.
-    Headers, phantom sidecars and CLI config files all read through here.
+    a ``#``.  A line without ``=``, a repeated key and, given ``keys``, a
+    missing or unknown key raise ``error``.  Headers, phantom sidecars and
+    CLI config files all read through here.
     """
     fields: dict[str, str] = {}
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
@@ -255,26 +269,26 @@ def read_fields(path, what: str, *, comments: bool = False,
         if key in fields:
             raise error(f"duplicate {what} field: {key}")
         fields[key] = value.strip()
+    if keys is not None:
+        for problem, names in (("missing", keys - fields.keys()),
+                               ("unknown", fields.keys() - keys)):
+            if names:
+                raise error(f"{problem} {what} fields: {sorted(names)}")
     return fields
 
 
 def _read_header(hdr_path: Path) -> tuple[GridShape, str]:
-    fields = read_fields(hdr_path, "header", error=VolumeFormatError)
-    required = {"dims", "spacing", "dtype", "order"}
-    missing = required - fields.keys()
-    if missing:
-        raise VolumeFormatError(f"missing header fields: {sorted(missing)}")
-    unknown = fields.keys() - required
-    if unknown:
-        raise VolumeFormatError(f"unknown header fields: {sorted(unknown)}")
+    fields = read_fields(hdr_path, "header",
+                         {"dims", "spacing", "dtype", "order"},
+                         error=VolumeFormatError)
     if fields["order"] != STORAGE_ORDER:
         raise VolumeFormatError(f"unsupported storage order: {fields['order']!r}")
     dtype = fields["dtype"]
     if dtype not in ("f32", "u8"):
         raise VolumeFormatError(f"unknown dtype: {dtype!r}")
     try:
-        shape = GridShape(_field(fields, "dims", _ints),
-                          _field(fields, "spacing", _floats))
+        shape = GridShape(_field(fields, "dims", _values(int, 3)),
+                          _field(fields, "spacing", _values(float, 3)))
     except ValueError as exc:
         raise VolumeFormatError(f"invalid header geometry: {exc}") from exc
     return shape, dtype

@@ -473,8 +473,11 @@ def write_inputs(root: Path) -> dict[str, tuple[Path, list[str]]]:
                                   "# a comment\nseed=3\n")
     save_scorer(VoxelScorer(np.array([1.1, 2.3, -0.4, 0.2, -2.0])),
                 root / "s.vec")
+    (root / "o.csv").write_text("case_id,score,label,empty_seg\nc1,0.9,1,0\n"
+                                "c2,0.25,0,0\nc3,0,0,1\nc4,0.75,1,0\n")
     return {
         "vhdr": (root / "m.vhdr", ["label", "--mask", str(root / "m.vhdr")]),
+        "vraw": (root / "m.vraw", ["label", "--mask", str(root / "m.vhdr")]),
         "spec": (root / "ph.spec", ["shrink", "--in", str(root / "ph"),
                                     "--factor", "0.5", "--out",
                                     str(root / "out")]),
@@ -482,6 +485,7 @@ def write_inputs(root: Path) -> dict[str, tuple[Path, list[str]]]:
                                       "--config", str(root / "run.cfg")]),
         "f32vec": (root / "s.vec", ["eval", "--model", str(root / "s.vec"),
                                     "--phantom", str(root / "ph")]),
+        "csv": (root / "o.csv", ["metrics", "--outcomes", str(root / "o.csv")]),
     }
 
 
@@ -507,7 +511,13 @@ class TestFileErrorsNameTheFile:
         ("spec", lambda b: b.replace(b"seed=2", b"seed=abc"),
          "seed: invalid literal for int() with base 10: 'abc'"),
         ("spec", lambda b: b.replace(b"radius_range_vox=1.0", b"radius_range_vox="),
-         "take two values each"),
+         "radius_range_vox: expected 2 values, got '1.2'"),
+        ("spec", lambda b: b.replace(b"dims=6 6 6", b"dims=8 8"),
+         "dims: expected 3 values, got '8 8'"),
+        # numpy refuses the 909 TiB grid up front, so nothing is allocated
+        ("spec", lambda b: b.replace(b"dims=6 6 6",
+                                     b"dims=100000 100000 100000"),
+         "Unable to allocate"),
         ("spec", lambda b: b.replace(b"n_lesions=1", b"n_lesions=40"),
          "could not place lesion"),
         ("spec", lambda b: b.replace(b"shrink_factors=", b"shrink_factors=2"),
@@ -516,6 +526,9 @@ class TestFileErrorsNameTheFile:
          "invalid literal for int() with base 10: b'abc'"),
         ("f32vec", lambda b: b.replace(b"f32vec 5", b"f32vec 0")[:9],
          "expected 5 weights, got (0,)"),
+        ("csv", lambda b: b.replace(b"c2", b"c\xff2"), "codec can't decode"),
+        ("csv", lambda b: b.replace(b"1,0\n", b"0,0\n"),
+         "auc needs at least one case of each class"),
     ])
     def test_named(self, tmp_path, kind, edit, message):
         path, argv = write_inputs(tmp_path)[kind]
@@ -527,14 +540,24 @@ class TestFileErrorsNameTheFile:
             assert message in err
 
     def test_config_value_names_file_and_key(self, tmp_path):
-        # seed is not a label parameter; synth reads it
+        # neither is a label parameter; synth reads both
         path = tmp_path / "run.cfg"
-        path.write_text("seed=x\n")
+        for line, message in [
+            ("seed=x", "seed: invalid literal for int() with base 10: 'x'"),
+            ("dims=8 8", "dims: expected 3 values, got '8 8'"),
+        ]:
+            path.write_text(line + "\n")
+            code, err = run_quiet(["synth", "--out", str(tmp_path / "ph"),
+                                   "--config", str(path)])
+            assert code == 2
+            assert err == f"lesionloss: error: {path}: {message}\n"
+
+    def test_wrong_count_flag_is_usage_error_naming_it(self, tmp_path):
         code, err = run_quiet(["synth", "--out", str(tmp_path / "ph"),
-                               "--config", str(path)])
-        assert code == 2
-        assert err == (f"lesionloss: error: {path}: seed: invalid literal for "
-                       "int() with base 10: 'x'\n")
+                               "--dims", "8 8"])
+        assert code == 1
+        assert err.endswith("lesionloss: error: argument --dims: invalid "
+                            "3-int value: '8 8'\n")
 
     def test_short_raw_names_the_raw_file(self, tmp_path):
         path, argv = write_inputs(tmp_path)["vhdr"]
@@ -545,7 +568,8 @@ class TestFileErrorsNameTheFile:
         assert err.startswith(f"lesionloss: error: {raw}: raw size mismatch")
 
     @settings(max_examples=160, deadline=None)
-    @given(kind=st.sampled_from(["vhdr", "spec", "config", "f32vec"]),
+    @given(kind=st.sampled_from(["vhdr", "vraw", "spec", "config", "f32vec",
+                                 "csv"]),
            edits=st.lists(st.tuples(
                st.sampled_from(["replace", "insert", "delete"]),
                st.integers(0, 2**16),

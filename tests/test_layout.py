@@ -2,8 +2,7 @@
 
 A stored grid is F-contiguous, so its flat x-fastest view shares its
 memory: the engine's flat arrays, the files and the grids are one layout.
-The scorer that eval applies is, bit for bit, the product the trainer
-optimizes.
+score_volume applies, bit for bit, the product the trainer optimizes.
 """
 
 import numpy as np

@@ -337,7 +337,7 @@ class TestPhantomFiles:
 
     @pytest.mark.parametrize("extra, message", [
         ("seed=99", "duplicate sidecar field: seed"),
-        ("seeds=99", "unknown fields"),
+        ("seeds=99", r"unknown sidecar fields: \['seeds'\]"),
     ])
     def test_sidecar_rejects_duplicate_and_unknown_keys(self, tmp_path, extra,
                                                         message):
