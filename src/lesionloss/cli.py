@@ -263,6 +263,7 @@ def _cmd_metrics(args) -> int:
         dice_v = metrics.dice(a, b)
         hd_v = metrics.hausdorff(a, b, percentile=args.hd_percentile)
     if args.outcomes:
+        volume.check_threshold(args.kappa_threshold)    # not the file's error
         outcomes = metrics.read_outcomes(args.outcomes)
         with volume._naming(args.outcomes):    # its cases must define both
             auc_v = metrics.auc(outcomes)

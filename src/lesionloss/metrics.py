@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .volume import Mask, _naming, require_same_shape
+from .volume import Mask, _naming, check_threshold, require_same_shape
 
 
 class UndefinedMetricError(ValueError):
@@ -124,7 +124,9 @@ def auc(outcomes) -> float:
 
 
 def kappa(outcomes, threshold: float = 0.5) -> float:
-    """Chance-corrected agreement of thresholded scores (>= rule) vs labels."""
+    """Chance-corrected agreement of thresholded scores (>= rule) vs labels;
+    the threshold must lie in [0, 1]."""
+    threshold = check_threshold(threshold)
     outcomes = list(outcomes)
     if not outcomes:
         raise UndefinedMetricError("kappa needs at least one case")

@@ -79,10 +79,10 @@ class PhantomSpec:
         fmin, fmax = self.fragments_per_lesion
         if not 1 <= fmin <= fmax:
             raise ValueError("fragments_per_lesion must satisfy 1 <= min <= max")
-        if not self.noise_sigma >= 0.0:
-            raise ValueError("noise_sigma must be >= 0")
-        if not self.contrast > 0.0:
-            raise ValueError("contrast must be positive")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError("noise_sigma must be >= 0 and finite")
+        if not 0.0 < self.contrast < np.inf:
+            raise ValueError("contrast must be positive and finite")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "seed", int(self.seed))

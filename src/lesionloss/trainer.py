@@ -8,16 +8,19 @@ Jacobian; runs are deterministic for a fixed seed and invariant to the
 order of the training phantoms.
 
 The batch is split once into min(threads, cases) contiguous case shards of
-about equal voxel count, each its own features (5 x n) plus its own plan.
-Each epoch runs them in the loss engine's two phases: phase 1 scores each
-shard (one matmul per case, then expit) and reduces it to per-case loss
-sums; the value comes from the global sums; phase 2 turns the global sums
-into each shard's loss gradient, applies the chain rule and forms the
+about equal voxel count, each its cases' feature matrices (5 x n each, as
+extract_features wrote them), its own plan and its buffers (scores, CE
+true-class probabilities, ratio scratch).  Each epoch runs them in
+the loss engine's two phases: phase 1 scores each case with _scores, the
+one scorer score_volume also applies, and reduces the shard to per-case
+loss sums; the value comes from the global sums; phase 2 turns the global
+sums into each shard's loss gradient, applies the chain rule and forms the
 per-case X @ g partials, which an exact sum combines.  The calling thread
-runs shard 0 and a pool opened for the run takes the rest.  It also
-allocates every shard's buffers (scores, CE true-class probabilities,
-ratio scratch) each epoch and the workers write into them, because arrays
-a worker allocates stay in its own malloc arena and raise peak memory.  No
+runs shard 0 and a pool opened for the run takes the rest.  The calling
+thread also allocates every shard's buffers, once per batch, and the
+workers write into them: arrays a worker allocates stay in its own malloc
+arena and raise peak memory, and shard-sized buffers freed every epoch
+can be handed back to the system and faulted in again the next.  No
 sum crosses a case before the exact sum, so the trained weights and curve
 are bit-identical for every thread count.
 """
@@ -38,7 +41,6 @@ from .loss import (
     TRAIN_LOSS_KINDS,
     Objective,
     TverskyParams,
-    _Plan,
     _bounds,
     _case_sums,
     _gradient,
@@ -79,6 +81,15 @@ def extract_features(image: Volume) -> np.ndarray:
     return X.T
 
 
+def _scores(theta, x, out=None):
+    """The logistic scores expit(theta @ x) of one case's 5 x n features,
+    written to out when given: the trainer scores with it and so does
+    score_volume, so a scorer applies bit for bit what training optimized.
+    expit runs in place, so no second n-vector is live beside x."""
+    z = np.matmul(theta, x, out=out)
+    return expit(z, out=z)
+
+
 @dataclass(frozen=True)
 class VoxelScorer:
     """Logistic scorer over the fixed feature set."""
@@ -94,7 +105,7 @@ class VoxelScorer:
         object.__setattr__(self, "weights", _freeze(w.copy()))
 
     def score_volume(self, image: Volume) -> Volume:
-        q = expit(extract_features(image) @ self.weights).astype(np.float32)
+        q = _scores(self.weights, extract_features(image).T).astype(np.float32)
         return Volume(image.shape, _grid(q, image.shape.dims))
 
 
@@ -119,10 +130,12 @@ class TrainConfig:
 
     def __post_init__(self):
         self.objective()    # rejects an unknown loss_kind, ce_weight or clamp
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
@@ -143,34 +156,24 @@ def _shard_bounds(sizes, k: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-@dataclass(frozen=True)
-class _Batch:
-    """A training batch laid out once: its contiguous case shards, each as
-    (features, plan) with the features 5 x n voxels in plan order, the
-    batch's voxel count n and the pool that runs shards 1 onwards."""
-
-    shards: tuple[tuple[np.ndarray, _Plan], ...]
-    n: int
-    pool: ThreadPoolExecutor
-
-
 @contextmanager
 def _prepare_batch(cfg: TrainConfig, phantoms):
-    """The batch of phantoms in min(cfg.threads, cases) shards of
-    (features, plan); the pool is shut down when the block exits, on
-    return or on error."""
+    """The batch of phantoms as (shards, pool): min(cfg.threads, cases)
+    contiguous shards, each (features, plan, buffers) with one 5 x n matrix
+    per case as extract_features wrote it, and the pool that runs shards 1
+    onwards, shut down when the block exits, on return or on error."""
+    obj = cfg.objective()
     sizes = [ph.truth.shape.voxel_count for ph in phantoms]
     shards = []
     for first, stop in _shard_bounds(sizes, min(cfg.threads, len(sizes))):
-        plan = _truth(cfg.objective(), [ph.truth for ph in phantoms[first:stop]],
-                      cfg.curve, cfg.connectivity)
-        X = np.empty((len(FEATURE_NAMES), plan.n))
-        for ph, (a, b) in zip(phantoms[first:stop], _bounds(plan.sizes)):
-            X[:, a:b] = extract_features(ph.image).T
-        shards.append((X, plan))
+        cases = phantoms[first:stop]
+        plan = _truth(obj, [ph.truth for ph in cases], cfg.curve,
+                      cfg.connectivity)
+        shards.append(([extract_features(ph.image).T for ph in cases], plan,
+                       (np.empty(plan.n),) + _scratch(obj, plan.n)))
     # the pool starts no thread until a second shard is submitted
     with ThreadPoolExecutor(max(1, len(shards) - 1)) as pool:
-        yield _Batch(tuple(shards), sum(sizes), pool)
+        yield shards, pool
 
 
 def _run(pool: ThreadPoolExecutor, fn, k: int) -> list:
@@ -180,51 +183,46 @@ def _run(pool: ThreadPoolExecutor, fn, k: int) -> list:
     return [fn(0)] + [f.result() for f in futures]
 
 
-def _batch_eval(cfg: TrainConfig, prep: _Batch, theta, want_grad):
+def _batch_eval(cfg: TrainConfig, prep, theta, want_grad):
     obj = cfg.objective()
-    shards = prep.shards
-    # shard-sized buffers come from the calling thread (module docstring)
-    bufs = [(np.empty(sh.n),) + _scratch(obj, sh.n) for _, sh in shards]
+    shards, pool = prep
 
     def forward(i):
-        X, sh = shards[i]
-        z, t, r = bufs[i]
+        xs, sh, (z, t, r) = shards[i]
         # one matmul per case: each voxel's score then depends on its own
         # case only, never on where the case sits in the batch or shard
-        for a, b in _bounds(sh.sizes):
-            np.matmul(theta, X[:, a:b], out=z[a:b])
-        expit(z, out=z)
+        for x, (a, b) in zip(xs, _bounds(sh.sizes)):
+            _scores(theta, x, out=z[a:b])
         return _case_sums(obj, sh, z, t, r)
 
-    totals = _totals(obj, _run(prep.pool, forward, len(shards)), prep.n)
+    n = sum(sh.n for _, sh, _ in shards)
+    totals = _totals(obj, _run(pool, forward, len(shards)), n)
     if not want_grad:
         return totals.value, None
 
     def backward(i):
-        X, sh = shards[i]
-        z, t, r = bufs[i]
+        xs, sh, (z, t, r) = shards[i]
         g = _gradient(obj, sh, z, totals, t, r)
         # chain rule through the logistic unit, g * q * (1 - q) in place,
         # then the per-case partials
         g *= z
         g *= np.subtract(1.0, z, out=z)
-        return [X[:, a:b] @ g[a:b] for a, b in _bounds(sh.sizes)]
+        return [x @ g[a:b] for x, (a, b) in zip(xs, _bounds(sh.sizes))]
 
-    partials = [c for part in _run(prep.pool, backward, len(shards)) for c in part]
+    partials = [c for part in _run(pool, backward, len(shards)) for c in part]
     gtheta = np.array(
         [exact_sum(c[j] for c in partials) for j in range(len(FEATURE_NAMES))]
     )
     return totals.value, gtheta
 
 
-def scorer_loss(cfg: TrainConfig, weights, phantoms=None, want_grad=False):
-    """Batch loss of a weight vector under cfg's corpus (and its gradient).
+def scorer_loss(cfg: TrainConfig, weights, phantoms, want_grad=False):
+    """Batch loss of a weight vector over phantoms under cfg (and its
+    gradient).
 
     Used to cross-check the end-to-end analytic gradient against finite
-    differences; pass phantoms to skip regenerating them from the specs.
+    differences.
     """
-    if phantoms is None:
-        phantoms = [generate(s) for s in cfg.train_specs]
     theta = np.asarray(weights, dtype=np.float64)
     with _prepare_batch(cfg, phantoms) as prep:
         return _batch_eval(cfg, prep, theta, want_grad)

@@ -360,6 +360,16 @@ class TestMetricsCommand:
         assert code == 2
         assert "undefined" in err
 
+    def test_kappa_threshold_checked_before_the_outcome_file(self, capsys,
+                                                             tmp_path):
+        csv = tmp_path / "cases.csv"
+        csv.write_text("case_id,score,label,empty_seg\nc1,0.9,1,0\nc2,0.1,0,0\n")
+        code, out, err = run(capsys, "metrics", "--outcomes", str(csv),
+                             "--kappa-threshold", "2")
+        assert code == 2 and out == ""
+        assert "threshold must lie in [0, 1], got 2.0" in err
+        assert str(csv) not in err
+
     def test_nothing_to_compute(self, capsys):
         code, _, err = run(capsys, "metrics")
         assert code == 2

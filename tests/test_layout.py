@@ -10,12 +10,14 @@ import pytest
 from scipy.special import expit
 
 from lesionloss.components import label_components, labeling_to_volume
-from lesionloss.loss import LOSS_KINDS, evaluate_loss
+from lesionloss.loss import LOSS_KINDS, _bounds, evaluate_loss
 from lesionloss.synth import PhantomSpec, generate, shrink
+import lesionloss.trainer as trainer_mod
 from lesionloss.trainer import (
     TrainConfig,
     VoxelScorer,
     _prepare_batch,
+    _scores,
     extract_features,
     initial_scorer,
 )
@@ -104,19 +106,37 @@ def test_feature_rows_are_one_c_matrix(pair):
 
 
 @pytest.mark.parametrize("dims, lesions", [((48, 48, 48), 6), ((9, 8, 7), 1)])
-def test_score_volume_runs_the_trainers_product(dims, lesions):
-    """extract_features(img) @ w is the trainer's np.matmul(w, X) over the
-    shard matrix it builds for the same phantom, bit for bit."""
-    ph = generate(PhantomSpec(GridShape(dims), lesions, (1.2, 2.0),
-                              noise_sigma=0.6, seed=12))
+def test_score_volume_runs_the_trainers_product(dims, lesions, monkeypatch):
+    """The case of dims sits between two of other sizes in one shard, which
+    keeps, per case, the 5 x n matrix extract_features wrote; the trainer's
+    scores over each case's bounds are score_volume's, bit for bit."""
+    cases = [((20, 17, 15), 3), (dims, lesions), ((11, 13, 9), 1)]
+    phantoms = [generate(PhantomSpec(GridShape(d), k, (1.2, 2.0),
+                                     noise_sigma=0.6, seed=12 + i))
+                for i, (d, k) in enumerate(cases)]
     weights = [initial_scorer(0).weights, np.array([1.1, 2.3, -0.4, 0.2, -2.0]),
                np.random.default_rng(5).normal(0.0, 3.0, 5)]
-    with _prepare_batch(TrainConfig(), [ph]) as prep:
-        [(X, _plan)] = prep.shards
+    written = []
+
+    def recorded(image):
+        written.append(extract_features(image))
+        return written[-1]
+
+    monkeypatch.setattr(trainer_mod, "extract_features", recorded)
+    with _prepare_batch(TrainConfig(), phantoms) as (shards, _pool):
+        [(xs, plan, _bufs)] = shards
+        assert len(xs) == len(written) == len(phantoms)
+        bounds = _bounds(plan.sizes)
+        for x, feats, (a, b) in zip(xs, written, bounds):
+            assert x.shape == (5, b - a) and x.flags.c_contiguous
+            assert np.shares_memory(x, feats)
         for w in weights:
-            want = np.matmul(w, X)
-            got = extract_features(ph.image) @ w
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            scores = VoxelScorer(w).score_volume(ph.image).data
-            assert np.array_equal(scores.ravel(order="F"),
-                                  expit(want).astype(np.float32))
+            z = np.empty(plan.n)
+            for x, ph, (a, b) in zip(xs, phantoms, bounds):
+                _scores(w, x, out=z[a:b])
+                want = expit(np.matmul(w, x))
+                assert np.array_equal(z[a:b].view(np.uint64),
+                                      want.view(np.uint64))
+                scores = VoxelScorer(w).score_volume(ph.image).data
+                assert np.array_equal(scores.ravel(order="F"),
+                                      z[a:b].astype(np.float32))

@@ -577,6 +577,40 @@ class TestUnitWeights:
             assert a.data.tobytes() == b.data.tobytes()
 
 
+class TestTpDenominatorDirection:
+    """The switch puts TP.W in the denominator in place of TP.  Every term
+    q * w >= q when w >= 1 (rounding keeps the order), and the sums, the
+    ratio and the value are monotone in them, so with every lesion weight
+    >= 1 (the default curve's w_min = 1) switching on never lowers a wlt or
+    combined value, and with every weight <= 1 it never raises it."""
+
+    @pytest.mark.parametrize("kind", ["wlt", "combined"])
+    @given(batch=_batches(), weights=st.sampled_from(["curve", "heavy", "light"]),
+           alpha=st.floats(0.0, 2.0), beta=st.floats(0.0, 2.0),
+           smooth=st.sampled_from([1e-6, 0.5, 1.0]),
+           ce_weight=st.floats(0.0, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_direction_follows_the_weights(self, kind, batch, weights, alpha,
+                                           beta, smooth, ce_weight):
+        assume(alpha + beta > 0.0)
+        gts, preds = batch
+        omega = None
+        if weights != "curve":
+            rng = np.random.default_rng(len(gts))
+            lo, hi = (1.0, 30.0) if weights == "heavy" else (0.05, 1.0)
+            omega = [WeightMap(g.shape, rng.uniform(lo, hi, g.shape.dims))
+                     for g in gts]
+        off, on = (evaluate_loss(kind, gts, preds, omega=omega,
+                                 tversky=TverskyParams(alpha, beta, smooth),
+                                 ce_weight=ce_weight,
+                                 weight_tp_denominator=switch).value
+                   for switch in (False, True))
+        if weights == "light":
+            assert on <= off
+        else:
+            assert on >= off
+
+
 @st.composite
 def _weighted_batches(draw):
     """2-4 cases of sides 1-6, each with at least one lesion voxel, float32

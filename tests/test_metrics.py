@@ -265,6 +265,11 @@ class TestKappa:
         with pytest.raises(UndefinedMetricError):
             kappa([])
 
+    @pytest.mark.parametrize("t", [2.0, -1.0, float("nan"), float("inf")])
+    def test_threshold_outside_unit_interval_rejected(self, t):
+        with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\]"):
+            kappa(outcomes_from([0.9, 0.1], [1, 0]), t)
+
 
 class TestEmptyFallback:
     def test_forces_score_to_zero(self):

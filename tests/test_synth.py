@@ -59,6 +59,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec(n=-1)
 
+    @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
+    def test_noise_sigma_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="noise_sigma must be >= 0 and finite"):
+            spec(noise_sigma=value)
+
+    @pytest.mark.parametrize("value", [0.0, math.inf, math.nan])
+    def test_contrast_finite_and_positive(self, value):
+        with pytest.raises(ValueError, match="contrast must be positive and finite"):
+            spec(contrast=value)
+
 
 class TestGenerate:
     def test_no_lesions_gives_pure_noise(self):

@@ -230,10 +230,13 @@ class TestTrain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(loss_kind="dice")
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+        for rate in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="learning_rate must be positive"):
+                TrainConfig(learning_rate=rate)
         with pytest.raises(ValueError):
             TrainConfig(epochs=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
         with pytest.raises(ValueError, match="threads must be >= 1"):
             TrainConfig(threads=0)
 

@@ -1,12 +1,15 @@
 """Hash the numeric outputs of lesionloss, one digest per group.
 
-    python3 tools/hash_outputs.py                  # the package in ./src
-    python3 tools/hash_outputs.py --src OTHER/src  # another tree's package
+    python3 tools/hash_outputs.py                      # the package in ./src
+    python3 tools/hash_outputs.py --src OTHER/src      # another tree's package
+    python3 tools/hash_outputs.py --against OTHER/src  # ./src against another
 
 Prints one "group count sha256" line per group, where count is the number
 of outputs hashed.  Two trees whose lines are equal produce bit-identical
 outputs on every case below, so a refactor that must not move a bit is
-checked by running this with each tree's src and comparing the lines.
+checked by comparing each tree's lines.  --against does that in one run:
+it hashes the other tree in a subprocess, with this file's cases, while
+hashing its own, then prints the groups that differ and exits 1 if any do.
 
     loss       evaluate_loss values and float32 gradients: every kind, the
                weighted-TP-denominator switch off and on, three Tversky
@@ -52,6 +55,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -346,17 +350,38 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default="src",
                     help="directory holding the lesionloss package (default src)")
+    ap.add_argument("--against", metavar="OTHER_SRC",
+                    help="also hash the package in OTHER_SRC and report the "
+                         "groups whose lines differ (exit 1 if any)")
     args = ap.parse_args(argv)
+    other = None
+    if args.against:
+        other = subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--src", args.against],
+            stdout=subprocess.PIPE, text=True)
     sys.path.insert(0, os.path.abspath(args.src))
     import lesionloss as ll
     import lesionloss.cli  # noqa: F401  (loads every submodule)
 
     print(f"# lesionloss from {os.path.dirname(ll.__file__)}", file=sys.stderr)
+    mine = []
     for name, fn in GROUPS.items():
         g = _Group(name)
         fn(ll, g)
-        print(g.line(), flush=True)
-    return 0
+        mine.append(g.line())
+        print(mine[-1], flush=True)
+    if other is None:
+        return 0
+    theirs = other.communicate()[0].splitlines()
+    if other.returncode != 0:
+        print(f"hashing {args.against} failed with exit {other.returncode}",
+              file=sys.stderr)
+        return 2
+    differ = [(a, b) for a, b in zip(mine, theirs) if a != b]
+    for a, b in differ:
+        print(f"differs: {a.split()[0]}\n  {args.src}: {a}\n  {args.against}: {b}")
+    print(f"{len(differ)} of {len(mine)} groups differ from {args.against}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
