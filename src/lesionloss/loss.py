@@ -33,7 +33,8 @@ WLT's unit-weight case, so an unweighted ratio term gets unit weights and
 every ratio term runs one formula (x * 1.0 == x, so they move no bit).
 A weighted plan's weights come from the lesion labeling, one omega per
 lesion volume read at the lesion voxels; no full-grid weight map is
-built.  Predictions arrive as one flat float64 array in the same order.
+built.  A plan also holds its cases' bounds, the predictions (one flat
+float64 array in the same order) and the phases' scratch.
 The lesion-voxel sums (TP, TP.W, FN.W) take their terms at the foreground
 positions only and reduce them there by the plan's merge schedule
 (reduction.merge_schedule), which runs each case's tree without the
@@ -56,8 +57,8 @@ of n voxels, bit-identical to k separate trees), and the exactly rounded
 sum across cases is order-free, so values are reproducible, case-order
 free and the same for any split into shards.  The loss API and grad_check
 run the whole batch as one shard (_objective_core); the trainer runs one
-shard per thread.  The caller allocates each shard's buffers (_scratch)
-and the phases write into them.
+shard per thread.  Each phase reads an Objective, every parameter of the
+loss, and writes into its plan's buffers only.
 """
 
 from __future__ import annotations
@@ -152,6 +153,8 @@ class Objective:
     ce_weight: float
     clamp: float
     weight_tp_denominator: bool
+    curve: WeightCurveParams | None
+    connectivity: Connectivity
 
     def __post_init__(self):
         if not 0.0 <= self.ce_weight <= 1.0:
@@ -166,13 +169,15 @@ class Objective:
 
 def objective(kind: str, kinds=LOSS_KINDS, *, tversky: TverskyParams | None = None,
               ce_weight: float = 0.5, clamp: float = CE_CLAMP_DEFAULT,
-              weight_tp_denominator: bool = False) -> Objective:
+              weight_tp_denominator: bool = False,
+              curve: WeightCurveParams | None = None,
+              connectivity: Connectivity = DEFAULT_CONNECTIVITY) -> Objective:
     """Look kind up in the table (it must be one of kinds) and validate."""
     if kind not in kinds:
         raise ValueError(f"unknown loss kind: {kind!r} (choose from {kinds})")
     ce, ratio, default = _TERMS[kind]
     return Objective(ce, ratio, tversky if tversky is not None else default,
-                     ce_weight, clamp, weight_tp_denominator)
+                     ce_weight, clamp, weight_tp_denominator, curve, connectivity)
 
 
 # ---------------------------------------------------------------------------
@@ -190,36 +195,45 @@ def _as_list(x, kind):
 
 @dataclass(frozen=True)
 class _Plan:
-    """A batch's ground truth, laid out once for every evaluation.
+    """A batch's ground truth, laid out once, and the buffers of every
+    evaluation of it.
 
     The cases sit one after another in x-fastest order (case i holds
-    sizes[i] voxels); idx holds the ascending flat positions of the lesion
-    voxels, w their weights (ones when the ratio term is unweighted) and
-    merge the merge schedule of idx, by which the lesion-voxel sums run
-    their case trees over the lesion voxels only (None without a ratio
-    term: only its sums read it).  Background weights are never kept, so
-    they cannot reach the loss.
+    sizes[i] voxels, at bounds[i] = (start, stop)); idx holds the
+    ascending flat positions of the lesion voxels, w their weights (ones
+    when the ratio term is unweighted) and merge the merge schedule of idx,
+    by which the lesion-voxel sums run their case trees over the lesion
+    voxels only (None without a ratio term: only its sums read it).
+    Background weights are never kept, so they cannot reach the loss.
+    The caller writes the predictions into q; t and r are the CE and ratio
+    scratch (None without that term).  Every evaluation reuses them, and
+    the trainer's chain rule spends q as scratch too.
     """
 
     sizes: tuple[int, ...]
+    bounds: tuple[tuple[int, int], ...]
     idx: np.ndarray
     w: np.ndarray
     merge: MergeSchedule | None
+    q: np.ndarray
+    t: np.ndarray | None
+    r: np.ndarray | None
 
     @property
     def n(self) -> int:
-        return sum(self.sizes)
+        return self.q.size
 
 
-def _truth(obj: Objective, gts, curve: WeightCurveParams | None,
-           connectivity: Connectivity, omega=None) -> _Plan:
-    """The plan of ground-truth masks gts; when obj's ratio term is
+def _truth(obj: Objective, gts, omega=None) -> _Plan:
+    """The plan of ground-truth masks gts for obj; when obj's ratio term is
     weighted, its weights come from omega's maps, else from the masks'
     lesion labelings, and otherwise they are ones (no labeling is done).
     Given omega must match gts in batch length and shapes for every kind,
-    used or not."""
+    used or not.  The buffers come last, after the labelings are freed."""
     fgs = [_flat(g.data) for g in gts]
     sizes = tuple(fg.size for fg in fgs)
+    stops = np.cumsum(sizes).tolist()
+    bounds = tuple(zip([0] + stops[:-1], stops))
     idx = np.flatnonzero(np.concatenate(fgs))
     merge = merge_schedule(idx, sizes) if obj.ratio is not None else None
     if omega is not None:
@@ -229,32 +243,25 @@ def _truth(obj: Objective, gts, curve: WeightCurveParams | None,
         for g, w in zip(gts, maps):
             require_same_shape(g, w)
     if not obj.weighted:
-        return _Plan(sizes, idx, np.ones(idx.size), merge)
-    if omega is not None:
-        w = [_flat(m.weights)[fg] for m, fg in zip(maps, fgs)]
+        w = np.ones(idx.size)
+    elif omega is not None:
+        w = np.concatenate([_flat(m.weights)[fg] for m, fg in zip(maps, fgs)])
     else:
-        w = [_lesion_weights(g, fg, curve, connectivity) for g, fg in zip(gts, fgs)]
-    return _Plan(sizes, idx, np.concatenate(w), merge)
+        w = np.concatenate([_lesion_weights(obj, g, fg) for g, fg in zip(gts, fgs)])
+    n = sum(sizes)
+    return _Plan(sizes, bounds, idx, w, merge, np.empty(n),
+                 np.empty(n) if obj.ce else None,
+                 np.empty(n) if obj.ratio is not None else None)
 
 
-def _lesion_weights(g: Mask, fg, curve: WeightCurveParams | None,
-                    connectivity: Connectivity) -> np.ndarray:
+def _lesion_weights(obj: Objective, g: Mask, fg) -> np.ndarray:
     """omega of each lesion voxel's lesion volume, in x-fastest order (fg
     is g's flattened foreground), without a full-grid weight map."""
-    ids = _flat_labels(fg, g.shape.dims, connectivity)[0][fg]
-    return _omega_lut(np.bincount(ids)[1:], curve)[ids]
+    ids = _flat_labels(fg, g.shape.dims, obj.connectivity)[0][fg]
+    return _omega_lut(np.bincount(ids)[1:], obj.curve)[ids]
 
 
-def _bounds(sizes):
-    """(start, stop) of each case in the flat layout."""
-    stops = np.cumsum(sizes).tolist()
-    return list(zip([0] + stops[:-1], stops))
-
-
-def _prepare(kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
-             weight_tp_denominator, omega=None):
-    obj = objective(kind, tversky=tversky, ce_weight=ce_weight, clamp=clamp,
-                    weight_tp_denominator=weight_tp_denominator)
+def _prepare(obj: Objective, gt, pred, omega=None):
     gts, single = _as_list(gt, Mask)
     preds, _ = _as_list(pred, Volume)
     if len(gts) != len(preds):
@@ -262,18 +269,17 @@ def _prepare(kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
     for g, q in zip(gts, preds):
         require_same_shape(g, q)
         q.require_probability()
-    plan = _truth(obj, gts, curve, connectivity, omega)
-    q = np.empty(plan.n)    # the predictions, flat float64, in plan order
-    for p, (start, stop) in zip(preds, _bounds(plan.sizes)):
-        q[start:stop] = _flat(p.data)
-    return obj, plan, q, preds, single
+    plan = _truth(obj, gts, omega)
+    for p, (start, stop) in zip(preds, plan.bounds):
+        plan.q[start:stop] = _flat(p.data)
+    return plan, preds, single
 
 
 def _wrap(value, grad, plan: _Plan, preds, single) -> LossReport:
     if grad is None:
         return LossReport(float(value))
     vols = [Volume(p.shape, _grid(grad[start:stop], p.shape.dims))
-            for p, (start, stop) in zip(preds, _bounds(plan.sizes))]
+            for p, (start, stop) in zip(preds, plan.bounds)]
     return LossReport(float(value), vols[0] if single else vols)
 
 
@@ -282,19 +288,12 @@ def _wrap(value, grad, plan: _Plan, preds, single) -> LossReport:
 # _Plan of its own; flat float64 predictions q in, float64 out
 # ---------------------------------------------------------------------------
 
-def _scratch(obj: Objective, n: int):
-    """The buffers of a shard of n voxels: the CE true-class probabilities
-    and the ratio scratch (None where obj has no such term)."""
-    return (np.empty(n) if obj.ce else None,
-            np.empty(n) if obj.ratio is not None else None)
-
-
 def _plain_tp_den(obj: Objective) -> bool:
     return obj.weighted and not obj.weight_tp_denominator
 
 
-def _case_sums(obj: Objective, plan: _Plan, q, t, r) -> dict[str, list[float]]:
-    """Phase 1: the per-case sums of each term of obj over plan's cases.
+def _case_sums(obj: Objective, plan: _Plan) -> dict[str, list[float]]:
+    """Phase 1: the per-case sums of each term of obj at plan.q (kept).
 
     "ce" sums the log true-class probabilities, clamped, which stay in t
     for phase 2; the logs go to r, so the only shard-sized arrays
@@ -304,7 +303,7 @@ def _case_sums(obj: Objective, plan: _Plan, q, t, r) -> dict[str, list[float]]:
     the case trees of a full-grid selection without its zeros; "fp"
     zeroes the lesion voxels of a copy of q in r.
     """
-    idx, sizes = plan.idx, plan.sizes
+    idx, sizes, q, t, r = plan.idx, plan.sizes, plan.q, plan.t, plan.r
     sums = {}
     if obj.ce:
         np.subtract(1.0, q, out=t)
@@ -362,10 +361,10 @@ def _totals(obj: Objective, parts, n: int) -> _Totals:
     return _Totals(value, n, num, den)
 
 
-def _gradient(obj: Objective, plan: _Plan, q, totals: _Totals, t, r):
-    """Phase 2: the gradient over plan's voxels from the batch's global
-    sums, written into t (r when obj has no CE term) and returned."""
-    idx, w = plan.idx, plan.w
+def _gradient(obj: Objective, plan: _Plan, totals: _Totals):
+    """Phase 2: the gradient at plan.q, after its _case_sums, from the global
+    sums, written into plan.t (plan.r without a CE term) and returned."""
+    idx, w, q, t, r = plan.idx, plan.w, plan.q, plan.t, plan.r
     if obj.ce:
         # the clamp is flat outside [clamp, 1 - clamp]
         inside = (q >= obj.clamp) & (q <= 1.0 - obj.clamp)
@@ -392,14 +391,13 @@ def _gradient(obj: Objective, plan: _Plan, q, totals: _Totals, t, r):
     return t
 
 
-def _objective_core(obj: Objective, plan: _Plan, q, want_grad: bool):
-    """Value (and flat gradient) of obj over a plan and flat float64
-    predictions q, the whole batch as one shard."""
-    t, r = _scratch(obj, plan.n)
-    totals = _totals(obj, [_case_sums(obj, plan, q, t, r)], plan.n)
+def _objective_core(obj: Objective, plan: _Plan, want_grad: bool):
+    """Value (and flat gradient, a plan buffer the next call overwrites) of
+    obj at plan.q, the whole batch as one shard."""
+    totals = _totals(obj, [_case_sums(obj, plan)], plan.n)
     if not want_grad:
         return totals.value, None
-    return totals.value, _gradient(obj, plan, q, totals, t, r)
+    return totals.value, _gradient(obj, plan, totals)
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +465,11 @@ def evaluate_loss(kind: str, gt, pred, *, tversky: TverskyParams | None = None,
     For wlt and combined the lesion weights come from the ground-truth
     labeling unless weight maps are passed as omega.
     """
-    obj, plan, q, preds, single = _prepare(
-        kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
-        weight_tp_denominator, omega)
-    value, grad = _objective_core(obj, plan, q, want_grad)
+    obj = objective(kind, tversky=tversky, ce_weight=ce_weight, clamp=clamp,
+                    weight_tp_denominator=weight_tp_denominator, curve=curve,
+                    connectivity=connectivity)
+    plan, preds, single = _prepare(obj, gt, pred, omega)
+    value, grad = _objective_core(obj, plan, want_grad)
     return _wrap(value, grad, plan, preds, single)
 
 
@@ -486,30 +485,33 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
     Error per voxel is |analytic - fd| / max(1, |analytic|).  Predictions
     must sit far enough inside (0, 1) for the +/- step to stay valid.
     max_voxels (at least 1) caps the voxels checked per case, drawn with
-    seed; None checks every voxel.
+    seed (at least 0); None checks every voxel.
     """
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"degenerate step: {step}")
     if max_voxels is not None and max_voxels < 1:
         raise ValueError(f"max_voxels must be >= 1, got {max_voxels}")
-    obj, plan, q, _preds, _single = _prepare(
-        kind, gt, pred, tversky, curve, ce_weight, connectivity, clamp,
-        weight_tp_denominator)
-    _, grad = _objective_core(obj, plan, q, True)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    obj = objective(kind, tversky=tversky, ce_weight=ce_weight, clamp=clamp,
+                    weight_tp_denominator=weight_tp_denominator, curve=curve,
+                    connectivity=connectivity)
+    plan, _preds, _single = _prepare(obj, gt, pred)
+    grad = _objective_core(obj, plan, True)[1].copy()    # later calls overwrite it
 
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for start, stop in _bounds(plan.sizes):
+    for start, stop in plan.bounds:
         js = np.arange(stop - start)
         if max_voxels is not None and js.size > max_voxels:
             js = np.sort(rng.choice(js.size, size=max_voxels, replace=False))
         for j in start + js:
-            q0 = q[j]       # q is this call's own copy: perturb in place
-            q[j] = q0 + step
-            up = _objective_core(obj, plan, q, False)[0]
-            q[j] = q0 - step
-            down = _objective_core(obj, plan, q, False)[0]
-            q[j] = q0
+            q0 = plan.q[j]      # the plan's own copy: perturb in place
+            plan.q[j] = q0 + step
+            up = _objective_core(obj, plan, False)[0]
+            plan.q[j] = q0 - step
+            down = _objective_core(obj, plan, False)[0]
+            plan.q[j] = q0
             fd = (up - down) / (2.0 * step)
             a = grad[j]
             err = abs(a - fd) / max(1.0, abs(a))

@@ -282,7 +282,7 @@ def generate(spec: PhantomSpec) -> Phantom:
                 tuple(float(r) for r in radii),
                 fragments,
             )
-            occupied = geom.support_voxels(dims)
+            occupied = support if fragments is None else np.concatenate(fragments)
             truth[tuple(occupied.T)] = True
             halo_box, halo = _halo(dims, occupied)
             blocked[halo_box] |= halo

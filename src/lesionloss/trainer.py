@@ -8,16 +8,17 @@ Jacobian; runs are deterministic for a fixed seed and invariant to the
 order of the training phantoms.
 
 The batch is split once into min(threads, cases) contiguous case shards of
-about equal voxel count, each its cases' feature matrices (5 x n each, as
-extract_features wrote them), its own plan and its buffers (scores, CE
-true-class probabilities, ratio scratch).  Each epoch runs them in
-the loss engine's two phases: phase 1 scores each case with _scores, the
-one scorer score_volume also applies, and reduces the shard to per-case
-loss sums; the value comes from the global sums; phase 2 turns the global
-sums into each shard's loss gradient, applies the chain rule and forms the
-per-case X @ g partials, which an exact sum combines.  The calling thread
-runs shard 0 and a pool opened for the run takes the rest.  The calling
-thread also allocates every shard's buffers, once per batch, and the
+about equal voxel count, each (features, plan): its cases' feature
+matrices (5 x n each, as extract_features wrote them) and its plan, which
+holds the cases' bounds and the buffers (scores, CE true-class
+probabilities, ratio scratch).  Each epoch runs them in the loss engine's
+two phases: phase 1 scores each case with _scores, the one scorer
+score_volume also applies, and reduces the shard to per-case loss sums;
+the value comes from the global sums; phase 2 turns the global sums into
+each shard's loss gradient, applies the chain rule and forms the per-case
+X @ g partials, which an exact sum combines.  The calling thread runs
+shard 0 and a pool opened for the run takes the rest.  The calling thread
+also builds every plan, and so its buffers, once per batch, and the
 workers write into them: arrays a worker allocates stay in its own malloc
 arena and raise peak memory, and shard-sized buffers freed every epoch
 can be handed back to the system and faulted in again the next.  No
@@ -41,10 +42,8 @@ from .loss import (
     TRAIN_LOSS_KINDS,
     Objective,
     TverskyParams,
-    _bounds,
     _case_sums,
     _gradient,
-    _scratch,
     _totals,
     _truth,
     objective,
@@ -141,7 +140,8 @@ class TrainConfig:
 
     def objective(self) -> Objective:
         return objective(self.loss_kind, TRAIN_LOSS_KINDS, tversky=self.tversky,
-                         ce_weight=self.ce_weight, clamp=self.clamp)
+                         ce_weight=self.ce_weight, clamp=self.clamp,
+                         curve=self.curve, connectivity=self.connectivity)
 
 
 def _shard_bounds(sizes, k: int) -> list[tuple[int, int]]:
@@ -158,22 +158,20 @@ def _shard_bounds(sizes, k: int) -> list[tuple[int, int]]:
 
 @contextmanager
 def _prepare_batch(cfg: TrainConfig, phantoms):
-    """The batch of phantoms as (shards, pool): min(cfg.threads, cases)
-    contiguous shards, each (features, plan, buffers) with one 5 x n matrix
-    per case as extract_features wrote it, and the pool that runs shards 1
-    onwards, shut down when the block exits, on return or on error."""
+    """The batch of phantoms as (cfg's objective, shards, pool):
+    min(cfg.threads, cases) contiguous shards, each (features, plan) with one
+    5 x n matrix per case as extract_features wrote it, and the pool that runs
+    shards 1 onwards, shut down when the block exits, on return or on error."""
     obj = cfg.objective()
     sizes = [ph.truth.shape.voxel_count for ph in phantoms]
     shards = []
     for first, stop in _shard_bounds(sizes, min(cfg.threads, len(sizes))):
         cases = phantoms[first:stop]
-        plan = _truth(obj, [ph.truth for ph in cases], cfg.curve,
-                      cfg.connectivity)
-        shards.append(([extract_features(ph.image).T for ph in cases], plan,
-                       (np.empty(plan.n),) + _scratch(obj, plan.n)))
+        plan = _truth(obj, [ph.truth for ph in cases])
+        shards.append(([extract_features(ph.image).T for ph in cases], plan))
     # the pool starts no thread until a second shard is submitted
     with ThreadPoolExecutor(max(1, len(shards) - 1)) as pool:
-        yield shards, pool
+        yield obj, shards, pool
 
 
 def _run(pool: ThreadPoolExecutor, fn, k: int) -> list:
@@ -184,30 +182,30 @@ def _run(pool: ThreadPoolExecutor, fn, k: int) -> list:
 
 
 def _batch_eval(cfg: TrainConfig, prep, theta, want_grad):
-    obj = cfg.objective()
-    shards, pool = prep
+    """Loss (and gradient) at theta over prep, cfg's _prepare_batch."""
+    obj, shards, pool = prep
 
     def forward(i):
-        xs, sh, (z, t, r) = shards[i]
+        xs, plan = shards[i]
         # one matmul per case: each voxel's score then depends on its own
         # case only, never on where the case sits in the batch or shard
-        for x, (a, b) in zip(xs, _bounds(sh.sizes)):
-            _scores(theta, x, out=z[a:b])
-        return _case_sums(obj, sh, z, t, r)
+        for x, (a, b) in zip(xs, plan.bounds):
+            _scores(theta, x, out=plan.q[a:b])
+        return _case_sums(obj, plan)
 
-    n = sum(sh.n for _, sh, _ in shards)
+    n = sum(plan.n for _, plan in shards)
     totals = _totals(obj, _run(pool, forward, len(shards)), n)
     if not want_grad:
         return totals.value, None
 
     def backward(i):
-        xs, sh, (z, t, r) = shards[i]
-        g = _gradient(obj, sh, z, totals, t, r)
-        # chain rule through the logistic unit, g * q * (1 - q) in place,
-        # then the per-case partials
-        g *= z
-        g *= np.subtract(1.0, z, out=z)
-        return [x @ g[a:b] for x, (a, b) in zip(xs, _bounds(sh.sizes))]
+        xs, plan = shards[i]
+        g, q = _gradient(obj, plan, totals), plan.q
+        # chain rule through the logistic unit, g * q * (1 - q) in place
+        # (q is spent as scratch), then the per-case partials
+        g *= q
+        g *= np.subtract(1.0, q, out=q)
+        return [x @ g[a:b] for x, (a, b) in zip(xs, plan.bounds)]
 
     partials = [c for part in _run(pool, backward, len(shards)) for c in part]
     gtheta = np.array(

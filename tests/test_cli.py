@@ -128,6 +128,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "max_voxels must be >= 1" in err
 
+    def test_gradcheck_negative_sample_seed_is_data_error(self, capsys,
+                                                          tmp_path):
+        gt, pred = write_worked_example(tmp_path)
+        code, out, err = run(capsys, "gradcheck", "--kind", "ce", "--gt", str(gt),
+                             "--pred", str(pred), "--max-voxels", "3",
+                             "--sample-seed", "-1")
+        assert code == 2 and out == ""
+        assert "seed must be >= 0" in err
+
     def test_train_has_no_tp_denominator_switch(self, capsys, tmp_path):
         small = ["train", "--epochs", "1", "--train-count", "2",
                  "--dims", "10 10 10", "--small-radius", "1.2 1.5",

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import expit
 
 from lesionloss.components import label_components, labeling_to_volume
-from lesionloss.loss import LOSS_KINDS, _bounds, evaluate_loss
+from lesionloss.loss import LOSS_KINDS, evaluate_loss
 from lesionloss.synth import PhantomSpec, generate, shrink
 import lesionloss.trainer as trainer_mod
 from lesionloss.trainer import (
@@ -123,10 +123,10 @@ def test_score_volume_runs_the_trainers_product(dims, lesions, monkeypatch):
         return written[-1]
 
     monkeypatch.setattr(trainer_mod, "extract_features", recorded)
-    with _prepare_batch(TrainConfig(), phantoms) as (shards, _pool):
-        [(xs, plan, _bufs)] = shards
+    with _prepare_batch(TrainConfig(), phantoms) as (_obj, shards, _pool):
+        [(xs, plan)] = shards
         assert len(xs) == len(written) == len(phantoms)
-        bounds = _bounds(plan.sizes)
+        bounds = plan.bounds
         for x, feats, (a, b) in zip(xs, written, bounds):
             assert x.shape == (5, b - a) and x.flags.c_contiguous
             assert np.shares_memory(x, feats)

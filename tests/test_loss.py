@@ -17,6 +17,10 @@ from lesionloss.loss import (
     cross_entropy_loss,
     default_wlt_params,
     evaluate_loss,
+    _case_sums,
+    _gradient,
+    _prepare,
+    _totals,
     _truth,
     grad_check,
     objective,
@@ -319,6 +323,13 @@ class TestGradients:
         # a wrong step would fail the check; an empty sample must not pass it
         with pytest.raises(ValueError, match="max_voxels must be >= 1"):
             grad_check("ce", gt, pred, step=0.4, max_voxels=max_voxels)
+
+    def test_sample_seed_must_not_be_negative(self):
+        # rejected before any work: the grids do not even match
+        gt = mask(np.ones((3, 3, 3)))
+        pred = vol(np.full((4, 4, 4), 0.5))
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            grad_check("ce", gt, pred, max_voxels=4, seed=-1)
 
     def test_voxel_sampling_is_deterministic(self):
         rng = np.random.default_rng(17)
@@ -677,6 +688,29 @@ class TestBatchIsGlobalRatio:
                                 rel_tol=1e-7)
 
 
+class TestPlanBuffers:
+    """A plan holds the buffers of every evaluation: phase 1 reads the
+    predictions in plan.q and leaves them as they are; phase 2 returns a
+    plan buffer, r for a ratio term alone and t otherwise."""
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_phases_write_into_the_plan_buffers(self, kind):
+        rng = np.random.default_rng(43)
+        gts, preds = zip(*(random_case(rng, dims) for dims in
+                           ((5, 6, 7), (4, 4, 4), (3, 8, 2))))
+        obj = objective(kind)
+        plan, _, _ = _prepare(obj, list(gts), list(preds))
+        assert (plan.t is None) == (not obj.ce)
+        assert (plan.r is None) == (obj.ratio is None)
+        q = plan.q.copy()
+        totals = _totals(obj, [_case_sums(obj, plan)], plan.n)
+        assert plan.q.tobytes() == q.tobytes()
+        grad = _gradient(obj, plan, totals)
+        assert np.shares_memory(grad, plan.r if kind in ("tversky", "wlt")
+                                else plan.t)
+        assert plan.q.tobytes() == q.tobytes()
+
+
 class TestPlanWeights:
     """A plan's weights come from the lesion labeling at the lesion voxels;
     they equal the public weight map's, byte for byte."""
@@ -691,7 +725,8 @@ class TestPlanWeights:
         gts = [mask(rng.random((7, 8, 9)) < 0.3), mask(np.zeros((5, 5, 5))),
                mask(rng.random((6, 6, 6)) < 0.1), mask(np.ones((3, 3, 3)))]
         for batch in (gts, gts[:1], gts[1:2]):
-            plan = _truth(objective("wlt"), batch, curve, connectivity)
+            plan = _truth(objective("wlt", curve=curve,
+                                    connectivity=connectivity), batch)
             want = np.concatenate([
                 build_weight_map(label_components(g, connectivity), curve)
                 .weights.ravel(order="F")[g.data.ravel(order="F")]

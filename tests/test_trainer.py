@@ -25,7 +25,7 @@ from lesionloss.trainer import (
     scorer_loss,
     train,
 )
-from lesionloss.trainer import _shard_bounds
+from lesionloss.trainer import _batch_eval, _prepare_batch, _shard_bounds
 from lesionloss.volume import GridShape, Mask, ShapeMismatchError, Volume
 
 from oracles import recall_reference
@@ -283,6 +283,34 @@ class TestShardedEpoch:
     def test_shards_balance_equal_cases(self):
         assert _shard_bounds([100] * 40, 2) == [(0, 20), (20, 40)]
         assert _shard_bounds([100] * 40, 3) == [(0, 13), (13, 27), (27, 40)]
+
+    @pytest.mark.parametrize("kind", TRAIN_LOSS_KINDS)
+    def test_each_shard_keeps_its_buffers_across_epochs(self, kind,
+                                                        monkeypatch):
+        """The buffers are allocated once per batch, with each shard's plan:
+        every evaluation writes the scores into plan.q, and the gradient
+        phase into plan.t or plan.r, of the same arrays."""
+        cfg = TrainConfig(loss_kind=kind, train_specs=tiny_corpus(3), threads=2)
+        phantoms = [generate(s) for s in cfg.train_specs]
+        real, returned = trainer_mod._gradient, []
+
+        def recorded(obj, plan, totals):
+            returned.append(real(obj, plan, totals))
+            return returned[-1]
+
+        monkeypatch.setattr(trainer_mod, "_gradient", recorded)
+        theta = initial_scorer(0).weights
+        with _prepare_batch(cfg, phantoms) as prep:
+            _obj, shards, _pool = prep
+            assert len(shards) == 2
+            buffers = [(plan.q, plan.t, plan.r) for _, plan in shards]
+            for want_grad in (True, False, True):
+                _batch_eval(cfg, prep, theta, want_grad)
+                for (_, plan), (q, t, r) in zip(shards, buffers):
+                    assert plan.q is q and plan.t is t and plan.r is r
+            assert len(returned) == 2 * len(shards)
+            for grad in returned:
+                assert any(grad is b for bufs in buffers for b in bufs[1:])
 
     def test_no_thread_outlives_train(self, monkeypatch):
         before = threading.active_count()

@@ -46,6 +46,12 @@ hashing its own, then prints the groups that differ and exits 1 if any do.
                grids and the .spec sidecar) and save_scorer write, for
                C-ordered, F-ordered and strided inputs, and what load_volume,
                load_mask, read_phantom_sidecar and load_scorer read back
+    metrics    dice, and hausdorff at percentiles 100, 95 and 50, at unit
+               and (0.5, 1.25, 3.0) spacing on seeded same-shape mask
+               pairs (random masks, thin slabs, single voxels; the message
+               for an empty mask); auc, and kappa at thresholds 0, 0.5 and
+               1, on seeded outcome lists with tied scores; the bytes
+               write_outcomes writes and what read_outcomes reads back
 
 Runs in well under a minute on two cores.
 """
@@ -340,10 +346,56 @@ def _files(ll, g):
                 g.add(path.read_bytes(), ll.trainer.load_scorer(path).weights)
 
 
+def _mask_pairs(rng):
+    """Same-shape mask pairs: random masks, 1-voxel-thick slabs, single
+    voxels, and pairs with empty masks."""
+    pairs = []
+    for _ in range(40):
+        dims = tuple(int(d) for d in rng.integers(1, 17, 3))
+        density = rng.choice([0.05, 0.3, 0.7])
+        pairs.append((rng.random(dims) < density, rng.random(dims) < density))
+    for thin in ((1, 9, 11), (7, 1, 12), (13, 10, 1)):
+        pairs.append((rng.random(thin) < 0.5, rng.random(thin) < 0.5))
+    one, other = np.zeros((6, 5, 4), bool), np.zeros((6, 5, 4), bool)
+    one[1, 2, 3] = other[4, 0, 1] = True
+    empty = np.zeros((6, 5, 4), bool)
+    pairs += [(one, other), (one, one), (empty, one), (empty, empty)]
+    return pairs
+
+
+def _metrics(ll, g):
+    rng = np.random.default_rng(20245)
+    m = ll.metrics
+    for a, b in _mask_pairs(rng):
+        for sp in ((1.0, 1.0, 1.0), (0.5, 1.25, 3.0)):
+            ma = ll.volume.Mask.from_array(a, spacing=sp)
+            mb = ll.volume.Mask.from_array(b, spacing=sp)
+            g.add(sp, m.dice(ma, mb))
+            for pct in (100.0, 95.0, 50.0):
+                try:
+                    g.add(sp, pct, m.hausdorff(ma, mb, pct))
+                except m.UndefinedMetricError as exc:
+                    g.add(sp, pct, str(exc))
+    with tempfile.TemporaryDirectory() as tmp:
+        for i in range(12):
+            n = int(rng.integers(2, 30))
+            # few distinct scores, so ties across the classes are common
+            scores = rng.choice([0.0, 0.25, 0.5, 0.5, 0.75, 1.0, 1 / 3], n)
+            labels = rng.integers(0, 2, n)
+            labels[:2] = (0, 1)
+            outcomes = [m.CaseOutcome(f"case{i}_{j}", float(s), int(y),
+                                      empty_segmentation=bool(s == 0.0 and j % 2))
+                        for j, (s, y) in enumerate(zip(scores, labels))]
+            g.add(m.auc(outcomes), *[m.kappa(outcomes, t) for t in (0.0, 0.5, 1.0)])
+            path = Path(tmp) / f"outcomes{i}.csv"
+            m.write_outcomes(outcomes, path)
+            g.add(path.read_bytes(), m.read_outcomes(path))
+
+
 GROUPS = {"loss": _loss, "gradcheck": _gradcheck, "degenerate": _degenerate,
           "train": _train, "recall": _recall, "synth": _synth,
           "phantoms": _phantoms, "labels": _labels, "scores": _scores,
-          "files": _files}
+          "files": _files, "metrics": _metrics}
 
 
 def main(argv=None) -> int:
