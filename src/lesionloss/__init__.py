@@ -12,7 +12,6 @@ from .loss import (
     LossReport,
     TverskyParams,
     combined_loss,
-    confusion_terms,
     cross_entropy_loss,
     evaluate_loss,
     grad_check,

@@ -176,11 +176,21 @@ def _curve(args) -> weighting.WeightCurveParams:
     )
 
 
-def _tversky(args, kind: str, kinds=loss.LOSS_KINDS) -> loss.TverskyParams:
-    """Tversky flags over kind's defaults; rejects a kind outside kinds."""
+def _objective_options(args, kind: str, kinds=loss.LOSS_KINDS) -> dict:
+    """The loss keyword options that evaluate_loss, grad_check, objective()
+    and TrainConfig share: the Tversky flags over kind's default smoothing,
+    the curve, ce_weight, clamp and connectivity.  Rejects a kind outside
+    kinds."""
     default = loss.objective(kind, kinds).tversky
     smooth = default.smooth if args.smooth is None else args.smooth
-    return loss.TverskyParams(alpha=args.alpha, beta=args.beta, smooth=smooth)
+    return dict(
+        tversky=loss.TverskyParams(alpha=args.alpha, beta=args.beta,
+                                   smooth=smooth),
+        curve=_curve(args),
+        ce_weight=args.ce_weight,
+        clamp=args.clamp,
+        connectivity=components.Connectivity(args.connectivity),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -219,19 +229,12 @@ def _cmd_weights(args) -> int:
 
 def _loss_inputs(args) -> tuple:
     """The kind, truth and prediction of loss and gradcheck, and the
-    keyword options of their objective, checked in that order."""
+    keyword options of their objective; the kind and options are checked
+    before any file is read."""
     kind = _require(args, "kind")
-    tversky = _tversky(args, kind)
-    gt = volume.load_mask(args.gt)
-    pred = volume.load_volume(args.pred)
-    return kind, gt, pred, dict(
-        tversky=tversky,
-        curve=_curve(args),
-        ce_weight=args.ce_weight,
-        connectivity=components.Connectivity(args.connectivity),
-        clamp=args.clamp,
-        weight_tp_denominator=bool(args.weight_tp_denominator),
-    )
+    options = _objective_options(args, kind)
+    options["weight_tp_denominator"] = bool(args.weight_tp_denominator)
+    return kind, volume.load_mask(args.gt), volume.load_volume(args.pred), options
 
 
 def _cmd_loss(args) -> int:
@@ -331,18 +334,15 @@ def _corpus(args, count, start_seed):
 def _cmd_train(args) -> int:
     volume.check_threshold(args.threshold)    # before any training
     val_specs = _corpus(args, args.val_count, args.corpus_seed + args.train_count)
+    options = _objective_options(args, args.loss, trainer.TRAIN_LOSS_KINDS)
     cfg = trainer.TrainConfig(
         loss_kind=args.loss,
-        tversky=_tversky(args, args.loss, trainer.TRAIN_LOSS_KINDS),
-        curve=_curve(args),
-        ce_weight=args.ce_weight,
         learning_rate=args.learning_rate,
         epochs=args.epochs,
         seed=args.seed,
         train_specs=_corpus(args, args.train_count, args.corpus_seed),
-        clamp=args.clamp,
-        connectivity=components.Connectivity(args.connectivity),
         threads=args.threads,
+        **options,
     )
     model, curve = trainer.train(cfg)
     print(f"epochs={cfg.epochs}")
@@ -475,28 +475,21 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _usage_error(parser, argv, exc) -> int:
-    # the usage of the subcommand named in argv, else the program's
-    named = parser.commands.get(argv[0]) if argv else None
-    (named or parser).print_usage(sys.stderr)
-    print(f"{PROG}: error: {exc}", file=sys.stderr)
-    return 1
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        return _usage_error(parser, argv, exc)
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
-    try:
         _fill_params(args)
         return args.func(args)
     except _UsageError as exc:
-        return _usage_error(parser, argv, exc)
+        # the usage of the subcommand named in argv, else the program's
+        named = parser.commands.get(argv[0]) if argv else None
+        (named or parser).print_usage(sys.stderr)
+        print(f"{PROG}: error: {exc}", file=sys.stderr)
+        return 1
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"{PROG}: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

@@ -338,11 +338,20 @@ class _Totals:
     den: float | None
 
 
+def _global_sum(sums: list[float]) -> float:
+    """exact_sum of one term's case sums; they share a sign, so one that
+    overflows (OverflowError) is that sign's infinity, as sum() gives."""
+    try:
+        return exact_sum(sums)
+    except OverflowError:
+        return sum(sums)
+
+
 def _totals(obj: Objective, parts, n: int) -> _Totals:
     """The value of obj from the case sums of every shard of a batch of n
     voxels.  exact_sum is order-free, so the shards' split and order never
     change a bit."""
-    total = {key: exact_sum(c for part in parts for c in part[key])
+    total = {key: _global_sum([c for part in parts for c in part[key]])
              for key in parts[0]}
     # -log commutes exactly with the tree and the exact case sum
     ce = -total["ce"] / n if obj.ce else None
@@ -393,28 +402,22 @@ def _gradient(obj: Objective, plan: _Plan, totals: _Totals):
 
 def _objective_core(obj: Objective, plan: _Plan, want_grad: bool):
     """Value (and flat gradient, a plan buffer the next call overwrites) of
-    obj at plan.q, the whole batch as one shard."""
-    totals = _totals(obj, [_case_sums(obj, plan)], plan.n)
-    if not want_grad:
-        return totals.value, None
-    return totals.value, _gradient(obj, plan, totals)
+    obj at plan.q, the whole batch as one shard.  A value or gradient that
+    is not finite (lesion sums that overflow under a huge w_max) raises
+    ValueError instead of numpy's warnings and a NaN result."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        totals = _totals(obj, [_case_sums(obj, plan)], plan.n)
+        grad = _gradient(obj, plan, totals) if want_grad else None
+    if not np.isfinite(totals.value):
+        raise ValueError("loss value is non-finite")
+    if grad is not None and not np.isfinite(grad).all():
+        raise ValueError("loss gradient is non-finite")
+    return totals.value, grad
 
 
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
-
-def confusion_terms(gt: Mask, pred: Volume) -> tuple[Volume, Volume, Volume]:
-    """Per-voxel soft (TP, FP, FN) fields for one case."""
-    require_same_shape(gt, pred)
-    pred.require_probability()
-    fg, q = gt.data, pred.data
-    return (
-        Volume(gt.shape, np.where(fg, q, 0.0)),
-        Volume(gt.shape, np.where(fg, 0.0, q)),
-        Volume(gt.shape, np.where(fg, 1.0 - q, 0.0)),
-    )
-
 
 def tversky_loss(gt, pred, params: TverskyParams | None = None,
                  want_grad: bool = False) -> LossReport:

@@ -133,8 +133,6 @@ def _ellipsoid_voxels(dims, center, radii) -> np.ndarray:
 
 def _scan_sorted(coords: np.ndarray) -> np.ndarray:
     """Sort voxel coordinates into x-fastest scan order."""
-    if len(coords) == 0:
-        return coords.astype(np.int64)
     order = np.lexsort((coords[:, 0], coords[:, 1], coords[:, 2]))
     return np.ascontiguousarray(coords[order], dtype=np.int64)
 
@@ -362,21 +360,16 @@ _SIDECAR = {
 
 
 def save_phantom(ph: Phantom, prefix) -> None:
+    """Write the image and truth volumes and the .spec sidecar, whose
+    lines are the keys of _SIDECAR in its order: dims and spacing are the
+    spec's grid's, shrink_factors the phantom's, the rest the spec's."""
     prefix = str(prefix)
     save_volume(ph.image, prefix + ".image")
     save_mask(ph.truth, prefix + ".truth")
-    s = ph.spec
+    owners = (ph.spec.shape, ph.spec, ph)
     write_fields(prefix + ".spec", {
-        "dims": s.shape.dims,
-        "spacing": s.shape.spacing,
-        "n_lesions": s.n_lesions,
-        "radius_range_vox": s.radius_range_vox,
-        "fragmentation_prob": s.fragmentation_prob,
-        "fragments_per_lesion": s.fragments_per_lesion,
-        "noise_sigma": s.noise_sigma,
-        "contrast": s.contrast,
-        "seed": s.seed,
-        "shrink_factors": ph.shrink_factors,
+        key: getattr(next(o for o in owners if hasattr(o, key)), key)
+        for key in _SIDECAR
     })
 
 

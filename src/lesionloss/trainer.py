@@ -181,8 +181,8 @@ def _run(pool: ThreadPoolExecutor, fn, k: int) -> list:
     return [fn(0)] + [f.result() for f in futures]
 
 
-def _batch_eval(cfg: TrainConfig, prep, theta, want_grad):
-    """Loss (and gradient) at theta over prep, cfg's _prepare_batch."""
+def _batch_eval(prep, theta, want_grad):
+    """Loss (and gradient) at theta over prep, a _prepare_batch."""
     obj, shards, pool = prep
 
     def forward(i):
@@ -223,7 +223,7 @@ def scorer_loss(cfg: TrainConfig, weights, phantoms, want_grad=False):
     """
     theta = np.asarray(weights, dtype=np.float64)
     with _prepare_batch(cfg, phantoms) as prep:
-        return _batch_eval(cfg, prep, theta, want_grad)
+        return _batch_eval(prep, theta, want_grad)
 
 
 def train(cfg: TrainConfig) -> tuple[VoxelScorer, list[float]]:
@@ -239,14 +239,14 @@ def train(cfg: TrainConfig) -> tuple[VoxelScorer, list[float]]:
     curve: list[float] = []
     with _prepare_batch(cfg, phantoms) as prep:
         for epoch in range(cfg.epochs):
-            value, gtheta = _batch_eval(cfg, prep, theta, True)
+            value, gtheta = _batch_eval(prep, theta, True)
             if not (np.isfinite(value) and np.isfinite(gtheta).all()):
                 raise RuntimeError(
                     f"training diverged at epoch {epoch}: loss={value}"
                 )
             curve.append(value)
             theta = theta - cfg.learning_rate * gtheta
-        final_value, _ = _batch_eval(cfg, prep, theta, False)
+        final_value, _ = _batch_eval(prep, theta, False)
     if not np.isfinite(final_value):
         raise RuntimeError(f"training diverged after final update: loss={final_value}")
     curve.append(final_value)

@@ -137,6 +137,23 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "seed must be >= 0" in err
 
+    @pytest.mark.parametrize("command", ["gradcheck", "loss"])
+    def test_overflowing_loss_is_a_one_line_data_error(self, capsys, tmp_path,
+                                                       command):
+        gt = np.zeros((6, 6, 6), np.uint8)
+        gt[1:4, 1:4, 1:4] = 1
+        save_mask(Mask.from_array(gt), tmp_path / "gt")
+        save_volume(Volume.from_array((0.1 + 0.7 * gt).astype(np.float32)),
+                    tmp_path / "pred")
+        extra = (["--max-voxels", "3"] if command == "gradcheck"
+                 else ["--grad-out", str(tmp_path / "g")])
+        code, out, err = run(capsys, command, "--kind", "combined",
+                             "--gt", str(tmp_path / "gt.vhdr"),
+                             "--pred", str(tmp_path / "pred.vhdr"),
+                             "--w-max", "1e308", *extra)
+        assert code == 2 and out == ""
+        assert err == "lesionloss: error: loss value is non-finite\n"
+
     def test_train_has_no_tp_denominator_switch(self, capsys, tmp_path):
         small = ["train", "--epochs", "1", "--train-count", "2",
                  "--dims", "10 10 10", "--small-radius", "1.2 1.5",
@@ -378,6 +395,24 @@ class TestMetricsCommand:
         assert code == 2 and out == ""
         assert "threshold must lie in [0, 1], got 2.0" in err
         assert str(csv) not in err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--gt-mask", "a"], "provide --gt-mask and --pred-mask together"),
+        (["--pred-mask", "a"], "provide --gt-mask and --pred-mask together"),
+        (["--gt-mask", "a", "--pred-mask", "a", "--hd-percentile", "0"],
+         "percentile must lie in (0, 100]"),
+        (["--gt-mask", "a", "--pred-mask", "a", "--hd-percentile", "100.5"],
+         "percentile must lie in (0, 100]"),
+    ], ids=["gt_only", "pred_only", "percentile_0", "percentile_100.5"])
+    def test_mask_pair_and_percentile_checked(self, capsys, tmp_path, flags,
+                                              message):
+        m = np.zeros((4, 4, 4), np.uint8)
+        m[1, 1, 1] = 1
+        save_mask(Mask.from_array(m), tmp_path / "a")
+        argv = [str(tmp_path / "a.vhdr") if f == "a" else f for f in flags]
+        code, out, err = run(capsys, "metrics", *argv)
+        assert code == 2 and out == ""
+        assert err == f"lesionloss: error: {message}\n"
 
     def test_nothing_to_compute(self, capsys):
         code, _, err = run(capsys, "metrics")

@@ -131,12 +131,18 @@ class TestLabelingValidation:
         labels[0, 0, 0] = 1
         with pytest.raises(ValueError):
             LesionLabeling(GridShape((2, 2, 2)), labels, (2,))
+        with pytest.raises(ValueError, match="does not match shape dims"):
+            LesionLabeling(GridShape((2, 2, 3)), labels, (1,))
 
     def test_gap_in_ids_rejected(self):
         labels = np.zeros((2, 2, 2), np.int32)
         labels[0, 0, 0] = 2
         with pytest.raises(ValueError):
             LesionLabeling(GridShape((2, 2, 2)), labels, (0, 1))
+        for bad, volumes in ((-1, (1,)), (2, (1,))):
+            labels[1, 1, 1] = bad
+            with pytest.raises(ValueError, match="contiguous range 0..L"):
+                LesionLabeling(GridShape((2, 2, 2)), labels, volumes)
 
     def test_export_as_volume(self):
         data = np.zeros((3, 3, 3), bool)

@@ -13,7 +13,6 @@ from lesionloss.loss import (
     CombinedParams,
     TverskyParams,
     combined_loss,
-    confusion_terms,
     cross_entropy_loss,
     default_wlt_params,
     evaluate_loss,
@@ -60,20 +59,6 @@ def uniform_weight_map(shape, value=1.0):
     return WeightMap(shape, np.full(shape.dims, value, np.float64))
 
 
-class TestConfusionTerms:
-    def test_pointwise_definitions(self):
-        gt = mask(np.array([1, 0, 1], np.uint8).reshape(3, 1, 1))
-        pred = vol(np.array([1.0, 0.4, 0.25], np.float32).reshape(3, 1, 1))
-        tp, fp, fn = confusion_terms(gt, pred)
-        assert tp.data.ravel().tolist() == pytest.approx([1.0, 0.0, 0.25])
-        assert fp.data.ravel().tolist() == pytest.approx([0.0, 0.4, 0.0])
-        assert fn.data.ravel().tolist() == pytest.approx([0.0, 0.0, 0.75])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatchError):
-            confusion_terms(mask(np.zeros((2, 2, 2))), vol(np.zeros((2, 2, 3))))
-
-
 class TestTversky:
     def test_perfect_prediction_is_zero(self):
         rng = np.random.default_rng(1)
@@ -115,6 +100,8 @@ class TestTversky:
     def test_param_validation(self):
         with pytest.raises(ValueError):
             TverskyParams(alpha=-0.1)
+        with pytest.raises(ValueError, match="beta must be >= 0"):
+            TverskyParams(beta=-1.0)
         with pytest.raises(ValueError):
             TverskyParams(alpha=0.0, beta=0.0)
         with pytest.raises(ValueError):
@@ -331,6 +318,27 @@ class TestGradients:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             grad_check("ce", gt, pred, max_voxels=4, seed=-1)
 
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_overflowing_lesion_sums_are_rejected(self, kind):
+        # lesion weights near the float maximum overflow the weighted sums
+        # (within one case at 1e308, across three cases at 5e306): the NaN
+        # value must raise, not read as a max error of 0.  tversky and ce
+        # never read the curve.
+        data = np.zeros((6, 6, 6), np.uint8)
+        data[1:4, 1:4, 1:4] = 1
+        gt, pred = mask(data), vol(0.1 + 0.7 * data)
+        for w_max, n in ((1e308, 1), (5e306, 3)):
+            curve = WeightCurveParams(w_max=w_max)
+            if kind in ("wlt", "combined"):
+                with pytest.raises(ValueError, match="loss value is non-finite"):
+                    grad_check(kind, [gt] * n, [pred] * n, curve=curve,
+                               max_voxels=3)
+                with pytest.raises(ValueError, match="loss value is non-finite"):
+                    evaluate_loss(kind, [gt] * n, [pred] * n, curve=curve)
+            else:
+                assert grad_check(kind, [gt] * n, [pred] * n, curve=curve,
+                                  max_voxels=3) < 1e-4
+
     def test_voxel_sampling_is_deterministic(self):
         rng = np.random.default_rng(17)
         gt, pred = random_case(rng, dims=(8, 8, 8))
@@ -404,6 +412,17 @@ class TestStructuralInvariances:
         for fn in (tversky_loss, cross_entropy_loss):
             with pytest.raises(ShapeMismatchError):
                 fn(g, p)
+        q = vol(np.zeros((2, 2, 2)))
+        with pytest.raises(ShapeMismatchError, match="batch lengths differ"):
+            tversky_loss([g, g], [q])
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_batch_must_be_nonempty_and_of_one_type(self, kind):
+        g = mask(np.zeros((2, 2, 2)))
+        q = vol(np.zeros((2, 2, 2)))
+        for gts, preds in (([], []), ([g, q], [q, q]), ([g], [q, g])):
+            with pytest.raises(TypeError, match="nonempty sequence"):
+                evaluate_loss(kind, gts, preds)
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_omega_checked_for_every_kind(self, kind):

@@ -44,6 +44,8 @@ class TestSpecValidation:
             spec(radius=(3.0, 2.0))
         with pytest.raises(ValueError):
             spec(radius=(0.0, 2.0))
+        with pytest.raises(ValueError, match="take two values each"):
+            spec(radius=(1.0, 2.0, 3.0))
 
     def test_fragment_range(self):
         with pytest.raises(ValueError):
@@ -58,6 +60,11 @@ class TestSpecValidation:
     def test_negative_lesions(self):
         with pytest.raises(ValueError):
             spec(n=-1)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_is_64_bit_unsigned(self, seed):
+        with pytest.raises(ValueError, match="64-bit unsigned"):
+            spec(seed=seed)
 
     @pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
     def test_noise_sigma_finite_and_nonnegative(self, value):
@@ -334,6 +341,27 @@ class TestPhantomFiles:
         assert factors == (0.6,)
         regen = regenerate_phantom(loaded_spec, factors)
         assert np.array_equal(regen.truth.data, ph.truth.data)
+
+    def test_sidecar_text(self, tmp_path):
+        # the exact lines, in this order: the key order and value forms are
+        # part of the file format
+        ph = generate(PhantomSpec(
+            GridShape((20, 18, 16), (0.5, 1.25, 3.0)), 2, (1.5, 2.5),
+            fragmentation_prob=0.5, fragments_per_lesion=(2, 3),
+            noise_sigma=0.4, contrast=1.5, seed=35))
+        save_phantom(shrink(shrink(ph, 0.8), 0.5), tmp_path / "x")
+        assert (tmp_path / "x.spec").read_text(encoding="utf-8") == (
+            "dims=20 18 16\n"
+            "spacing=0.5 1.25 3.0\n"
+            "n_lesions=2\n"
+            "radius_range_vox=1.5 2.5\n"
+            "fragmentation_prob=0.5\n"
+            "fragments_per_lesion=2 3\n"
+            "noise_sigma=0.4\n"
+            "contrast=1.5\n"
+            "seed=35\n"
+            "shrink_factors=0.8 0.5\n"
+        )
 
     def test_sidecar_missing_field(self, tmp_path):
         ph = generate(spec(seed=33))

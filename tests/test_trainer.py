@@ -13,6 +13,7 @@ import lesionloss.trainer as trainer_mod
 from lesionloss.synth import Phantom, PhantomSpec, generate
 from lesionloss.trainer import (
     FEATURE_NAMES,
+    BucketRecall,
     TRAIN_LOSS_KINDS,
     TrainConfig,
     VoxelScorer,
@@ -101,6 +102,8 @@ class TestScorer:
     def test_weight_count_enforced(self):
         with pytest.raises(ValueError):
             VoxelScorer(np.zeros(4))
+        with pytest.raises(ValueError, match="must be finite"):
+            VoxelScorer(np.array([0.0, 0.0, np.nan, 0.0, 0.0]))
 
     def test_initial_scorer_deterministic(self):
         a = initial_scorer(9)
@@ -210,12 +213,12 @@ class TestTrain:
         real = trainer_mod._batch_eval
         calls = {"n": 0}
 
-        def poisoned(cfg, prep, theta, want_grad):
+        def poisoned(prep, theta, want_grad):
             calls["n"] += 1
             if calls["n"] >= 3:
                 g = np.full(len(FEATURE_NAMES), np.nan) if want_grad else None
                 return float("nan"), g
-            return real(cfg, prep, theta, want_grad)
+            return real(prep, theta, want_grad)
 
         monkeypatch.setattr(trainer_mod, "_batch_eval", poisoned)
         cfg = TrainConfig(loss_kind="tversky+ce", epochs=5,
@@ -305,7 +308,7 @@ class TestShardedEpoch:
             assert len(shards) == 2
             buffers = [(plan.q, plan.t, plan.r) for _, plan in shards]
             for want_grad in (True, False, True):
-                _batch_eval(cfg, prep, theta, want_grad)
+                _batch_eval(prep, theta, want_grad)
                 for (_, plan), (q, t, r) in zip(shards, buffers):
                     assert plan.q is q and plan.t is t and plan.r is r
             assert len(returned) == 2 * len(shards)
@@ -320,8 +323,8 @@ class TestShardedEpoch:
 
         real = trainer_mod._batch_eval
 
-        def poisoned(cfg, prep, theta, want_grad):
-            value, g = real(cfg, prep, theta, want_grad)
+        def poisoned(prep, theta, want_grad):
+            value, g = real(prep, theta, want_grad)
             return float("nan"), g
 
         monkeypatch.setattr(trainer_mod, "_batch_eval", poisoned)
@@ -424,6 +427,22 @@ class TestEvaluateLesionwise:
         truth = Mask.from_array(np.ones((9, 9, 9), bool))
         with pytest.raises(ShapeMismatchError, match="grid shapes differ"):
             evaluate_lesionwise(_ZeroModel(), [(image, truth)], 0.5)
+
+    @pytest.mark.parametrize("case", [
+        (np.zeros((4, 4, 4), np.float32),
+         Mask.from_array(np.ones((4, 4, 4), bool))),
+        (Mask.from_array(np.ones((4, 4, 4), bool)),
+         Volume.from_array(np.zeros((4, 4, 4), np.float32))),
+    ], ids=["array_image", "pair_swapped"])
+    def test_case_must_be_a_phantom_or_an_image_truth_pair(self, case):
+        with pytest.raises(TypeError, match="Phantoms or"):
+            evaluate_lesionwise(_ZeroModel(), [case], 0.5)
+
+    def test_detected_count_bounded_by_total(self):
+        with pytest.raises(ValueError, match="detected count must lie"):
+            BucketRecall(1, 2)
+        with pytest.raises(ValueError, match="detected count must lie"):
+            BucketRecall(1, -1)
 
     def test_report_text(self):
         truth = block_truth()

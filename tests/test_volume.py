@@ -21,7 +21,8 @@ class TestGridShape:
         assert s.voxel_count == 24
         assert s.voxel_volume_mm3 == 1.0
 
-    @pytest.mark.parametrize("dims", [(0, 2, 2), (2, -1, 2), (2, 2, 0)])
+    @pytest.mark.parametrize("dims", [(0, 2, 2), (2, -1, 2), (2, 2, 0), (2, 2),
+                                      (2**21, 2**21, 2**21)])
     def test_empty_dims_rejected(self, dims):
         with pytest.raises(ValueError):
             GridShape(dims)
@@ -42,6 +43,8 @@ class TestVolumeType:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             Volume(GridShape((2, 2, 2)), np.zeros((2, 2, 3), np.float32))
+        with pytest.raises(ShapeMismatchError):
+            Mask(GridShape((2, 2, 2)), np.zeros((2, 2, 3), bool))
 
     def test_immutable(self):
         v = Volume.from_array(np.zeros((2, 2, 2), np.float32))
@@ -106,11 +109,12 @@ class TestFileRoundTrip:
             rng.random((16, 16, 16)).astype(np.float32), spacing=(0.5, 1.0, 2.0)
         )
         save_volume(v, tmp_path / "r.vhdr")
-        back = load_volume(tmp_path / "r.vhdr")
-        assert back.shape == v.shape
-        assert np.array_equal(
-            back.data.view(np.uint32), v.data.view(np.uint32)
-        )  # every bit
+        for path in ("r.vhdr", "r.vraw", "r"):    # every accepted form
+            back = load_volume(tmp_path / path)
+            assert back.shape == v.shape
+            assert np.array_equal(
+                back.data.view(np.uint32), v.data.view(np.uint32)
+            )  # every bit
 
     def test_load_save_identity_on_file(self, tmp_path):
         rng = np.random.default_rng(12)

@@ -92,6 +92,9 @@ class TestParamsValidation:
             WeightCurveParams(k=-1.0)
         with pytest.raises(ValueError):
             WeightCurveParams(a_shift=0.0)
+        for key in ("w_max", "w_min", "vrange", "k", "a_shift"):
+            with pytest.raises(ValueError, match="must be finite"):
+                WeightCurveParams(**{key: math.inf})
 
     def test_degenerate_constant_curve_allowed(self):
         p = WeightCurveParams(w_max=3.0, w_min=3.0)
@@ -165,6 +168,12 @@ class TestWeightMap:
 
         with pytest.raises(ValueError):
             WeightMap(GridShape((2, 2, 2)), np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError, match="does not match shape dims"):
+            WeightMap(GridShape((2, 2, 2)), np.ones((2, 2, 3)))
+        lab = label_components(_mask_with_blocks([]))
+        for scale in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="volume_scale must be positive"):
+                build_weight_map(lab, volume_scale=scale)
 
     def test_export(self):
         m = _mask_with_blocks([(slice(0, 2), slice(0, 2), slice(0, 2))])
