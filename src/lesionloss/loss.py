@@ -122,10 +122,6 @@ class LossReport:
     value: float
     gradient: Volume | list[Volume] | None = None
 
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError("loss value is non-finite")
-
 
 # ---------------------------------------------------------------------------
 # The loss table: every kind of the loss API and of the trainer
@@ -172,7 +168,11 @@ def objective(kind: str, kinds=LOSS_KINDS, *, tversky: TverskyParams | None = No
               weight_tp_denominator: bool = False,
               curve: WeightCurveParams | None = None,
               connectivity: Connectivity = DEFAULT_CONNECTIVITY) -> Objective:
-    """Look kind up in the table (it must be one of kinds) and validate."""
+    """Look kind up in the table (it must be one of kinds) and validate.
+
+    The keyword options, with their defaults, are declared here alone:
+    evaluate_loss and grad_check forward theirs.
+    """
     if kind not in kinds:
         raise ValueError(f"unknown loss kind: {kind!r} (choose from {kinds})")
     ce, ratio, default = _TERMS[kind]
@@ -400,12 +400,19 @@ def _gradient(obj: Objective, plan: _Plan, totals: _Totals):
     return t
 
 
+def _quiet():
+    """A fresh errstate without numpy's overflow, invalid and divide
+    warnings (under numpy 1.x an instance keeps its saved state, so none is
+    shared), for a caller that checks its results for non-finite values."""
+    return np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
 def _objective_core(obj: Objective, plan: _Plan, want_grad: bool):
     """Value (and flat gradient, a plan buffer the next call overwrites) of
     obj at plan.q, the whole batch as one shard.  A value or gradient that
     is not finite (lesion sums that overflow under a huge w_max) raises
     ValueError instead of numpy's warnings and a NaN result."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with _quiet():
         totals = _totals(obj, [_case_sums(obj, plan)], plan.n)
         grad = _gradient(obj, plan, totals) if want_grad else None
     if not np.isfinite(totals.value):
@@ -456,39 +463,30 @@ def combined_loss(gt, pred, params: CombinedParams | None = None,
                          clamp=clamp, weight_tp_denominator=weight_tp_denominator)
 
 
-def evaluate_loss(kind: str, gt, pred, *, tversky: TverskyParams | None = None,
-                  curve: WeightCurveParams | None = None, ce_weight: float = 0.5,
-                  want_grad: bool = False,
-                  connectivity: Connectivity = DEFAULT_CONNECTIVITY,
-                  clamp: float = CE_CLAMP_DEFAULT,
-                  weight_tp_denominator: bool = False,
-                  omega=None) -> LossReport:
+def evaluate_loss(kind: str, gt, pred, *, want_grad: bool = False, omega=None,
+                  **options) -> LossReport:
     """Evaluate a loss by name: tversky | ce | wlt | combined.
 
-    For wlt and combined the lesion weights come from the ground-truth
+    options are objective()'s keyword options (tversky, curve, ce_weight,
+    clamp, weight_tp_denominator, connectivity), with its defaults.  For
+    wlt and combined the lesion weights come from the ground-truth
     labeling unless weight maps are passed as omega.
     """
-    obj = objective(kind, tversky=tversky, ce_weight=ce_weight, clamp=clamp,
-                    weight_tp_denominator=weight_tp_denominator, curve=curve,
-                    connectivity=connectivity)
+    obj = objective(kind, LOSS_KINDS, **options)
     plan, preds, single = _prepare(obj, gt, pred, omega)
     value, grad = _objective_core(obj, plan, want_grad)
     return _wrap(value, grad, plan, preds, single)
 
 
 def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
-               tversky: TverskyParams | None = None,
-               curve: WeightCurveParams | None = None, ce_weight: float = 0.5,
-               connectivity: Connectivity = DEFAULT_CONNECTIVITY,
-               clamp: float = CE_CLAMP_DEFAULT,
-               weight_tp_denominator: bool = False,
-               max_voxels: int | None = None, seed: int = 0) -> float:
+               max_voxels: int | None = None, seed: int = 0, **options) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Error per voxel is |analytic - fd| / max(1, |analytic|).  Predictions
     must sit far enough inside (0, 1) for the +/- step to stay valid.
     max_voxels (at least 1) caps the voxels checked per case, drawn with
-    seed (at least 0); None checks every voxel.
+    seed (at least 0); None checks every voxel.  options are objective()'s
+    keyword options, as for evaluate_loss.
     """
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"degenerate step: {step}")
@@ -496,9 +494,7 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
         raise ValueError(f"max_voxels must be >= 1, got {max_voxels}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    obj = objective(kind, tversky=tversky, ce_weight=ce_weight, clamp=clamp,
-                    weight_tp_denominator=weight_tp_denominator, curve=curve,
-                    connectivity=connectivity)
+    obj = objective(kind, LOSS_KINDS, **options)
     plan, _preds, _single = _prepare(obj, gt, pred)
     grad = _objective_core(obj, plan, True)[1].copy()    # later calls overwrite it
 

@@ -8,7 +8,7 @@ Jacobian; runs are deterministic for a fixed seed and invariant to the
 order of the training phantoms.
 
 The batch is split once into min(threads, cases) contiguous case shards of
-about equal voxel count, each (features, plan): its cases' feature
+about equal case count, each (features, plan): its cases' feature
 matrices (5 x n each, as extract_features wrote them) and its plan, which
 holds the cases' bounds and the buffers (scores, CE true-class
 probabilities, ratio scratch).  Each epoch runs them in the loss engine's
@@ -28,6 +28,7 @@ are bit-identical for every thread count.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ from .loss import (
     TverskyParams,
     _case_sums,
     _gradient,
+    _quiet,
     _totals,
     _truth,
     objective,
@@ -144,15 +146,10 @@ class TrainConfig:
                          curve=self.curve, connectivity=self.connectivity)
 
 
-def _shard_bounds(sizes, k: int) -> list[tuple[int, int]]:
-    """(first, stop) case bounds of k contiguous nonempty shards; each cut
-    sits where the voxels before it come nearest an equal share."""
-    edges = np.concatenate([[0], np.cumsum(sizes)])
-    cuts = [0]
-    for j in range(1, k):
-        cut = int(np.abs(edges - edges[-1] * j / k).argmin())
-        cuts.append(min(max(cut, cuts[-1] + 1), len(sizes) - k + j))
-    cuts.append(len(sizes))
+def _shard_bounds(cases: int, k: int) -> list[tuple[int, int]]:
+    """(first, stop) case bounds of k contiguous shards of cases; cut j is
+    j * cases / k rounded half up, so each shard is nonempty for k <= cases."""
+    cuts = [(2 * j * cases + k) // (2 * k) for j in range(k + 1)]
     return list(zip(cuts[:-1], cuts[1:]))
 
 
@@ -162,10 +159,9 @@ def _prepare_batch(cfg: TrainConfig, phantoms):
     min(cfg.threads, cases) contiguous shards, each (features, plan) with one
     5 x n matrix per case as extract_features wrote it, and the pool that runs
     shards 1 onwards, shut down when the block exits, on return or on error."""
-    obj = cfg.objective()
-    sizes = [ph.truth.shape.voxel_count for ph in phantoms]
+    obj, n = cfg.objective(), len(phantoms)
     shards = []
-    for first, stop in _shard_bounds(sizes, min(cfg.threads, len(sizes))):
+    for first, stop in _shard_bounds(n, min(cfg.threads, n)):
         cases = phantoms[first:stop]
         plan = _truth(obj, [ph.truth for ph in cases])
         shards.append(([extract_features(ph.image).T for ph in cases], plan))
@@ -176,9 +172,13 @@ def _prepare_batch(cfg: TrainConfig, phantoms):
 
 def _run(pool: ThreadPoolExecutor, fn, k: int) -> list:
     """[fn(0), ..., fn(k - 1)], fn(0) on the calling thread and the rest
-    on pool."""
-    futures = [pool.submit(fn, i) for i in range(1, k)]
-    return [fn(0)] + [f.result() for f in futures]
+    on pool, each in an errstate of its own (numpy keeps one per thread):
+    train reports a non-finite result, no thread warns of it."""
+    def quiet(i):
+        with _quiet():
+            return fn(i)
+    futures = [pool.submit(quiet, i) for i in range(1, k)]
+    return [quiet(0)] + [f.result() for f in futures]
 
 
 def _batch_eval(prep, theta, want_grad):
@@ -243,6 +243,7 @@ def train(cfg: TrainConfig) -> tuple[VoxelScorer, list[float]]:
             if not (np.isfinite(value) and np.isfinite(gtheta).all()):
                 raise RuntimeError(
                     f"training diverged at epoch {epoch}: loss={value}"
+                    + (", gradient is non-finite" if np.isfinite(value) else "")
                 )
             curve.append(value)
             theta = theta - cfg.learning_rate * gtheta
@@ -310,11 +311,11 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
     detected = {"small": 0, "medium": 0, "large": 0}
     for case in cases:
         if isinstance(case, Phantom):
-            image, truth = case.image, case.truth
-        else:
-            image, truth = case
-        if not isinstance(image, Volume) or not isinstance(truth, Mask):
+            case = case.image, case.truth
+        if not (isinstance(case, Sequence) and len(case) == 2
+                and isinstance(case[0], Volume) and isinstance(case[1], Mask)):
             raise TypeError("cases must be Phantoms or (Volume, Mask) pairs")
+        image, truth = case
         pred = model.score_volume(image)
         require_same_shape(pred, truth)
         fg = _flat(truth.data)

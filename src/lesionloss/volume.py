@@ -295,8 +295,8 @@ def _read_header(hdr_path: Path) -> tuple[GridShape, str]:
 
 
 def _read_payload(shape: GridShape, dtype: str, raw_path: Path) -> np.ndarray:
-    """The raw stream as a read-only [x, y, z] grid: float32 values, all
-    finite, or mask bits."""
+    """The raw stream as a read-only [x, y, z] grid: float32 values, or
+    mask bits (the Volume built from it checks that values are finite)."""
     itemsize = 4 if dtype == "f32" else 1
     expected = shape.voxel_count * itemsize
     payload = raw_path.read_bytes()
@@ -307,8 +307,6 @@ def _read_payload(shape: GridShape, dtype: str, raw_path: Path) -> np.ndarray:
         )
     if dtype == "f32":
         flat = np.frombuffer(payload, dtype="<f4")
-        if not np.isfinite(flat).all():
-            raise VolumeFormatError("raw data contains non-finite values")
     else:
         flat = np.frombuffer(payload, dtype=np.uint8)
         if flat.max(initial=0) > 1:
@@ -321,16 +319,17 @@ _OTHER_LOADER = {"f32": "file stores f32 scalar data; use load_volume",
                  "u8": "file stores u8 mask data; use load_mask"}
 
 
-def _read_pair(path, dtype: str) -> tuple[GridShape, np.ndarray]:
-    """The shape and grid of a header+raw pair that must store dtype; an
-    error names the file it is found in."""
+def _read_pair(path, dtype: str, kind):
+    """The kind (Volume or Mask) of a header+raw pair that must store
+    dtype; an error names the file it is found in, and an error of the
+    grid's own checks names the raw file."""
     hdr_path, raw_path = _pair_paths(path)
     with _naming(hdr_path, VolumeFormatError):
         shape, stored = _read_header(hdr_path)
         if stored != dtype:
             raise VolumeFormatError(_OTHER_LOADER[stored])
     with _naming(raw_path, VolumeFormatError):
-        return shape, _read_payload(shape, dtype, raw_path)
+        return kind(shape, _read_payload(shape, dtype, raw_path))
 
 
 def save_volume(v: Volume, path) -> None:
@@ -340,7 +339,7 @@ def save_volume(v: Volume, path) -> None:
 
 
 def load_volume(path) -> Volume:
-    return Volume(*_read_pair(path, "f32"))
+    return _read_pair(path, "f32", Volume)
 
 
 def save_mask(m: Mask, path) -> None:
@@ -349,4 +348,4 @@ def save_mask(m: Mask, path) -> None:
 
 
 def load_mask(path) -> Mask:
-    return Mask(*_read_pair(path, "u8"))
+    return _read_pair(path, "u8", Mask)

@@ -1,4 +1,6 @@
 import contextlib
+import enum
+import inspect
 import io
 import tempfile
 from pathlib import Path
@@ -10,11 +12,16 @@ from hypothesis import strategies as st
 
 import lesionloss.cli as cli_mod
 from lesionloss.cli import _PARAMS, _flag, _switch, build_parser, main
-from lesionloss.loss import LOSS_KINDS
+from lesionloss.components import label_components
+from lesionloss.loss import (LOSS_KINDS, CombinedParams, TverskyParams,
+                             grad_check, objective)
+from lesionloss.metrics import hausdorff, kappa
 from lesionloss.synth import PhantomSpec, generate, save_phantom
-from lesionloss.trainer import VoxelScorer, save_scorer
+from lesionloss.trainer import (TrainConfig, VoxelScorer, evaluate_lesionwise,
+                                make_corpus, save_scorer)
 from lesionloss.volume import (GridShape, Mask, Volume, load_volume, save_mask,
                                save_volume)
+from lesionloss.weighting import WeightCurveParams
 
 
 def run(capsys, *argv):
@@ -348,6 +355,64 @@ class TestLossCommands:
         assert checked >= 2
 
 
+# each _PARAMS row that restates a library default -> the (owner, parameter)
+# pairs whose default it feeds.  The CLI's noise_sigma is make_corpus's 0.6,
+# which synth uses too, not PhantomSpec's 0.1.
+MIRRORED = {
+    "connectivity": [(objective, "connectivity"), (TrainConfig, "connectivity"),
+                     (evaluate_lesionwise, "connectivity"),
+                     (label_components, "connectivity")],
+    **{key: [(WeightCurveParams, key)]
+       for key in ("w_max", "w_min", "vrange", "k", "a_shift")},
+    "alpha": [(TverskyParams, "alpha")],
+    "beta": [(TverskyParams, "beta")],
+    "ce_weight": [(objective, "ce_weight"), (TrainConfig, "ce_weight"),
+                  (CombinedParams, "ce_weight")],
+    "clamp": [(objective, "clamp"), (TrainConfig, "clamp")],
+    "weight_tp_denominator": [(objective, "weight_tp_denominator")],
+    "step": [(grad_check, "step")],
+    "max_voxels": [(grad_check, "max_voxels")],
+    "sample_seed": [(grad_check, "seed")],
+    "hd_percentile": [(hausdorff, "percentile")],
+    "kappa_threshold": [(kappa, "threshold")],
+    "threshold": [(evaluate_lesionwise, "thresh")],
+    "seed": [(TrainConfig, "seed"), (PhantomSpec, "seed")],
+    "learning_rate": [(TrainConfig, "learning_rate")],
+    "epochs": [(TrainConfig, "epochs")],
+    "loss": [(TrainConfig, "loss_kind")],
+    "threads": [(TrainConfig, "threads")],
+    "dims": [(make_corpus, "dims")],
+    "spacing": [(make_corpus, "spacing"), (GridShape, "spacing")],
+    "fragmentation_prob": [(PhantomSpec, "fragmentation_prob")],
+    "fragments_per_lesion": [(PhantomSpec, "fragments_per_lesion")],
+    "noise_sigma": [(make_corpus, "noise_sigma")],
+    "contrast": [(make_corpus, "contrast"), (PhantomSpec, "contrast")],
+    **{key: [(make_corpus, key)] for key in ("small_radius", "large_radius",
+                                             "small_lesions", "large_lesions")},
+}
+# rows whose default no library function or field states
+CLI_ONLY = {"smooth", "units", "kind", "n_lesions", "radius_range", "factor",
+            "train_count", "val_count", "corpus_seed"}
+
+
+def test_mirrored_defaults_are_the_library_defaults():
+    """Each parsed _PARAMS default that restates a library default equals
+    it, and every row is either mirrored or the CLI's own."""
+    assert MIRRORED.keys() | CLI_ONLY == _PARAMS.keys()
+    assert not MIRRORED.keys() & CLI_ONLY
+    for key, owners in MIRRORED.items():
+        parse, default = _PARAMS[key][:2]
+        mine = None if default is None else parse(default)
+        if parse is _switch:
+            mine = bool(mine)
+        for owner, name in owners:
+            theirs = inspect.signature(owner).parameters[name].default
+            if isinstance(theirs, enum.Enum):
+                theirs = theirs.value
+            assert (type(mine), mine) == (type(theirs), theirs), \
+                (key, owner.__name__, name)
+
+
 class TestMetricsCommand:
     def test_mask_pair_and_outcomes(self, capsys, tmp_path):
         a = np.zeros((5, 5, 5), np.uint8)
@@ -532,6 +597,8 @@ def write_inputs(root: Path) -> dict[str, tuple[Path, list[str]]]:
     return {
         "vhdr": (root / "m.vhdr", ["label", "--mask", str(root / "m.vhdr")]),
         "vraw": (root / "m.vraw", ["label", "--mask", str(root / "m.vhdr")]),
+        "f32raw": (root / "ph.image.vraw", ["eval", "--model", str(root / "s.vec"),
+                                            "--phantom", str(root / "ph")]),
         "spec": (root / "ph.spec", ["shrink", "--in", str(root / "ph"),
                                     "--factor", "0.5", "--out",
                                     str(root / "out")]),
@@ -557,6 +624,8 @@ class TestFileErrorsNameTheFile:
         ("vhdr", lambda b: b + b"junk\n", "malformed header line: 'junk'"),
         ("vhdr", lambda b: b.replace(b"dims=4 4 4", b"dims=8 8 x"),
          "invalid header geometry: dims: invalid literal for int()"),
+        ("f32raw", lambda b: np.float32(np.nan).tobytes() + b[4:],
+         "non-finite values"),
         ("config", lambda b: b + b"seed=x\n", "duplicate config field: seed"),
         ("config", lambda b: b.replace(b"connectivity=18", b"connectivity=x"),
          "connectivity: invalid literal for int()"),

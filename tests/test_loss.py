@@ -10,6 +10,7 @@ from lesionloss.components import Connectivity, label_components
 from lesionloss.loss import (
     CE_CLAMP_DEFAULT,
     LOSS_KINDS,
+    TRAIN_LOSS_KINDS,
     CombinedParams,
     TverskyParams,
     combined_loss,
@@ -405,6 +406,18 @@ class TestStructuralInvariances:
         )
         with pytest.raises(ValueError, match="unknown loss kind"):
             evaluate_loss("dice", gt, pred)
+
+    @pytest.mark.parametrize("call", [evaluate_loss, grad_check])
+    @pytest.mark.parametrize("kind, option", [
+        ("tversky+ce", {"kinds": TRAIN_LOSS_KINDS}),
+        ("tversky", {"gamma": 0.5}),
+    ], ids=["kinds", "unknown"])
+    def test_options_are_objectives_keywords_only(self, call, kind, option):
+        """The options go to objective() with the loss API's kinds fixed:
+        neither a kinds override nor an unknown keyword gets through."""
+        gt, pred = random_case(np.random.default_rng(21), dims=(3, 3, 3))
+        with pytest.raises(TypeError):
+            call(kind, gt, pred, **option)
 
     def test_shape_mismatch_rejected(self):
         g = mask(np.zeros((2, 2, 2)))

@@ -1,4 +1,5 @@
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from lesionloss.trainer import (
 )
 from lesionloss.trainer import _batch_eval, _prepare_batch, _shard_bounds
 from lesionloss.volume import GridShape, Mask, ShapeMismatchError, Volume
+from lesionloss.weighting import WeightCurveParams
 
 from oracles import recall_reference
 
@@ -226,6 +228,20 @@ class TestTrain:
         with pytest.raises(RuntimeError, match="diverged at epoch 2"):
             train(cfg)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflowing_gradient_diverges_without_warnings(self, threads):
+        """A weight curve near the float range overflows the ratio
+        gradient while the loss stays finite: train says so in its
+        RuntimeError, and no pool thread leaks a numpy warning."""
+        cfg = TrainConfig(loss_kind="wlt-combined", epochs=2, threads=threads,
+                          curve=WeightCurveParams(w_max=1e305),
+                          train_specs=make_corpus(2, 100, dims=(12, 12, 12)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeError, match=r"diverged at epoch 0: "
+                               r"loss=-0\.15\d*, gradient is non-finite$"):
+                train(cfg)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             train(TrainConfig(train_specs=()))
@@ -277,15 +293,15 @@ class TestShardedEpoch:
     def test_shards_are_contiguous_nonempty_and_cover_each_case_once(
             self, sizes, threads):
         k = min(threads, len(sizes))
-        bounds = _shard_bounds(sizes, k)
+        bounds = _shard_bounds(len(sizes), k)
         assert len(bounds) == k
         assert bounds[0][0] == 0 and bounds[-1][1] == len(sizes)
         assert all(first < stop for first, stop in bounds)
         assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
 
     def test_shards_balance_equal_cases(self):
-        assert _shard_bounds([100] * 40, 2) == [(0, 20), (20, 40)]
-        assert _shard_bounds([100] * 40, 3) == [(0, 13), (13, 27), (27, 40)]
+        assert _shard_bounds(40, 2) == [(0, 20), (20, 40)]
+        assert _shard_bounds(40, 3) == [(0, 13), (13, 27), (27, 40)]
 
     @pytest.mark.parametrize("kind", TRAIN_LOSS_KINDS)
     def test_each_shard_keeps_its_buffers_across_epochs(self, kind,
@@ -437,6 +453,18 @@ class TestEvaluateLesionwise:
     def test_case_must_be_a_phantom_or_an_image_truth_pair(self, case):
         with pytest.raises(TypeError, match="Phantoms or"):
             evaluate_lesionwise(_ZeroModel(), [case], 0.5)
+
+    @pytest.mark.parametrize("make", [
+        lambda v, m: m,
+        lambda v, m: (v, m, m),
+        lambda v, m: (m, v),
+    ], ids=["bare_mask", "three_items", "pair_swapped"])
+    def test_case_is_type_checked_before_it_is_unpacked(self, make):
+        v = Volume.from_array(np.zeros((4, 4, 4), np.float32))
+        m = Mask.from_array(np.ones((4, 4, 4), bool))
+        with pytest.raises(TypeError, match="^cases must be Phantoms or "
+                                            r"\(Volume, Mask\) pairs$"):
+            evaluate_lesionwise(_ZeroModel(), [make(v, m)], 0.5)
 
     def test_detected_count_bounded_by_total(self):
         with pytest.raises(ValueError, match="detected count must lie"):
