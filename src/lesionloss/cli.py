@@ -113,9 +113,13 @@ _PARAMS = {
     "large_lesions": (int, 1, None, "lesions per large-lesion phantom"),
 }
 
+# WeightCurveParams' fields, in order; _curve reads each from its flag
 _CURVE = ("w_max", "w_min", "vrange", "k", "a_shift")
 _OBJECTIVE = ("alpha", "beta", "smooth", "ce_weight", "clamp")
 _IMAGE = ("dims", "spacing", "noise_sigma", "contrast")
+# make_corpus's keyword parameters, each read from its flag of the same name
+_CORPUS = _IMAGE + ("small_radius", "large_radius", "small_lesions",
+                    "large_lesions")
 
 
 def _flag(key: str) -> str:
@@ -170,10 +174,7 @@ def _require(args, key):
 
 
 def _curve(args) -> weighting.WeightCurveParams:
-    return weighting.WeightCurveParams(
-        w_max=args.w_max, w_min=args.w_min, vrange=args.vrange, k=args.k,
-        a_shift=args.a_shift,
-    )
+    return weighting.WeightCurveParams(**{k: getattr(args, k) for k in _CURVE})
 
 
 def _objective_options(args, kind: str, kinds=loss.LOSS_KINDS) -> dict:
@@ -189,7 +190,7 @@ def _objective_options(args, kind: str, kinds=loss.LOSS_KINDS) -> dict:
         curve=_curve(args),
         ce_weight=args.ce_weight,
         clamp=args.clamp,
-        connectivity=components.Connectivity(args.connectivity),
+        connectivity=args.connectivity,
     )
 
 
@@ -199,8 +200,7 @@ def _objective_options(args, kind: str, kinds=loss.LOSS_KINDS) -> dict:
 
 def _cmd_label(args) -> int:
     mask = volume.load_mask(args.mask)
-    labeling = components.label_components(
-        mask, components.Connectivity(args.connectivity))
+    labeling = components.label_components(mask, args.connectivity)
     print(f"lesions={labeling.lesion_count}")
     print("volumes=" + " ".join(str(v) for v in labeling.volumes))
     if args.labels_out:
@@ -216,8 +216,7 @@ def _cmd_label(args) -> int:
 
 def _cmd_weights(args) -> int:
     mask = volume.load_mask(args.gt)
-    labeling = components.label_components(
-        mask, components.Connectivity(args.connectivity))
+    labeling = components.label_components(mask, args.connectivity)
     scale = mask.shape.voxel_volume_mm3 if args.units == "mm3" else 1.0
     wm = weighting.build_weight_map(labeling, _curve(args), volume_scale=scale)
     print(f"lesions={labeling.lesion_count}")
@@ -318,17 +317,8 @@ def _cmd_shrink(args) -> int:
 
 
 def _corpus(args, count, start_seed):
-    return trainer.make_corpus(
-        count, start_seed,
-        dims=args.dims,
-        small_radius=args.small_radius,
-        large_radius=args.large_radius,
-        small_lesions=args.small_lesions,
-        large_lesions=args.large_lesions,
-        noise_sigma=args.noise_sigma,
-        contrast=args.contrast,
-        spacing=args.spacing,
-    )
+    return trainer.make_corpus(count, start_seed,
+                               **{k: getattr(args, k) for k in _CORPUS})
 
 
 def _cmd_train(args) -> int:
@@ -372,9 +362,8 @@ def _cmd_eval(args) -> int:
             (volume.load_volume(prefix + ".image"),
              volume.load_mask(prefix + ".truth"))
         )
-    rep = trainer.evaluate_lesionwise(
-        model, cases, args.threshold, components.Connectivity(args.connectivity)
-    )
+    rep = trainer.evaluate_lesionwise(model, cases, args.threshold,
+                                      args.connectivity)
     sys.stdout.write(rep.to_text())
     if args.report_out:
         Path(args.report_out).write_text(rep.to_text(), encoding="utf-8")
@@ -458,8 +447,7 @@ def build_parser() -> _Parser:
     p.add_argument("--model-out", help="write trained weights (f32 vector)")
     p.add_argument("--log-out", help="write epoch,loss CSV")
     _add_params(p, "loss", "learning_rate", "epochs", "seed", "corpus_seed",
-                "train_count", "val_count", *_IMAGE, "small_radius",
-                "large_radius", "small_lesions", "large_lesions", "threshold",
+                "train_count", "val_count", *_CORPUS, "threshold",
                 *_OBJECTIVE, *_CURVE, "connectivity")
     p.set_defaults(func=_cmd_train)
 

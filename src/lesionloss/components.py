@@ -60,13 +60,14 @@ class LesionLabeling:
         return len(self.volumes)
 
 
-def _flat_labels(fg, dims, connectivity: Connectivity) -> tuple[np.ndarray, int]:
+def _flat_labels(fg, dims, connectivity: Connectivity) -> np.ndarray:
     """Lesion ids 1..n (int32, 0 = background) of the foreground fg of a
-    grid of dims, both flat in x-fastest order, and the count n: scipy
-    labels fg as the C-ordered (z, y, x) grid."""
-    ids, n = ndimage.label(fg.reshape(dims[::-1]),
-                           structure=_STRUCTURES[connectivity])
-    return ids.ravel(), n
+    grid of dims, both flat in x-fastest order: scipy labels fg as the
+    C-ordered (z, y, x) grid.  connectivity is a Connectivity or its value;
+    anything else raises ValueError."""
+    ids, _ = ndimage.label(fg.reshape(dims[::-1]),
+                           structure=_STRUCTURES[Connectivity(connectivity)])
+    return ids.ravel()
 
 
 def label_components(
@@ -78,9 +79,9 @@ def label_components(
     component's first voxel (_flat_labels).
     """
     dims = mask.shape.dims
-    ids, n = _flat_labels(_flat(mask.data), dims, connectivity)
+    ids = _flat_labels(_flat(mask.data), dims, connectivity)
     return LesionLabeling(mask.shape, _grid(ids, dims),
-                          tuple(np.bincount(ids, minlength=n + 1)[1:].tolist()))
+                          tuple(np.bincount(ids)[1:].tolist()))
 
 
 def lesion_volume_mm3(labeling: LesionLabeling, lesion_id: int) -> float:

@@ -157,6 +157,8 @@ class Objective:
             raise ValueError("ce_weight must lie in [0, 1]")
         if not 0.0 < self.clamp < 0.5:
             raise ValueError("clamp must lie in (0, 0.5)")
+        # an int means its member; anything else raises ValueError
+        object.__setattr__(self, "connectivity", Connectivity(self.connectivity))
 
     @property
     def weighted(self) -> bool:
@@ -257,7 +259,7 @@ def _truth(obj: Objective, gts, omega=None) -> _Plan:
 def _lesion_weights(obj: Objective, g: Mask, fg) -> np.ndarray:
     """omega of each lesion voxel's lesion volume, in x-fastest order (fg
     is g's flattened foreground), without a full-grid weight map."""
-    ids = _flat_labels(fg, g.shape.dims, obj.connectivity)[0][fg]
+    ids = _flat_labels(fg, g.shape.dims, obj.connectivity)[fg]
     return _omega_lut(np.bincount(ids)[1:], obj.curve)[ids]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -57,21 +57,17 @@ class MetricReport:
         if h is not None and not (math.isfinite(h) and h >= 0.0):
             raise ValueError(f"hausdorff_mm out of range: {h}")
 
+    def _computed(self) -> dict:
+        """The metrics that are set, by name, in field order."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
+
     def to_text(self) -> str:
-        lines = []
-        for name in ("dice", "hausdorff_mm", "auc", "kappa"):
-            v = getattr(self, name)
-            if v is not None:
-                lines.append(f"{name}={v:.6g}")
+        lines = [f"{name}={v:.6g}" for name, v in self._computed().items()]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        d = {
-            name: getattr(self, name)
-            for name in ("dice", "hausdorff_mm", "auc", "kappa")
-            if getattr(self, name) is not None
-        }
-        return json.dumps(d, sort_keys=True)
+        return json.dumps(self._computed(), sort_keys=True)
 
 
 def dice(a: Mask, b: Mask) -> float:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy import ndimage
@@ -53,7 +53,7 @@ from .loss import (
 from .reduction import exact_sum
 from .synth import Phantom, PhantomSpec, generate
 from .volume import (GridShape, Mask, Volume, _flat, _freeze, _grid, _naming,
-                     require_same_shape, threshold)
+                     check_threshold, require_same_shape, threshold)
 from .weighting import WeightCurveParams
 
 FEATURE_NAMES = ("raw", "mean3", "mean5", "var3", "bias")
@@ -282,22 +282,23 @@ class LesionRecallReport:
 
     def to_text(self) -> str:
         lines = []
-        for name in ("small", "medium", "large"):
-            b = getattr(self, name)
+        for f in fields(self):
+            b = getattr(self, f.name)
             lines.append(
-                f"{name}_total={b.lesions_total} "
-                f"{name}_detected={b.lesions_detected} "
-                f"{name}_recall={b.recall:.6g}"
+                f"{f.name}_total={b.lesions_total} "
+                f"{f.name}_detected={b.lesions_detected} "
+                f"{f.name}_recall={b.recall:.6g}"
             )
         return "\n".join(lines) + "\n"
 
 
-def _bucket_of(voxels: int) -> str:
+def _bucket_of(voxels: int) -> int:
+    """The index of a lesion's bucket among LesionRecallReport's fields."""
     if voxels < SMALL_BUCKET_MAX:
-        return "small"
+        return 0
     if voxels > LARGE_BUCKET_MIN:
-        return "large"
-    return "medium"
+        return 2
+    return 1
 
 
 def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
@@ -307,8 +308,9 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
     predicted component covers at least half of its voxels.  A case whose
     scores and truth differ in grid raises ShapeMismatchError.  Both
     labelings are read at the truth voxels only."""
-    totals = {"small": 0, "medium": 0, "large": 0}
-    detected = {"small": 0, "medium": 0, "large": 0}
+    thresh = check_threshold(thresh)    # also when cases is empty
+    connectivity = Connectivity(connectivity)
+    tally = [[0, 0] for _ in fields(LesionRecallReport)]    # [lesions, detected]
     for case in cases:
         if isinstance(case, Phantom):
             case = case.image, case.truth
@@ -320,20 +322,16 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
         require_same_shape(pred, truth)
         fg = _flat(truth.data)
         hit = _flat(threshold(pred, thresh).data)
-        t = _flat_labels(fg, truth.shape.dims, connectivity)[0][fg]
-        p = _flat_labels(hit, truth.shape.dims, connectivity)[0][fg]
+        t = _flat_labels(fg, truth.shape.dims, connectivity)[fg]
+        p = _flat_labels(hit, truth.shape.dims, connectivity)[fg]
         for lesion_id, vol in enumerate(np.bincount(t)[1:].tolist(), start=1):
             counts = np.bincount(p[t == lesion_id])
             best = int(counts[1:].max()) if counts.size > 1 else 0
-            bucket = _bucket_of(vol)
-            totals[bucket] += 1
+            bucket = tally[_bucket_of(vol)]
+            bucket[0] += 1
             if 2 * best >= vol:
-                detected[bucket] += 1
-    return LesionRecallReport(
-        small=BucketRecall(totals["small"], detected["small"]),
-        medium=BucketRecall(totals["medium"], detected["medium"]),
-        large=BucketRecall(totals["large"], detected["large"]),
-    )
+                bucket[1] += 1
+    return LesionRecallReport(*(BucketRecall(n, d) for n, d in tally))
 
 
 # ---------------------------------------------------------------------------
@@ -347,11 +345,14 @@ def make_corpus(count: int, start_seed: int, dims=(24, 24, 24), *,
                 spacing=(1.0, 1.0, 1.0)) -> tuple[PhantomSpec, ...]:
     """Alternating small-lesion / large-lesion phantom specs.
 
-    Phantom i gets seed start_seed + i; even indices draw lesions from
-    the small radius range, odd from the large one.
+    Phantom i gets seed start_seed + i, which must lie in [0, 2**64); even
+    indices draw lesions from the small radius range, odd from the large one.
     """
     if count < 0:
         raise ValueError(f"corpus count must be >= 0, got {count}")
+    if count and not (start_seed >= 0 and start_seed + count <= 2**64):
+        raise ValueError(f"corpus seeds {start_seed}..{start_seed + count - 1} "
+                         f"must lie in [0, 2**64)")
     specs = []
     for i in range(count):
         small = i % 2 == 0

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import enum
 import inspect
 import io
@@ -193,6 +194,18 @@ class TestExitCodes:
                              "--dims", "10 10 10", "--val-count", "-2")
         assert code == 2 and out == ""
         assert "corpus count must be >= 0, got -2" in err
+
+    @pytest.mark.parametrize("argv, seeds", [
+        (["--corpus-seed", "-5", "--train-count", "2", "--epochs", "1",
+          "--dims", "10 10 10"], "-5..-4"),
+        (["--corpus-seed", str(2**64 - 1), "--train-count", "2"],
+         f"{2**64 - 1}..{2**64}"),
+    ], ids=["negative", "overflowing"])
+    def test_bad_corpus_seed_names_the_corpus_seeds(self, capsys, argv, seeds):
+        code, out, err = run(capsys, "train", *argv)
+        assert code == 2 and out == ""
+        assert err == (f"lesionloss: error: corpus seeds {seeds} must lie in "
+                       "[0, 2**64)\n")
 
 
 class TestLabelWeights:
@@ -411,6 +424,19 @@ def test_mirrored_defaults_are_the_library_defaults():
                 theirs = theirs.value
             assert (type(mine), mine) == (type(theirs), theirs), \
                 (key, owner.__name__, name)
+
+
+def test_corpus_flags_are_make_corpus_keywords():
+    """train passes make_corpus each of its keyword parameters from the
+    flag of the same name, and nothing else."""
+    params = list(inspect.signature(make_corpus).parameters)
+    assert params[:2] == ["count", "start_seed"]
+    assert sorted(cli_mod._CORPUS) == sorted(params[2:])
+
+
+def test_curve_flags_are_the_curve_fields_in_order():
+    assert cli_mod._CURVE == tuple(f.name for f in
+                                   dataclasses.fields(WeightCurveParams))
 
 
 class TestMetricsCommand:

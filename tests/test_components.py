@@ -11,7 +11,10 @@ from lesionloss.components import (
     labeling_to_volume,
     lesion_volume_mm3,
 )
-from lesionloss.volume import GridShape, Mask
+from lesionloss.loss import evaluate_loss, objective
+from lesionloss.synth import PhantomSpec, generate
+from lesionloss.trainer import TrainConfig, VoxelScorer, evaluate_lesionwise
+from lesionloss.volume import GridShape, Mask, Volume
 
 
 def pair_mask(a, b, dims=(4, 4, 4)):
@@ -151,3 +154,52 @@ class TestLabelingValidation:
         vol = labeling_to_volume(lab)
         assert vol.data[0, 0, 0] == 1.0
         assert vol.data.sum() == 1.0
+
+
+class TestConnectivityValues:
+    """A connectivity given as an int means its member, and anything that
+    is not a member's value raises ValueError where it enters."""
+
+    def test_int_labels_as_its_member(self):
+        rng = np.random.default_rng(31)
+        m = Mask.from_array(rng.random((9, 8, 7)) < 0.3)
+        for conn in Connectivity:
+            want = label_components(m, conn)
+            got = label_components(m, conn.value)
+            assert got.volumes == want.volumes
+            assert got.labels.tobytes() == want.labels.tobytes()
+
+    def test_int_evaluates_loss_as_its_member(self):
+        rng = np.random.default_rng(32)
+        gt = Mask.from_array(rng.random((8, 8, 8)) < 0.3)
+        pred = Volume.from_array(rng.uniform(0.05, 0.95, (8, 8, 8))
+                                 .astype(np.float32))
+        for kind in ("wlt", "combined"):
+            for conn in Connectivity:
+                want = evaluate_loss(kind, gt, pred, want_grad=True,
+                                     connectivity=conn)
+                got = evaluate_loss(kind, gt, pred, want_grad=True,
+                                    connectivity=conn.value)
+                assert got.value.hex() == want.value.hex()
+                assert got.gradient.data.tobytes() == want.gradient.data.tobytes()
+        assert objective("wlt", connectivity=6).connectivity is Connectivity.SIX
+
+    def test_int_evaluates_recall_as_its_member(self):
+        phantoms = [generate(PhantomSpec(GridShape((16, 16, 16)), 4, (1.0, 2.5),
+                                         fragmentation_prob=0.5, seed=700 + i))
+                    for i in range(2)]
+        model = VoxelScorer(np.array([1.1, 2.3, -0.4, 0.2, -2.0]))
+        for conn in Connectivity:
+            assert (evaluate_lesionwise(model, phantoms, 0.5, conn.value)
+                    == evaluate_lesionwise(model, phantoms, 0.5, conn))
+
+    @pytest.mark.parametrize("bad", [7, "x"])
+    def test_non_member_raises_value_error(self, bad):
+        m = Mask.from_array(np.ones((3, 3, 3), bool))
+        match = "is not a valid Connectivity"
+        with pytest.raises(ValueError, match=match):
+            objective("wlt", connectivity=bad)
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(connectivity=bad)
+        with pytest.raises(ValueError, match=match):
+            label_components(m, bad)

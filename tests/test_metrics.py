@@ -380,6 +380,15 @@ class TestMetricReport:
         text = r.to_text()
         assert "dice=0.5" in text and "hausdorff_mm=3.25" in text
 
+    def test_text_and_json_of_a_full_and_an_empty_report(self):
+        r = MetricReport(dice=0.5, hausdorff_mm=3.25, auc=0.75, kappa=0.25)
+        assert r.to_text() == ("dice=0.5\nhausdorff_mm=3.25\nauc=0.75\n"
+                               "kappa=0.25\n")
+        assert r.to_json() == ('{"auc": 0.75, "dice": 0.5, '
+                               '"hausdorff_mm": 3.25, "kappa": 0.25}')
+        assert MetricReport().to_text() == "\n"
+        assert MetricReport().to_json() == "{}"
+
     def test_partial_report(self):
         r = MetricReport(auc=0.9)
         assert r.to_text() == "auc=0.9\n"

@@ -15,6 +15,7 @@ from lesionloss.synth import Phantom, PhantomSpec, generate
 from lesionloss.trainer import (
     FEATURE_NAMES,
     BucketRecall,
+    LesionRecallReport,
     TRAIN_LOSS_KINDS,
     TrainConfig,
     VoxelScorer,
@@ -479,6 +480,24 @@ class TestEvaluateLesionwise:
         text = rep.to_text()
         assert "small_total=1" in text and "large_recall=1" in text
 
+    def test_report_text_lines_in_bucket_order(self):
+        rep = LesionRecallReport(BucketRecall(3, 1), BucketRecall(0, 0),
+                                 BucketRecall(2, 2))
+        assert rep.to_text() == (
+            "small_total=3 small_detected=1 small_recall=0.333333\n"
+            "medium_total=0 medium_detected=0 medium_recall=0\n"
+            "large_total=2 large_detected=2 large_recall=1\n")
+
+    @pytest.mark.parametrize("thresh", [5.0, -0.1, float("nan")])
+    def test_threshold_checked_without_cases(self, thresh):
+        with pytest.raises(ValueError, match="threshold must lie in"):
+            evaluate_lesionwise(_ZeroModel(), [], thresh)
+
+    @pytest.mark.parametrize("connectivity", [7, "x"])
+    def test_connectivity_checked_without_cases(self, connectivity):
+        with pytest.raises(ValueError, match="is not a valid Connectivity"):
+            evaluate_lesionwise(_ZeroModel(), [], 0.5, connectivity)
+
 
 def degenerate_batch(truth):
     """Noise images of 6^3, 5x4x7 and 3^3 with all-empty, all-foreground or
@@ -606,6 +625,21 @@ class TestMakeCorpus:
         assert specs[0].radius_range_vox == (1.3, 1.7)
         assert specs[1].radius_range_vox == (3.8, 4.4)
         assert [s.seed for s in specs] == [100, 101, 102, 103, 104, 105]
+
+    @pytest.mark.parametrize("count, start, seeds", [
+        (2, -5, "-5..-4"),
+        (2, 2**64 - 1, f"{2**64 - 1}..{2**64}"),
+        (1, 2**64, f"{2**64}..{2**64}"),
+    ])
+    def test_seeds_outside_64_bits_rejected(self, count, start, seeds):
+        with pytest.raises(ValueError, match=rf"^corpus seeds {seeds} must lie "
+                                             r"in \[0, 2\*\*64\)$"):
+            make_corpus(count, start)
+
+    def test_seeds_at_the_64_bit_bounds_accepted(self):
+        assert [s.seed for s in make_corpus(2, 2**64 - 2)] == [2**64 - 2,
+                                                              2**64 - 1]
+        assert make_corpus(0, -5) == ()
 
     def test_corpus_mixture_covers_both_buckets(self):
         specs = make_corpus(8, 200)

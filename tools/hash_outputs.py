@@ -52,6 +52,8 @@ hashing its own, then prints the groups that differ and exits 1 if any do.
                for an empty mask); auc, and kappa at thresholds 0, 0.5 and
                1, on seeded outcome lists with tied scores; the bytes
                write_outcomes writes and what read_outcomes reads back
+    help       the top-level and every subcommand's --help text, formatted
+               at COLUMNS=80
 
 Runs in well under a minute on two cores.
 """
@@ -392,10 +394,17 @@ def _metrics(ll, g):
             g.add(path.read_bytes(), m.read_outcomes(path))
 
 
+def _help(ll, g):
+    parser = ll.cli.build_parser()
+    g.add(parser.format_help())
+    for name, sub in parser.commands.items():
+        g.add(name, sub.format_help())
+
+
 GROUPS = {"loss": _loss, "gradcheck": _gradcheck, "degenerate": _degenerate,
           "train": _train, "recall": _recall, "synth": _synth,
           "phantoms": _phantoms, "labels": _labels, "scores": _scores,
-          "files": _files, "metrics": _metrics}
+          "files": _files, "metrics": _metrics, "help": _help}
 
 
 def main(argv=None) -> int:
@@ -406,6 +415,7 @@ def main(argv=None) -> int:
                     help="also hash the package in OTHER_SRC and report the "
                          "groups whose lines differ (exit 1 if any)")
     args = ap.parse_args(argv)
+    os.environ["COLUMNS"] = "80"    # argparse wraps help to the terminal width
     other = None
     if args.against:
         other = subprocess.Popen(
