@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .volume import GridShape, Mask, Volume, _flat, _grid, _store
+from .volume import GridShape, Mask, Volume, _flat, _grid, _store, _zyx
 
 
 class Connectivity(enum.Enum):
@@ -63,9 +63,9 @@ class LesionLabeling:
 def _flat_labels(fg, dims, connectivity: Connectivity) -> np.ndarray:
     """Lesion ids 1..n (int32, 0 = background) of the foreground fg of a
     grid of dims, both flat in x-fastest order: scipy labels fg as the
-    C-ordered (z, y, x) grid.  connectivity is a Connectivity or its value;
-    anything else raises ValueError."""
-    ids, _ = ndimage.label(fg.reshape(dims[::-1]),
+    C-ordered (z, y, x) grid (_zyx).  connectivity is a Connectivity or its
+    value; anything else raises ValueError."""
+    ids, _ = ndimage.label(_zyx(fg, dims),
                            structure=_STRUCTURES[Connectivity(connectivity)])
     return ids.ravel()
 

@@ -5,7 +5,9 @@ The scorer maps five fixed per-voxel features (raw intensity, 3^3 mean,
 5^3 mean, 3^3 variance, constant bias) through a logistic unit.  Full
 batch gradient descent composes the loss gradients with the logistic
 Jacobian; runs are deterministic for a fixed seed and invariant to the
-order of the training phantoms.
+order of the training phantoms.  The box filters run on each feature
+row's C-ordered (z, y, x) view, where scipy copies contiguous lines, and
+give uniform_filter's bits (_box).
 
 The batch is split once into min(threads, cases) contiguous case shards of
 about equal case count, each (features, plan): its cases' feature
@@ -53,7 +55,7 @@ from .loss import (
 from .reduction import exact_sum
 from .synth import Phantom, PhantomSpec, generate
 from .volume import (GridShape, Mask, Volume, _flat, _freeze, _grid, _naming,
-                     check_threshold, require_same_shape, threshold)
+                     _zyx, check_threshold, require_same_shape, threshold)
 from .weighting import WeightCurveParams
 
 FEATURE_NAMES = ("raw", "mean3", "mean5", "var3", "bias")
@@ -62,20 +64,32 @@ SMALL_BUCKET_MAX = 20    # lesion is small when voxels < 20
 LARGE_BUCKET_MIN = 200   # lesion is large when voxels > 200
 
 
+def _box(src, size, out):
+    """The size^3 box mean of the (z, y, x) grid view src into out: 1-D
+    passes along x, then y, then z, each reading the last one's output,
+    which are ndimage.uniform_filter's passes on the [x, y, z] grid, bit
+    for bit."""
+    for axis in (2, 1, 0):
+        ndimage.uniform_filter1d(src, size, axis, output=out, mode="reflect")
+        src = out
+
+
 def extract_features(image: Volume) -> np.ndarray:
     """Per-voxel feature matrix (voxels x 5), rows in x-fastest order.
 
     The features are the rows of one C-ordered 5 x n matrix, the trainer's
-    X; each filter writes its row through the row's [x, y, z] grid view.
-    The (n, 5) view of X is returned, so .T gives X back with no copy.
+    X; each filter writes its row through the row's C-ordered (z, y, x)
+    grid view (_box).  The (n, 5) view of X is returned, so .T gives X back
+    with no copy.
     """
+    dims = image.shape.dims
     X = np.empty((len(FEATURE_NAMES), image.shape.voxel_count))
-    raw, m3, m5, v3, bias = (_grid(row, image.shape.dims) for row in X)
-    raw[...] = image.data
-    ndimage.uniform_filter(raw, size=3, mode="reflect", output=m3)
-    ndimage.uniform_filter(raw, size=5, mode="reflect", output=m5)
+    raw, m3, m5, v3, bias = (_zyx(row, dims) for row in X)
+    X[0] = _flat(image.data)
+    _box(raw, 3, m3)
+    _box(raw, 5, m5)
     np.multiply(raw, raw, out=v3)
-    ndimage.uniform_filter(v3, size=3, mode="reflect", output=v3)
+    _box(v3, 3, v3)
     v3 -= np.multiply(m3, m3, out=bias)    # the bias row as scratch
     np.clip(v3, 0.0, None, out=v3)
     bias[...] = 1.0

@@ -19,8 +19,8 @@ holds its [x, y, z] array x-fastest, that is F-contiguous.  Its flat
 x-fastest view, the order of the files and of every flat array the loss
 engine and the trainer work on, is then free, and so is the grid view of
 such a flat array.  The layout is spelled in this module alone: _store
-keeps a grid's array, _flat takes its flat view and _grid builds a grid
-from a flat array.
+keeps a grid's array, _flat takes its flat view, _grid builds a grid
+from a flat array and _zyx gives scipy's view of one.
 """
 
 from __future__ import annotations
@@ -96,6 +96,13 @@ def _flat(grid: np.ndarray) -> np.ndarray:
 def _grid(flat: np.ndarray, dims) -> np.ndarray:
     """The [x, y, z] grid view of dims over an x-fastest flat array."""
     return flat.reshape(dims, order="F")
+
+
+def _zyx(flat: np.ndarray, dims) -> np.ndarray:
+    """The C-ordered (z, y, x) grid view of dims over an x-fastest flat
+    array: scipy.ndimage walks an array's lines in C order, so on this
+    view every line it copies is contiguous memory."""
+    return flat.reshape(dims[::-1])
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import ndimage
 
 from lesionloss.components import Connectivity
 
@@ -71,6 +72,19 @@ def halo_reference(dims, coords) -> np.ndarray:
             if 0 <= nx < dims[0] and 0 <= ny < dims[1] and 0 <= nz < dims[2]:
                 out[nx, ny, nz] = True
     return out
+
+
+def features_reference(grid) -> np.ndarray:
+    """Reference feature matrix (voxels x 5) of a float32 [x, y, z] grid:
+    ndimage.uniform_filter on the F-ordered float64 grid for the 3^3 and
+    5^3 means and the 3^3 variance, clipped at 0, and a bias of ones; rows
+    in x-fastest order."""
+    raw = np.asfortranarray(grid, dtype=np.float64)
+    m3 = ndimage.uniform_filter(raw, size=3, mode="reflect")
+    m5 = ndimage.uniform_filter(raw, size=5, mode="reflect")
+    v3 = ndimage.uniform_filter(raw * raw, size=3, mode="reflect") - m3 * m3
+    columns = (raw, m3, m5, np.clip(v3, 0.0, None), np.ones_like(raw))
+    return np.stack([c.ravel(order="F") for c in columns], axis=1)
 
 
 def recall_reference(cases, connectivity: Connectivity) -> dict:

@@ -2,11 +2,15 @@
 
 A stored grid is F-contiguous, so its flat x-fastest view shares its
 memory: the engine's flat arrays, the files and the grids are one layout.
+scipy filters and labels a grid through its C-ordered (z, y, x) view.
 score_volume applies, bit for bit, the product the trainer optimizes.
 """
 
+import inspect
+
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.special import expit
 
 from lesionloss.components import label_components, labeling_to_volume
@@ -103,6 +107,41 @@ def test_feature_rows_are_one_c_matrix(pair):
     X = extract_features(pred)
     assert X.shape == (pred.shape.voxel_count, 5)
     assert X.T.flags.c_contiguous
+
+
+def record_calls(monkeypatch, name):
+    """Replace ndimage.<name> by a wrapper that records the arguments of
+    each call by parameter name; returns the list of records."""
+    run = getattr(ndimage, name)
+    signature = inspect.signature(run)
+    seen = []
+
+    def recorded(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        seen.append(bound.arguments)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(ndimage, name, recorded)
+    return seen
+
+
+def test_scipy_walks_contiguous_lines(pair, monkeypatch):
+    """Every array extract_features and label_components hand to scipy is
+    C-contiguous, and each of the three box filters runs along axis 2, 1,
+    then 0 of the (z, y, x) view: x, y, then z, as uniform_filter runs the
+    [x, y, z] grid."""
+    gt, pred = pair
+    filters = record_calls(monkeypatch, "uniform_filter1d")
+    labels = record_calls(monkeypatch, "label")
+    extract_features(pred)
+    label_components(gt)
+    assert [f["axis"] for f in filters] == [2, 1, 0] * 3
+    assert all(isinstance(f["output"], np.ndarray) for f in filters)
+    assert len(labels) == 1
+    for args in filters + labels:
+        assert all(a.flags.c_contiguous for a in args.values()
+                   if isinstance(a, np.ndarray))
 
 
 @pytest.mark.parametrize("dims, lesions", [((48, 48, 48), 6), ((9, 8, 7), 1)])

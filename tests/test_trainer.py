@@ -32,7 +32,7 @@ from lesionloss.trainer import _batch_eval, _prepare_batch, _shard_bounds
 from lesionloss.volume import GridShape, Mask, ShapeMismatchError, Volume
 from lesionloss.weighting import WeightCurveParams
 
-from oracles import recall_reference
+from oracles import features_reference, recall_reference
 
 
 def tiny_corpus(count=4, seed=70, dims=(14, 14, 14)):
@@ -92,6 +92,32 @@ class TestFeatures:
         X = extract_features(img)
         np.testing.assert_allclose(X[:, 3], 0.0, atol=1e-12)
         np.testing.assert_allclose(X[:, 1], 0.3, atol=1e-7)
+
+
+@st.composite
+def feature_images(draw):
+    """float32 grids of sides 1-9 (shorter than the 5^3 window or not, cubic
+    or not) at a scale from 1e-30 to 1e30: seeded uniform values in
+    [-scale, scale], or one such value everywhere."""
+    dims = draw(st.tuples(*[st.integers(1, 9)] * 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-30, 1.0, 1e4, 1e30]))
+    shape = () if draw(st.booleans()) else dims
+    return np.broadcast_to(rng.uniform(-scale, scale, shape), dims).astype(np.float32)
+
+
+class TestFeaturesOracle:
+    """extract_features is ndimage.uniform_filter on the [x, y, z] grid,
+    bit for bit."""
+
+    @given(image=feature_images())
+    @example(image=np.full((1, 1, 1), -1e30, np.float32))
+    @example(image=np.full((9, 2, 5), 0.3, np.float32))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference(self, image):
+        X = extract_features(Volume.from_array(image))
+        want = features_reference(image)
+        assert np.array_equal(X.view(np.uint64), want.view(np.uint64))
 
 
 class TestScorer:
