@@ -26,15 +26,20 @@ evaluate_loss, grad_check and the trainer.
 
 A batch is laid out once, as a plan (_truth; once per loss or grad_check
 call and once per shard of a train run): the cases one after another in
-x-fastest order, the flat positions of the lesion voxels (the
-foreground index set) and the weights at those positions only; background
-weights are never read.  A plan always carries weights: plain Tversky is
-WLT's unit-weight case, so an unweighted ratio term gets unit weights and
-every ratio term runs one formula (x * 1.0 == x, so they move no bit).
+x-fastest order, the positions of the lesion voxels (the foreground
+index set, held chunk by chunk) and the weights at those positions only;
+background weights are never read.  A plan always carries weights:
+plain Tversky is WLT's unit-weight case, so an unweighted ratio term gets
+unit weights and every ratio term runs one formula (x * 1.0 == x, so they
+move no bit).
 A weighted plan's weights come from the lesion labeling, one omega per
 lesion volume read at the lesion voxels; no full-grid weight map is
-built.  A plan also holds its cases' bounds, the predictions (one flat
-float64 array in the same order) and the phases' scratch.
+built.  A plan also holds its cases' bounds, their chunks
+(reduction.ChunkTrees: runs of whole cases, or pieces of one large case,
+of at most reduction._CHUNK voxels), the predictions q (one flat float64
+array in the same order, the plan's only batch-sized buffer) and two
+chunks of scratch, through which both phases stream the batch chunk by
+chunk.
 The lesion-voxel sums (TP, TP.W, FN.W) take their terms at the foreground
 positions only and reduce them there by the plan's merge schedule
 (reduction.merge_schedule), which runs each case's tree without the
@@ -49,16 +54,19 @@ plan of its own built by _truth:
 
     phase 1 (_case_sums)   each shard's per-case sums of every term
     value (_totals)        the global sums, exact_sum over all case sums
-    phase 2 (_gradient)    each shard's gradient from the global sums
+    phase 2 (_gradient)    each shard's gradient from the global sums,
+                           yielded chunk by chunk
 
 Each case sum is the fixed-order pairwise tree of reduction.case_sums
-over that case alone (one (k, n) tree pass per run of k consecutive cases
-of n voxels, bit-identical to k separate trees), and the exactly rounded
-sum across cases is order-free, so values are reproducible, case-order
-free and the same for any split into shards.  The loss API and grad_check
-run the whole batch as one shard (_objective_core); the trainer runs one
-shard per thread.  Each phase reads an Objective, every parameter of the
-loss, and writes into its plan's buffers only.
+over that case alone (one (k, n) tree pass per chunk of k consecutive
+cases of n voxels, bit-identical to k separate trees; a larger case's
+pieces are subtrees of its tree), and the exactly rounded sum across
+cases is order-free, so values are reproducible, case-order free and the
+same for any split into shards or chunks.  The loss API and grad_check
+run the whole batch as one shard (_objective_core) and copy each chunk's
+gradient into the one they return; the trainer runs one shard per thread
+and writes its chain rule over q.  Each phase reads an Objective, every
+parameter of the loss, and writes into its plan's chunk scratch only.
 """
 
 from __future__ import annotations
@@ -68,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import Connectivity, DEFAULT_CONNECTIVITY, _flat_labels
-from .reduction import (MergeSchedule, case_sums, exact_sum, merge_schedule,
+from .reduction import (ChunkTrees, MergeSchedule, exact_sum, merge_schedule,
                         sparse_case_sums)
 from .volume import (Mask, ShapeMismatchError, Volume, _flat, _grid,
                      require_same_shape)
@@ -201,25 +209,32 @@ class _Plan:
     evaluation of it.
 
     The cases sit one after another in x-fastest order (case i holds
-    sizes[i] voxels, at bounds[i] = (start, stop)); idx holds the
-    ascending flat positions of the lesion voxels, w their weights (ones
-    when the ratio term is unweighted) and merge the merge schedule of idx,
-    by which the lesion-voxel sums run their case trees over the lesion
-    voxels only (None without a ratio term: only its sums read it).
-    Background weights are never kept, so they cannot reach the loss.
-    The caller writes the predictions into q; t and r are the CE and ratio
-    scratch (None without that term).  Every evaluation reuses them, and
-    the trainer's chain rule spends q as scratch too.
+    sizes[i] voxels, at bounds[i] = (start, stop)), cut into the chunks of
+    trees (reduction.ChunkTrees(sizes)).  The lesion voxels of chunk j are
+    local[lesions[j]], their positions from the chunk's start in ascending
+    order, and w[lesions[j]] their weights (ones when the ratio term is
+    unweighted); merge is the merge schedule of the lesion voxels, by
+    which the lesion-voxel sums run their case trees over them only (None
+    without a ratio term: only its sums read it).  Background weights are
+    never kept, so they cannot reach the loss.
+
+    q, the predictions, is the one batch-sized buffer: the caller writes
+    them and the phases only read them.  trees holds two chunks of float64
+    scratch (leaves: a chunk's terms or gradient; spare: the tree's other
+    level) and mask two of bool (the CE gradient's clamp test; None
+    without CE).  Every evaluation reuses them; the trainer's backward
+    writes its chain rule over q.
     """
 
     sizes: tuple[int, ...]
     bounds: tuple[tuple[int, int], ...]
-    idx: np.ndarray
+    trees: ChunkTrees
+    lesions: tuple[slice, ...]
+    local: np.ndarray
     w: np.ndarray
     merge: MergeSchedule | None
     q: np.ndarray
-    t: np.ndarray | None
-    r: np.ndarray | None
+    mask: np.ndarray | None
 
     @property
     def n(self) -> int:
@@ -250,10 +265,13 @@ def _truth(obj: Objective, gts, omega=None) -> _Plan:
         w = np.concatenate([_flat(m.weights)[fg] for m, fg in zip(maps, fgs)])
     else:
         w = np.concatenate([_lesion_weights(obj, g, fg) for g, fg in zip(gts, fgs)])
-    n = sum(sizes)
-    return _Plan(sizes, bounds, idx, w, merge, np.empty(n),
-                 np.empty(n) if obj.ce else None,
-                 np.empty(n) if obj.ratio is not None else None)
+    trees = ChunkTrees(sizes)
+    starts = [c.start for c in trees.chunks]
+    cuts = np.append(np.searchsorted(idx, starts), idx.size)
+    lesions = tuple(slice(lo, hi) for lo, hi in zip(cuts.tolist(), cuts[1:].tolist()))
+    local = idx - np.repeat(starts, np.diff(cuts))
+    return _Plan(sizes, bounds, trees, lesions, local, w, merge, np.empty(sum(sizes)),
+                 np.empty((2, trees.leaves.size), dtype=bool) if obj.ce else None)
 
 
 def _lesion_weights(obj: Objective, g: Mask, fg) -> np.ndarray:
@@ -294,37 +312,53 @@ def _plain_tp_den(obj: Objective) -> bool:
     return obj.weighted and not obj.weight_tp_denominator
 
 
+def _true_class(obj: Objective, q, loc, out):
+    """The clamped true-class probability of a chunk's predictions q,
+    whose lesion voxels sit at loc, into out: q there and 1 - q on the
+    background."""
+    np.subtract(1.0, q, out=out)
+    out[loc] = q[loc]
+    return np.clip(out, obj.clamp, 1.0 - obj.clamp, out=out)
+
+
 def _case_sums(obj: Objective, plan: _Plan) -> dict[str, list[float]]:
     """Phase 1: the per-case sums of each term of obj at plan.q (kept).
 
-    "ce" sums the log true-class probabilities, clamped, which stay in t
-    for phase 2; the logs go to r, so the only shard-sized arrays
-    allocated here are the tree's levels.  The lesion-voxel sums ("tp_w",
-    "fn_w" and "tp" for an unweighted denominator TP sum) take their terms
-    at the lesion voxels only and reduce them by plan's merge schedule,
-    the case trees of a full-grid selection without its zeros; "fp"
-    zeroes the lesion voxels of a copy of q in r.
+    Each chunk's full-grid terms go through plan.trees' leaves: "ce" sums
+    the logs of the clamped true-class probabilities, "fp" q with its
+    lesion voxels zeroed, each by the chunk's tree, whose nodes join into
+    case sums.  The lesion-voxel sums ("tp_w", "fn_w" and "tp" for
+    an unweighted denominator TP sum) take their terms at the lesion
+    voxels only and reduce them by plan's merge schedule, the case trees
+    of a full-grid selection without its zeros.
     """
-    idx, sizes, q, t, r = plan.idx, plan.sizes, plan.q, plan.t, plan.r
+    trees = plan.trees
+    ce, fp = [], []
+    q_fg = np.empty(plan.w.size) if obj.ratio is not None else None
+    for c, fg in zip(trees.chunks, plan.lesions):
+        q, loc = plan.q[c.start:c.stop], plan.local[fg]
+        chunk = trees.leaves[:q.size]
+        if obj.ce:
+            np.log(_true_class(obj, q, loc, chunk), out=chunk)
+            ce.append(trees.nodes(c))
+        if obj.ratio is not None:
+            np.take(q, loc, out=q_fg[fg])
+            np.copyto(chunk, q)
+            chunk[loc] = 0.0
+            fp.append(trees.nodes(c))
     sums = {}
     if obj.ce:
-        np.subtract(1.0, q, out=t)
-        t[idx] = q[idx]
-        np.clip(t, obj.clamp, 1.0 - obj.clamp, out=t)
-        sums["ce"] = case_sums(np.log(t, out=r), sizes)
+        sums["ce"] = trees.join(ce)
     if obj.ratio is None:
         return sums
     keys = ("tp_w", "fn_w", "tp") if _plain_tp_den(obj) else ("tp_w", "fn_w")
-    q_fg = q[idx]
-    terms = np.empty((len(keys), idx.size))
+    terms = np.empty((len(keys), q_fg.size))
     np.multiply(q_fg, plan.w, out=terms[0])
     np.subtract(1.0, q_fg, out=terms[1])
     terms[1] *= plan.w
     terms[2:] = q_fg    # the denominator TP, when it is a sum of its own
     sums.update(zip(keys, sparse_case_sums(terms, plan.merge).tolist()))
-    np.copyto(r, q)
-    r[idx] = 0.0
-    sums["fp"] = case_sums(r, sizes)
+    sums["fp"] = trees.join(fp)
     return sums
 
 
@@ -374,32 +408,43 @@ def _totals(obj: Objective, parts, n: int) -> _Totals:
 
 def _gradient(obj: Objective, plan: _Plan, totals: _Totals):
     """Phase 2: the gradient at plan.q, after its _case_sums, from the global
-    sums, written into plan.t (plan.r without a CE term) and returned."""
-    idx, w, q, t, r = plan.idx, plan.w, plan.q, plan.t, plan.r
-    if obj.ce:
-        # the clamp is flat outside [clamp, 1 - clamp]
-        inside = (q >= obj.clamp) & (q <= 1.0 - obj.clamp)
-        np.divide(1.0, t, out=t)
-        t[idx] = -t[idx]
-        t *= inside
-        t /= totals.n
-    if obj.ratio is None:
-        return t
-    # a background voxel moves FP only (d num = 0, d den = a; "0.0 +" keeps
-    # alpha = -0.0 from signing the zero gradient); a lesion voxel of
-    # weight w moves TP.W, the denominator TP sum and FN.W
-    a, b = obj.tversky.alpha, obj.tversky.beta
-    num, den = totals.num, totals.den
-    dden = (1.0 if _plain_tp_den(obj) else w) - b * w
-    r.fill(num * (0.0 + a) / (den * den))
-    r[idx] = (num * dden - w * den) / (den * den)
-    if not obj.ce:
-        return r
-    lam = obj.ce_weight
-    t *= lam
-    r *= 1.0 - lam
-    t += r
-    return t
+    sums: yields (chunk, g) for each chunk of plan in order, g the chunk's
+    gradient in plan.trees' leaves, which the next chunk overwrites."""
+    if obj.ratio is not None:
+        # a background voxel moves FP only (d num = 0, d den = a; "0.0 +"
+        # keeps alpha = -0.0 from signing the zero gradient); a lesion voxel
+        # of weight w moves TP.W, the denominator TP sum and FN.W
+        a, b = obj.tversky.alpha, obj.tversky.beta
+        num, den = totals.num, totals.den
+        background = num * (0.0 + a) / (den * den)
+        lam = obj.ce_weight
+    for c, fg in zip(plan.trees.chunks, plan.lesions):
+        q, loc = plan.q[c.start:c.stop], plan.local[fg]
+        g = plan.trees.leaves[:q.size]
+        if obj.ce:
+            # the clamp is flat outside [clamp, 1 - clamp]
+            inside, below = plan.mask[:, :q.size]
+            np.greater_equal(q, obj.clamp, out=inside)
+            inside &= np.less_equal(q, 1.0 - obj.clamp, out=below)
+            np.divide(1.0, _true_class(obj, q, loc, g), out=g)
+            g[loc] = -g[loc]
+            g *= inside
+            g /= totals.n
+        if obj.ratio is not None:
+            w = plan.w[fg]
+            dden = (1.0 if _plain_tp_den(obj) else w) - b * w
+            lesion = (num * dden - w * den) / (den * den)
+            if obj.ce:
+                # lam * CE + (1 - lam) * ratio, the ratio's background
+                # term a scalar
+                g *= lam
+                ce_fg = g[loc]
+                g += background * (1.0 - lam)
+                g[loc] = ce_fg + lesion * (1.0 - lam)
+            else:
+                g.fill(background)
+                g[loc] = lesion
+        yield c, g
 
 
 def _quiet():
@@ -410,13 +455,16 @@ def _quiet():
 
 
 def _objective_core(obj: Objective, plan: _Plan, want_grad: bool):
-    """Value (and flat gradient, a plan buffer the next call overwrites) of
+    """Value (and flat gradient, a new array; plan.q is left as it is) of
     obj at plan.q, the whole batch as one shard.  A value or gradient that
     is not finite (lesion sums that overflow under a huge w_max) raises
     ValueError instead of numpy's warnings and a NaN result."""
+    grad = np.empty(plan.n) if want_grad else None
     with _quiet():
         totals = _totals(obj, [_case_sums(obj, plan)], plan.n)
-        grad = _gradient(obj, plan, totals) if want_grad else None
+        if want_grad:
+            for c, g in _gradient(obj, plan, totals):
+                grad[c.start:c.stop] = g
     if not np.isfinite(totals.value):
         raise ValueError("loss value is non-finite")
     if grad is not None and not np.isfinite(grad).all():
@@ -498,7 +546,7 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
         raise ValueError(f"seed must be >= 0, got {seed}")
     obj = objective(kind, LOSS_KINDS, **options)
     plan, _preds, _single = _prepare(obj, gt, pred)
-    grad = _objective_core(obj, plan, True)[1].copy()    # later calls overwrite it
+    grad = _objective_core(obj, plan, True)[1]    # before q is perturbed
 
     rng = np.random.default_rng(seed)
     worst = 0.0

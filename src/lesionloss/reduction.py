@@ -3,7 +3,10 @@
 A batch's loss sums are exact_sum(case_sums(values, sizes)): each case by
 its own fixed pairwise tree, then the case sums by one exactly rounded
 sum, so a sum is reproducible and independent of case order and of how
-the cases are split into contiguous shards.
+the cases are split into contiguous shards.  The trees run chunk by chunk
+(chunk_table: runs of whole cases, or pieces of one large case, of at
+most _CHUNK values) in two chunk-sized buffers, by steps laid out once
+per layout (ChunkTrees), and give the same bits as one tree per case.
 
 A sum whose terms are zero outside a few known positions (the lesion
 voxels) need not visit the zeros: sparse_case_sums runs the same trees
@@ -18,16 +21,125 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _tree_rows(block: np.ndarray) -> np.ndarray:
-    """Sum each row of a (k, n) block with the fixed-shape pairwise tree:
-    pad odd levels with a zero column, then add neighbouring columns."""
-    if block.shape[1] == 0:
-        return np.zeros(block.shape[0])
-    while block.shape[1] > 1:
-        if block.shape[1] & 1:
-            block = np.concatenate([block, np.zeros((block.shape[0], 1))], axis=1)
-        block = block[:, 0::2] + block[:, 1::2]
-    return block[:, 0]
+_CHUNK = 1 << 16    # voxels of a chunk, a power of two: 512 KiB of float64
+
+
+def _tree_steps(k: int, m: int, src: np.ndarray, dst: np.ndarray):
+    """The steps of the fixed-shape pairwise tree of each row of a
+    C-contiguous (k, m) block held at the front of the flat buffer src:
+    pad odd levels with a zero column, then add neighbouring columns.
+    Each step is an np.add(a, b, out=out) triple of views, and each level
+    goes into the other of src's and dst's memory (dst holds at least
+    k * m values).  Returns the steps and the view that holds the k sums
+    once they have run."""
+    if m == 0:
+        return [], np.zeros(k)
+    steps = []
+    while m > 1:
+        half, odd = m // 2, m & 1
+        level = src[:k * m].reshape(k, m)
+        out = dst[:k * (half + odd)].reshape(k, half + odd)
+        steps.append((level[:, 0:2 * half:2], level[:, 1:2 * half:2], out[:, :half]))
+        if odd:    # the padded pair: x + 0.0
+            steps.append((level[:, m - 1], 0.0, out[:, half]))
+        src, dst, m = dst, src, half + odd
+    return steps, src[:k]
+
+
+def _run(steps):
+    for a, b, out in steps:
+        np.add(a, b, out=out)
+
+
+@dataclass(frozen=True)
+class Chunk:
+    """A contiguous run [start, stop) of a batch laid out case after case.
+
+    With parts == 0 it holds rows whole cases of equal size; otherwise it
+    is one of the parts _CHUNK-aligned pieces of a case larger than
+    _CHUNK (rows == 1).  Its tree nodes are then the nodes of that case's
+    tree at level log2(_CHUNK), where the dense tree adds 0.0 to the node
+    of a last piece of at most _CHUNK / 2 voxels (pad): its own tree
+    stops below that level, the case's keeps pairing it with padding.
+    """
+
+    start: int
+    stop: int
+    rows: int
+    parts: int = 0
+    pad: bool = False
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows, (self.stop - self.start) // self.rows
+
+
+def chunk_table(sizes) -> tuple[Chunk, ...]:
+    """The chunks of a layout of cases of the given sizes: each run of
+    equal-size cases of at most _CHUNK voxels in runs of at most _CHUNK
+    voxels, and each larger case in _CHUNK-aligned pieces.  The table
+    depends on the sizes alone."""
+    chunks, start = [], 0
+    for n, run in itertools.groupby(sizes):
+        k = len(list(run))
+        if n <= _CHUNK:
+            per = _CHUNK // n if n else k
+            for first in range(0, k, per):
+                rows = min(per, k - first)
+                chunks.append(Chunk(start, start + rows * n, rows))
+                start += rows * n
+            continue
+        parts = -(-n // _CHUNK)
+        for _ in range(k):
+            for a in range(0, n, _CHUNK):
+                b = min(a + _CHUNK, n)
+                chunks.append(Chunk(start + a, start + b, 1, parts,
+                                    b == n and b - a <= _CHUNK // 2))
+            start += n
+    return tuple(chunks)
+
+
+class ChunkTrees:
+    """The chunk table of a layout of cases (chunk_table(sizes)), two
+    chunk-sized buffers, and for each shape of its chunks the steps of the
+    pairwise tree over those buffers, laid out once: a chunk's values go
+    into the front of leaves, nodes(chunk) runs their tree (overwriting
+    leaves and spare), and join turns every chunk's nodes into case sums."""
+
+    def __init__(self, sizes):
+        self.chunks = chunk_table(sizes)
+        width = max((c.stop - c.start for c in self.chunks), default=0)
+        self.leaves, self.spare = np.empty(width), np.empty(width)
+        self._trees = {}
+        for c in self.chunks:
+            if c.shape not in self._trees:
+                self._trees[c.shape] = _tree_steps(*c.shape, self.leaves, self.spare)
+
+    def nodes(self, chunk: Chunk) -> list[float]:
+        """The tree nodes of chunk's values in leaves: one sum per whole
+        case, or the piece's node."""
+        steps, sums = self._trees[chunk.shape]
+        _run(steps)
+        nodes = sums.tolist()
+        return [x + 0.0 for x in nodes] if chunk.pad else nodes
+
+    def join(self, nodes) -> list[float]:
+        """The case sums from each chunk's nodes, in table order: a whole
+        case's node is its sum, and the nodes of a case's pieces go
+        through the same tree, above the pieces' level."""
+        sums, parts = [], []
+        for chunk, got in zip(self.chunks, nodes):
+            if not chunk.parts:
+                sums.extend(got)
+                continue
+            parts += got
+            if len(parts) == chunk.parts:
+                top = np.array(parts)
+                steps, total = _tree_steps(1, top.size, top, np.empty(top.size))
+                _run(steps)
+                sums.append(float(total[0]))
+                parts = []
+        return sums
 
 
 def pairwise_sum(values) -> float:
@@ -37,7 +149,7 @@ def pairwise_sum(values) -> float:
     count, so the result is bit-reproducible for a given input order.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
-    return float(_tree_rows(v.reshape(1, -1))[0])
+    return case_sums(v, [v.size])[0]
 
 
 def exact_sum(values) -> float:
@@ -50,20 +162,21 @@ def case_sums(values, sizes) -> list[float]:
     array (case i holds sizes[i] values), each by the pairwise tree of
     pairwise_sum.
 
-    Each run of consecutive equal-size cases goes through the tree as one
-    (k, n) block, which adds the same pairs as k separate trees, so every
-    case sum is bit-identical to pairwise_sum of that case alone.
+    The batch goes through the tree chunk by chunk (ChunkTrees): a chunk
+    of k equal-size cases is one (k, n) block, which adds the same pairs
+    as k separate trees, and a larger case's pieces are the subtrees
+    below one level of its tree, so every case sum is bit-identical to
+    pairwise_sum of that case alone.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
     if v.size != sum(sizes):
         raise ValueError(f"{v.size} values do not fill cases of sizes {sizes}")
-    sums = []
-    start = 0
-    for n, run in itertools.groupby(sizes):
-        k = len(list(run))
-        sums.extend(_tree_rows(v[start:start + k * n].reshape(k, n)).tolist())
-        start += k * n
-    return sums
+    trees = ChunkTrees(sizes)
+    nodes = []
+    for c in trees.chunks:
+        np.copyto(trees.leaves[:c.stop - c.start], v[c.start:c.stop])
+        nodes.append(trees.nodes(c))
+    return trees.join(nodes)
 
 
 @dataclass(frozen=True)

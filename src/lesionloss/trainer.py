@@ -12,20 +12,21 @@ give uniform_filter's bits (_box).
 The batch is split once into min(threads, cases) contiguous case shards of
 about equal case count, each (features, plan): its cases' feature
 matrices (5 x n each, as extract_features wrote them) and its plan, which
-holds the cases' bounds and the buffers (scores, CE true-class
-probabilities, ratio scratch).  Each epoch runs them in the loss engine's
-two phases: phase 1 scores each case with _scores, the one scorer
-score_volume also applies, and reduces the shard to per-case loss sums;
-the value comes from the global sums; phase 2 turns the global sums into
-each shard's loss gradient, applies the chain rule and forms the per-case
-X @ g partials, which an exact sum combines.  The calling thread runs
-shard 0 and a pool opened for the run takes the rest.  The calling thread
-also builds every plan, and so its buffers, once per batch, and the
-workers write into them: arrays a worker allocates stay in its own malloc
-arena and raise peak memory, and shard-sized buffers freed every epoch
-can be handed back to the system and faulted in again the next.  No
-sum crosses a case before the exact sum, so the trained weights and curve
-are bit-identical for every thread count.
+holds the cases' bounds and chunk table, the scores q (the shard's one
+batch-sized buffer) and two chunks of scratch.  Each epoch runs them in
+the loss engine's two phases: phase 1 scores each case with _scores, the
+one scorer score_volume also applies, into q and reduces the shard to
+per-case loss sums chunk by chunk; the value comes from the global sums;
+phase 2 yields each chunk's loss gradient, over which the chain rule
+writes g * q * (1 - q) into q, and one X @ q per case forms the partials,
+which an exact sum combines.  The calling thread runs shard 0 and a pool
+opened for the run takes the rest.  The calling thread also builds every
+plan, and so its buffers, once per batch, and the workers write into them:
+arrays a worker allocates stay in its own malloc arena and raise peak
+memory, and shard-sized buffers freed every epoch can be handed back to
+the system and faulted in again the next.  No sum crosses a case before
+the exact sum, so the trained weights and curve are bit-identical for
+every thread count.
 """
 
 from __future__ import annotations
@@ -214,12 +215,13 @@ def _batch_eval(prep, theta, want_grad):
 
     def backward(i):
         xs, plan = shards[i]
-        g, q = _gradient(obj, plan, totals), plan.q
-        # chain rule through the logistic unit, g * q * (1 - q) in place
-        # (q is spent as scratch), then the per-case partials
-        g *= q
-        g *= np.subtract(1.0, q, out=q)
-        return [x @ g[a:b] for x, (a, b) in zip(xs, plan.bounds)]
+        # chain rule through the logistic unit, g * q * (1 - q), chunk by
+        # chunk over q (its scores are spent), then one X @ g per case
+        for c, g in _gradient(obj, plan, totals):
+            q = plan.q[c.start:c.stop]
+            g *= q
+            np.multiply(g, np.subtract(1.0, q, out=q), out=q)
+        return [x @ plan.q[a:b] for x, (a, b) in zip(xs, plan.bounds)]
 
     partials = [c for part in _run(pool, backward, len(shards)) for c in part]
     gtheta = np.array(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lesionloss import reduction
 from lesionloss.cli import main
 from lesionloss.components import Connectivity, label_components
 from lesionloss.loss import (
@@ -19,6 +20,7 @@ from lesionloss.loss import (
     evaluate_loss,
     _case_sums,
     _gradient,
+    _objective_core,
     _prepare,
     _totals,
     _truth,
@@ -484,15 +486,18 @@ _EDGE_PREDS = np.array([0.0, -0.0, 1.0, 0.5, CE_CLAMP_DEFAULT, 1.0 - CE_CLAMP_DE
 
 
 @st.composite
-def _batches(draw, runs=False):
+def _batches(draw, runs=False, pool_dims=None):
     """1-3 cases of random dims; truth random, empty or full; predictions
     uniform, on the edge values, or a mix of both.  With runs, 2-6 cases
     whose dims repeat from a pool of one or two, so runs of equal-size
-    cases go through the reductions together."""
+    cases go through the reductions together; the pool's dims are drawn
+    from pool_dims when given."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     gts, preds = [], []
-    pool = [tuple(draw(st.integers(1, 5)) for _ in range(3))
-            for _ in range(draw(st.integers(1, 2)))] if runs else None
+    if pool_dims is None:
+        pool_dims = st.tuples(*[st.integers(1, 5)] * 3)
+    pool = ([draw(pool_dims) for _ in range(draw(st.integers(1, 2)))]
+            if runs else None)
     for _ in range(draw(st.integers(2, 6) if runs else st.integers(1, 3))):
         dims = (draw(st.sampled_from(pool)) if runs
                 else tuple(draw(st.integers(1, 5)) for _ in range(3)))
@@ -720,27 +725,85 @@ class TestBatchIsGlobalRatio:
                                 rel_tol=1e-7)
 
 
+_CHUNK_SIZES = (8, 64, reduction._CHUNK)
+
+
 class TestPlanBuffers:
-    """A plan holds the buffers of every evaluation: phase 1 reads the
-    predictions in plan.q and leaves them as they are; phase 2 returns a
-    plan buffer, r for a ratio term alone and t otherwise."""
+    """A plan holds the buffers of every evaluation: the predictions q are
+    its one batch-sized buffer, and its trees' leaves and spare and its
+    mask hold at most one chunk each.  Phase 1 reads q and leaves it as it
+    is; phase 2 yields each chunk's gradient in the leaves; the loss API
+    returns a gradient of its own, never q."""
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_phases_write_into_the_plan_buffers(self, kind):
         rng = np.random.default_rng(43)
         gts, preds = zip(*(random_case(rng, dims) for dims in
                            ((5, 6, 7), (4, 4, 4), (3, 8, 2))))
+        lesions = sum(int(g.data.sum()) for g in gts)
         obj = objective(kind)
-        plan, _, _ = _prepare(obj, list(gts), list(preds))
-        assert (plan.t is None) == (not obj.ce)
-        assert (plan.r is None) == (obj.ratio is None)
-        q = plan.q.copy()
-        totals = _totals(obj, [_case_sums(obj, plan)], plan.n)
-        assert plan.q.tobytes() == q.tobytes()
-        grad = _gradient(obj, plan, totals)
-        assert np.shares_memory(grad, plan.r if kind in ("tversky", "wlt")
-                                else plan.t)
-        assert plan.q.tobytes() == q.tobytes()
+        for chunk in _CHUNK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reduction, "_CHUNK", chunk)
+                plan, _, _ = _prepare(obj, list(gts), list(preds))
+            trees = plan.trees
+            chunks, leaves, spare = trees.chunks, trees.leaves, trees.spare
+            width = max(c.stop - c.start for c in chunks)
+            assert width <= min(chunk, max(plan.sizes))
+            assert plan.q.shape == (plan.n,)
+            assert leaves.shape == spare.shape == (width,)
+            assert (plan.mask.shape if obj.ce else plan.mask) == (
+                (2, width) if obj.ce else None)
+            assert plan.local.size == plan.w.size == lesions < plan.n
+            q = plan.q.copy()
+            totals = _totals(obj, [_case_sums(obj, plan)], plan.n)
+            assert plan.q.tobytes() == q.tobytes()
+            yielded = []
+            for c, g in _gradient(obj, plan, totals):
+                assert g.size == c.stop - c.start
+                assert np.shares_memory(g, leaves)
+                yielded.append(c)
+            assert tuple(yielded) == chunks
+            assert plan.q.tobytes() == q.tobytes()
+            _value, grad = _objective_core(obj, plan, True)
+            assert grad.shape == (plan.n,)
+            assert not np.shares_memory(grad, plan.q)
+            assert not np.shares_memory(grad, leaves)
+            assert plan.q.tobytes() == q.tobytes()
+
+
+# grid lengths at and around multiples of the chunk sizes 8 and 64: a
+# chunk, a chunk + 1, and 1.5 chunks -1, 0 and +1, where a last piece's
+# node starts to take "+ 0.0"
+_CHUNK_DIMS = st.one_of(
+    st.sampled_from([7, 8, 9, 11, 12, 13, 63, 64, 65, 95, 96, 97, 129, 200])
+    .map(lambda n: (n, 1, 1)),
+    st.tuples(*[st.integers(1, 6)] * 3))
+
+
+class TestChunkedEvaluation:
+    """The phases run chunk by chunk, and no chunk size moves a bit."""
+
+    @given(batch=_batches(runs=True, pool_dims=_CHUNK_DIMS))
+    @settings(max_examples=40, deadline=None)
+    def test_loss_and_grad_check_are_the_same_at_every_chunk_size(self, batch):
+        gts, preds = batch
+        runs = []
+        for chunk in _CHUNK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reduction, "_CHUNK", chunk)
+                out = []
+                for kind in LOSS_KINDS:
+                    for wtd in (False, True):
+                        rep = evaluate_loss(kind, gts, preds, want_grad=True,
+                                            weight_tp_denominator=wtd)
+                        out += [rep.value.hex()] + [v.data.tobytes()
+                                                    for v in rep.gradient]
+                inside = [vol(np.clip(p.data, 0.1, 0.9)) for p in preds]
+                out += [grad_check(kind, gts, inside, max_voxels=2).hex()
+                        for kind in LOSS_KINDS]
+            runs.append(out)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 class TestPlanWeights:

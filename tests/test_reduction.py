@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lesionloss import reduction
 from lesionloss.reduction import (
     case_sums,
+    chunk_table,
     exact_sum,
     merge_schedule,
     pairwise_sum,
@@ -54,6 +56,48 @@ def test_case_sums_are_the_per_case_trees(layout):
 def test_pairwise_sum_matches_reference_tree(layout):
     _, values = layout
     assert pairwise_sum(values).hex() == _tree_sum(values).hex()
+
+
+@st.composite
+def _chunked_layouts(draw):
+    """A chunk size (4, 8 or 64) and a layout of cases at and around its
+    multiples (k chunks -1, +0 and +1, and k and a half chunks -1, +0 and
+    +1, where a last piece's node starts to take "+ 0.0"), in runs of
+    equal sizes; the values mixed, mixed with zeros of both signs, or all
+    -0.0."""
+    chunk = draw(st.sampled_from([4, 8, 64]))
+    near = st.builds(lambda k, half, d: max(0, k * chunk + half * chunk // 2 + d),
+                     st.integers(0, 4), st.integers(0, 1), st.integers(-1, 1))
+    pool = draw(st.lists(st.one_of(near, st.integers(0, 3 * chunk)),
+                         min_size=1, max_size=3))
+    sizes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.standard_normal(sum(sizes)) * draw(st.sampled_from([1.0, 1e300]))
+    leaves = draw(st.sampled_from(["mixed", "signed zeros", "all -0.0"]))
+    if leaves == "signed zeros":
+        zeros = rng.random(values.size) < 0.8
+        values[zeros] = rng.choice([0.0, -0.0], values.size)[zeros]
+    elif leaves == "all -0.0":
+        values[:] = -0.0
+    return chunk, sizes, values
+
+
+@given(layout=_chunked_layouts())
+@settings(max_examples=300, deadline=None)
+def test_streamed_case_sums_are_each_case_alone(layout):
+    chunk, sizes, values = layout
+    cases = np.split(values, np.cumsum(sizes)[:-1])
+    want = [pairwise_sum(c).hex() for c in cases]    # one tree per case
+    assert want == [_tree_sum(c).hex() for c in cases]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_CHUNK", chunk)
+        table = chunk_table(sizes)
+        got = case_sums(values, sizes)
+    assert [s.hex() for s in got] == want
+    # the chunks tile the layout, and each holds at most a chunk
+    assert [c.start for c in table[1:]] == [c.stop for c in table[:-1]]
+    assert table[0].start == 0 and table[-1].stop == sum(sizes)
+    assert all(c.stop - c.start <= chunk for c in table)
 
 
 def test_case_sums_rejects_a_layout_that_does_not_fill_the_values():

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from lesionloss import reduction
 from lesionloss.components import Connectivity
 from lesionloss.loss import TverskyParams
 import lesionloss.trainer as trainer_mod
@@ -333,30 +335,81 @@ class TestShardedEpoch:
     @pytest.mark.parametrize("kind", TRAIN_LOSS_KINDS)
     def test_each_shard_keeps_its_buffers_across_epochs(self, kind,
                                                         monkeypatch):
-        """The buffers are allocated once per batch, with each shard's plan:
-        every evaluation writes the scores into plan.q, and the gradient
-        phase into plan.t or plan.r, of the same arrays."""
+        """Each shard's plan, and so each buffer, is built once per batch:
+        q, the shard's one batch-sized buffer, and two chunks of scratch
+        (its trees' leaves and spare).  Every evaluation writes the scores
+        into q, and the gradient phase yields each chunk's gradient in the
+        leaves."""
+        monkeypatch.setattr(reduction, "_CHUNK", 1024)
         cfg = TrainConfig(loss_kind=kind, train_specs=tiny_corpus(3), threads=2)
         phantoms = [generate(s) for s in cfg.train_specs]
-        real, returned = trainer_mod._gradient, []
+        real_truth, plans = trainer_mod._truth, []
+        real_gradient, grads = trainer_mod._gradient, []
+
+        def built(*args):
+            plans.append(real_truth(*args))
+            return plans[-1]
 
         def recorded(obj, plan, totals):
-            returned.append(real(obj, plan, totals))
-            return returned[-1]
+            for c, g in real_gradient(obj, plan, totals):
+                grads.append((plan, g))
+                yield c, g
 
+        monkeypatch.setattr(trainer_mod, "_truth", built)
         monkeypatch.setattr(trainer_mod, "_gradient", recorded)
         theta = initial_scorer(0).weights
         with _prepare_batch(cfg, phantoms) as prep:
             _obj, shards, _pool = prep
-            assert len(shards) == 2
-            buffers = [(plan.q, plan.t, plan.r) for _, plan in shards]
+            assert [plan for _, plan in shards] == plans and len(plans) == 2
+            buffers = [(plan.q, plan.trees, plan.mask) for plan in plans]
             for want_grad in (True, False, True):
                 _batch_eval(prep, theta, want_grad)
-                for (_, plan), (q, t, r) in zip(shards, buffers):
-                    assert plan.q is q and plan.t is t and plan.r is r
-            assert len(returned) == 2 * len(shards)
-            for grad in returned:
-                assert any(grad is b for bufs in buffers for b in bufs[1:])
+            assert len(plans) == 2
+            for plan, (q, trees, mask) in zip(plans, buffers):
+                assert plan.q is q and plan.trees is trees and plan.mask is mask
+                assert q.shape == (plan.n,) and len(trees.chunks) > 1
+                assert trees.leaves.shape == trees.spare.shape == (1024,)
+            assert len(grads) == 2 * sum(len(plan.trees.chunks) for plan in plans)
+            for plan, g in grads:
+                assert np.shares_memory(g, plan.trees.leaves)
+                assert not np.shares_memory(g, plan.q)
+
+    @pytest.mark.parametrize("kind", TRAIN_LOSS_KINDS)
+    @pytest.mark.parametrize("corpus", [mixed_corpus, shard_corpus])
+    def test_bit_identical_for_any_chunk_size(self, kind, corpus):
+        """_batch_eval's value and gradient at a chunk of 8 and 64 voxels
+        and at the default, each at threads 1, 2 and 3, are the same
+        bytes."""
+        phantoms = [generate(s) for s in corpus()]
+        theta = np.random.default_rng(9).normal(0.0, 0.5, len(FEATURE_NAMES))
+        runs = set()
+        for chunk in (8, 64, reduction._CHUNK):
+            for threads in (1, 2, 3):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(reduction, "_CHUNK", chunk)
+                    cfg = TrainConfig(loss_kind=kind, threads=threads)
+                    with _prepare_batch(cfg, phantoms) as prep:
+                        value, grad = _batch_eval(prep, theta, True)
+                runs.add((value.hex(), grad.tobytes()))
+        assert len(runs) == 1
+
+    def test_train_peaks_at_features_scores_and_phantoms(self):
+        """A 1-epoch train on 4 x 64^3 phantoms holds the features (40 B
+        a voxel), the scores q (8 B) and the phantoms (5 B), plus at most
+        four chunks of float64 for every other buffer and temporary: a
+        batch-sized scratch (8 MiB here) does not fit."""
+        specs = make_corpus(4, 300, dims=(64, 64, 64))
+        phantoms = [generate(s) for s in specs]
+        n = sum(ph.truth.data.size for ph in phantoms)
+        held = sum(ph.image.data.nbytes + ph.truth.data.nbytes for ph in phantoms)
+        budget = n * (len(FEATURE_NAMES) * 8 + 8) + held + 4 * reduction._CHUNK * 8
+        tracemalloc.start()
+        try:
+            train(TrainConfig(loss_kind="wlt-combined", epochs=1, train_specs=specs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
 
     def test_no_thread_outlives_train(self, monkeypatch):
         before = threading.active_count()

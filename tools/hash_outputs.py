@@ -14,16 +14,21 @@ hashing its own, then prints the groups that differ and exits 1 if any do.
     loss       evaluate_loss values and float32 gradients: every kind, the
                weighted-TP-denominator switch off and on, three Tversky
                settings (one with alpha = 0), single, 5-case mixed-size and
-               3-case batches
+               3-case batches, and with log-uniform predictions a 48^3 and
+               41x43x47 batch and a batch of cases that end at and around
+               the loss phases' chunk boundaries (2^16 voxels and 2^16 + 1,
+               1.5 * 2^16 - 1, + 0 and + 1), each also case by case
     gradcheck  grad_check over the same kinds and batches, 6 voxels per case
+               (2 in the log-uniform ones)
     degenerate evaluate_loss values and gradients on all-empty and
                all-foreground truth with predictions of exactly 0.0, -0.0,
                1.0 or a mix of them (a 4^3, a 3x4x5 and a one-voxel case,
                alone and as a batch), every kind, the switch off and on;
                and grad_check of every kind on empty and full truth
     train      train weights and loss curves, and scorer_loss with its
-               gradient: every train kind, an equal-size, a mixed-size and
-               the 40-phantom 24^3 A/B corpus, threads 1, 2 and 3
+               gradient: every train kind, an equal-size, a mixed-size,
+               the 40-phantom 24^3 A/B corpus and a 48^3, 41x43x47, 48^3
+               corpus, threads 1, 2 and 3
     recall     evaluate_lesionwise text at three thresholds on fragmented
                phantoms
     synth      generate and shrink image and truth bytes
@@ -91,13 +96,25 @@ class _Group:
         return f"{self.name} {self.count} {self.h.hexdigest()}"
 
 
-def _cases(ll, rng, dims_list):
+def _cases(ll, rng, dims_list, wide=False):
+    """Random truth and predictions, uniform in [0.02, 0.98] or, wide,
+    log-uniform in [1e-3, 0.98]: the float64 sums of float32 values of
+    one magnitude are exact, so only wide values make a sum's bits depend
+    on its tree."""
     gts, preds = [], []
     for dims in dims_list:
         gts.append(ll.volume.Mask.from_array(rng.random(dims) < 0.25))
-        preds.append(ll.volume.Volume.from_array(
-            rng.uniform(0.02, 0.98, dims).astype(np.float32)))
+        q = (10.0 ** rng.uniform(-3.0, -0.01, dims) if wide
+             else rng.uniform(0.02, 0.98, dims))
+        preds.append(ll.volume.Volume.from_array(q.astype(np.float32)))
     return gts, preds
+
+
+# the default chunk of the loss phases is 2^16 voxels: cases of a chunk,
+# a chunk + 1 and 1.5 chunks - 1, + 0 and + 1, where a last piece's tree
+# node starts to take "+ 0.0"
+_CHUNK_EDGES = [(65536, 1, 1), (65537, 1, 1), (98303, 1, 1), (98304, 1, 1),
+                (98305, 1, 1)]
 
 
 def _batches(ll):
@@ -106,8 +123,16 @@ def _batches(ll):
     mixed = _cases(ll, rng, [(12, 12, 12), (9, 9, 9), (12, 12, 12),
                              (7, 8, 9), (12, 12, 12)])
     three = _cases(ll, rng, [(10, 10, 10)] * 3)
-    return {"single": (single[0][0], single[1][0]), "mixed": mixed,
-            "three": three}
+    large = _cases(ll, rng, [(48, 48, 48), (41, 43, 47)], wide=True)
+    edges = _cases(ll, rng, _CHUNK_EDGES, wide=True)
+    batches = {"single": (single[0][0], single[1][0]), "mixed": mixed,
+               "three": three, "large": large, "edges": edges}
+    # and each of their cases alone: a batch's exact sum over its cases can
+    # round one case sum's last bit away
+    for name, (gts, preds) in (("large", large), ("edges", edges)):
+        for i, case in enumerate(zip(gts, preds)):
+            batches[f"{name}{i}"] = case
+    return batches
 
 
 def _loss(ll, g):
@@ -130,9 +155,11 @@ def _loss(ll, g):
 
 def _gradcheck(ll, g):
     for name, (gt, pred) in _batches(ll).items():
+        # every checked voxel costs two evaluations of the whole batch
+        voxels = 2 if name.startswith(("large", "edges")) else 6
         for kind in ll.loss.LOSS_KINDS:
             for wtd in (False, True):
-                err = ll.loss.grad_check(kind, gt, pred, max_voxels=6,
+                err = ll.loss.grad_check(kind, gt, pred, max_voxels=voxels,
                                          weight_tp_denominator=wtd)
                 g.add(name, kind, wtd, err)
 
@@ -170,8 +197,12 @@ def _corpora(ll):
         ll.synth.PhantomSpec(ll.volume.GridShape(d), 2, (1.3, 2.0),
                              noise_sigma=0.6, seed=400 + i)
         for i, d in enumerate(dims))
+    large = tuple(
+        ll.synth.PhantomSpec(ll.volume.GridShape(d), 6, (1.3, 4.0),
+                             fragmentation_prob=0.3, noise_sigma=0.6, seed=450 + i)
+        for i, d in enumerate([(48, 48, 48), (41, 43, 47), (48, 48, 48)]))
     return {"equal": equal, "mixed": mixed,
-            "criterion7": ll.trainer.make_corpus(40, 100)}
+            "criterion7": ll.trainer.make_corpus(40, 100), "large": large}
 
 
 def _train(ll, g):
