@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import components, loss, metrics, synth, trainer, volume, weighting
@@ -155,15 +156,32 @@ def _read_config(args) -> dict:
         return values
 
 
-def _fill_params(args) -> None:
+def _fill_params(args) -> set[str]:
     """Give each parameter that is _unset its --config value, else its
-    parsed default."""
+    parsed default; returns the keys the config file gave."""
     cfg = _read_config(args) if args.config else {}
     for key, (parse, default, _, _) in _PARAMS.items():
         if _unset(args, key) and (key in cfg or default is not None):
             setattr(args, key, cfg[key] if key in cfg else parse(default))
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
+    return set(cfg)
+
+
+@contextmanager
+def _naming_config(path, keys):
+    """Name the config file and the key in front of a ValueError raised in
+    the block for a value that the file gave (keys): the library's checks
+    name the parameter first ("noise_sigma must be ..."), so a message
+    whose first word is such a key is that value's.  Values given by flag
+    keep the library's message."""
+    try:
+        yield
+    except ValueError as exc:
+        key = str(exc).partition(" ")[0]
+        if key not in keys:
+            raise
+        raise ValueError(f"{path}: {key}: {exc}") from exc
 
 
 def _require(args, key):
@@ -468,8 +486,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _fill_params(args)
-        return args.func(args)
+        with _naming_config(args.config, _fill_params(args)):
+            return args.func(args)
     except _UsageError as exc:
         # the usage of the subcommand named in argv, else the program's
         named = parser.commands.get(argv[0]) if argv else None

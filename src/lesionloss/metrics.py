@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .volume import Mask, _naming, check_threshold, require_same_shape
+from .volume import Mask, _flat, _naming, check_threshold, require_same_shape
 
 
 class UndefinedMetricError(ValueError):
@@ -81,6 +81,15 @@ def dice(a: Mask, b: Mask) -> float:
     return float(Fraction(2 * inter, na + nb))
 
 
+def _centers(m: Mask) -> np.ndarray:
+    """The mm [x, y, z] centers of m's foreground voxels, in x-fastest
+    order: positions from the flat view, split by divmod."""
+    nx, ny, _ = m.shape.dims
+    z, rest = np.divmod(np.flatnonzero(_flat(m.data)), nx * ny)
+    y, x = np.divmod(rest, nx)
+    return np.stack((x, y, z), axis=1) * np.asarray(m.shape.spacing, np.float64)
+
+
 def hausdorff(a: Mask, b: Mask, percentile: float = 100.0) -> float:
     """Symmetric Hausdorff distance between foreground voxel centers, in mm.
 
@@ -96,9 +105,7 @@ def hausdorff(a: Mask, b: Mask, percentile: float = 100.0) -> float:
     # no other stage needs it
     from scipy.spatial import cKDTree
 
-    sp = np.asarray(a.shape.spacing, np.float64)
-    pa = np.argwhere(a.data) * sp
-    pb = np.argwhere(b.data) * sp
+    pa, pb = _centers(a), _centers(b)
     d_ab = cKDTree(pb).query(pa)[0]
     d_ba = cKDTree(pa).query(pb)[0]
     if percentile == 100.0:

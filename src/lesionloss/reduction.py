@@ -12,6 +12,11 @@ A sum whose terms are zero outside a few known positions (the lesion
 voxels) need not visit the zeros: sparse_case_sums runs the same trees
 over the nonzero positions only, following a merge schedule built once
 per layout, and returns the same bits as case_sums over the full layout.
+
+A case sum with one leaf changed need not run its whole tree again:
+tree_levels keeps every level of a case's tree, and path_sums rebuilds
+only the changed leaf's path to the root, for many single-leaf changes
+at once.
 """
 
 import itertools
@@ -140,6 +145,43 @@ class ChunkTrees:
                 sums.append(float(total[0]))
                 parts = []
         return sums
+
+
+def tree_levels(leaves: np.ndarray) -> list[np.ndarray]:
+    """Every level of the pairwise tree of one case's float64 leaves, from
+    the leaves themselves (level 0, kept as given) up to the root's level
+    of one node: about 2 * leaves.size values in all.  The root is the
+    case's sum from case_sums, bit for bit: its chunks' trees are this
+    tree's subtrees."""
+    levels = [leaves]
+    while levels[-1].size > 1:
+        v = levels[-1]
+        half, odd = divmod(v.size, 2)
+        up = np.empty(half + odd)
+        np.add(v[0:2 * half:2], v[1:2 * half:2], out=up[:half])
+        if odd:    # the padded pair: x + 0.0
+            np.add(v[-1:], 0.0, out=up[half:])
+        levels.append(up)
+    return levels
+
+
+def path_sums(levels, positions, leaves) -> np.ndarray:
+    """The root of the tree of levels (tree_levels) with the leaf at
+    positions[i] replaced by leaves[i], for each i on its own, in
+    O(len(levels)) per leaf: each path is rebuilt from its new leaf up as
+    new child + old sibling, or + 0.0 where the child is a level's odd
+    last node.  IEEE addition commutes, so each root has the bits of the
+    whole tree laid out again over its changed leaf."""
+    node = np.array(leaves, dtype=np.float64)
+    pos = np.array(positions, dtype=np.int64)
+    for level in levels[:-1]:
+        sibling = pos ^ 1
+        lone = sibling == level.size
+        other = level[np.minimum(sibling, level.size - 1)]
+        other[lone] = 0.0
+        node += other
+        pos >>= 1
+    return node
 
 
 def pairwise_sum(values) -> float:

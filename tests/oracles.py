@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's code paths (scipy labeling,
 KD-trees, vectorized counting) so that agreement is a genuine
-cross-check rather than a tautology.
+cross-check rather than a tautology.  grad_check_reference alone runs the
+library's evaluation: it is the brute-force loop that grad_check's
+leaf-path values must match bit for bit.
 """
 
 import math
@@ -11,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import ndimage
 
+from lesionloss import loss
 from lesionloss.components import Connectivity
 
 OFFSETS = {
@@ -129,12 +132,19 @@ def dice_reference(a: np.ndarray, b: np.ndarray) -> float:
     return float(Fraction(2 * inter, na + nb))
 
 
-def hausdorff_reference(a: np.ndarray, b: np.ndarray, spacing) -> float:
+def hausdorff_reference(a: np.ndarray, b: np.ndarray, spacing,
+                        percentile: float = 100.0) -> float:
+    """Every point's distance to its nearest in the other set, by brute
+    force; the larger of the two directions' maxima, or their given
+    percentiles."""
     pa = np.argwhere(a) * np.asarray(spacing)
     pb = np.argwhere(b) * np.asarray(spacing)
-    d_ab = max(min(math.dist(p, q) for q in pb) for p in pa)
-    d_ba = max(min(math.dist(p, q) for q in pa) for p in pb)
-    return max(d_ab, d_ba)
+    d_ab = [min(math.dist(p, q) for q in pb) for p in pa]
+    d_ba = [min(math.dist(p, q) for q in pa) for p in pb]
+    if percentile == 100.0:
+        return max(max(d_ab), max(d_ba))
+    return float(max(np.percentile(d_ab, percentile),
+                     np.percentile(d_ba, percentile)))
 
 
 def auc_reference(scores, labels) -> float:
@@ -248,6 +258,42 @@ def loss_reference(kind, ps, qs, ws, *, alpha, beta, smooth, ce_weight, clamp,
     lam = ce_weight
     return (lam * ce_v + (1.0 - lam) * r_v,
             [lam * g1 + (1.0 - lam) * g2 for g1, g2 in zip(ce_g, r_g)])
+
+
+def grad_check_reference(kind, gt, pred, step=1e-4, *, max_voxels=None, seed=0,
+                         **options):
+    """grad_check by brute force, with the library's own evaluation: two
+    full evaluations of the batch per checked voxel, its prediction moved
+    by +step and -step in the plan in place.  The voxels are drawn as
+    grad_check draws them.  Returns the max relative error and, per
+    checked voxel in order, its flat position and its two values."""
+    obj = loss.objective(kind, loss.LOSS_KINDS, **options)
+    plan, _preds, _single = loss._prepare(obj, gt, pred)
+    grad = loss._objective_core(obj, plan, True)[1]    # before q is perturbed
+
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    checked, ups, downs = [], [], []
+    for start, stop in plan.bounds:
+        js = np.arange(stop - start)
+        if max_voxels is not None and js.size > max_voxels:
+            js = np.sort(rng.choice(js.size, size=max_voxels, replace=False))
+        for j in start + js:
+            q0 = plan.q[j]      # the plan's own copy: perturb in place
+            plan.q[j] = q0 + step
+            up = loss._objective_core(obj, plan, False)[0]
+            plan.q[j] = q0 - step
+            down = loss._objective_core(obj, plan, False)[0]
+            plan.q[j] = q0
+            fd = (up - down) / (2.0 * step)
+            a = grad[j]
+            err = abs(a - fd) / max(1.0, abs(a))
+            if err > worst:
+                worst = err
+            checked.append(j)
+            ups.append(up)
+            downs.append(down)
+    return worst, np.array(checked, dtype=np.int64), np.array(ups), np.array(downs)
 
 
 def pick_seeds_reference(rng, support, k, tries=60, separation=3):

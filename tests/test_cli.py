@@ -701,6 +701,24 @@ class TestFileErrorsNameTheFile:
             assert code == 2
             assert err == f"lesionloss: error: {path}: {message}\n"
 
+    @pytest.mark.parametrize("command, line, message", [
+        ("synth", "noise_sigma=-1", "noise_sigma must be >= 0 and finite"),
+        ("train", "learning_rate=inf", "learning_rate must be positive and finite"),
+    ])
+    def test_config_value_a_constructor_rejects_names_file_and_key(
+            self, tmp_path, command, line, message):
+        # the value parses; the library's check rejects it in the
+        # subcommand.  Given by flag, it keeps the library's message.
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        argv = [command] + (["--out", str(tmp_path / "ph")]
+                            if command == "synth" else [])
+        key, value = line.split("=")
+        assert run_quiet(argv + ["--config", str(path)]) == (
+            2, f"lesionloss: error: {path}: {key}: {message}\n")
+        assert run_quiet(argv + ["--" + key.replace("_", "-"), value]) == (
+            2, f"lesionloss: error: {message}\n")
+
     def test_wrong_count_flag_is_usage_error_naming_it(self, tmp_path):
         code, err = run_quiet(["synth", "--out", str(tmp_path / "ph"),
                                "--dims", "8 8"])

@@ -21,6 +21,7 @@ from lesionloss.loss import (
     _case_sums,
     _gradient,
     _objective_core,
+    _perturbed_values,
     _prepare,
     _totals,
     _truth,
@@ -33,7 +34,7 @@ from lesionloss.trainer import TrainConfig
 from lesionloss.volume import Mask, ShapeMismatchError, Volume, save_mask, save_volume
 from lesionloss.weighting import WeightCurveParams, WeightMap, build_weight_map
 
-from oracles import loss_reference
+from oracles import grad_check_reference, loss_reference
 
 # frozen scalar oracles, each recomputed by hand-evaluating the printed
 # formulas before the implementation existed (see test bodies for the
@@ -804,6 +805,148 @@ class TestChunkedEvaluation:
                         for kind in LOSS_KINDS]
             runs.append(out)
         assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+# predictions at the clamps of the leaf-path test (the default and 2^-20)
+# and next to them in float32, so q +/- step crosses them
+_CLAMP_PREDS = np.array([c + d for c in (CE_CLAMP_DEFAULT, 2.0 ** -20)
+                         for d in (-2.0 ** -25, 0.0, 2.0 ** -25)], np.float32)
+_CLAMP_PREDS = np.concatenate([_CLAMP_PREDS, 1.0 - _CLAMP_PREDS])
+
+# lines at and around multiples of the chunk sizes 8 and 16: a last piece
+# of at most half a chunk takes "+ 0.0" (9, 17, 20 and 33 at 8), a longer
+# one not (13 and 15 at 8, 27 at 16)
+_LEAF_PATH_DIMS = st.one_of(
+    st.sampled_from([1, 7, 8, 9, 13, 15, 16, 17, 20, 27, 33])
+    .map(lambda n: (n, 1, 1)),
+    st.tuples(*[st.integers(1, 5)] * 3))
+
+
+@st.composite
+def _grad_check_batches(draw):
+    """1-3 cases of mixed dims, truth random, empty or full; predictions
+    log-uniform (so a sum's bits depend on its tree), at and next to the
+    clamps, or a mix; and, when drawn, the degenerate all-foreground 4^3
+    case, whose lesion-voxel sums take no "+ 0.0"."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gts, preds = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        dims = draw(_LEAF_PATH_DIMS)
+        fg = {"random": rng.random(dims) < draw(st.floats(0.0, 1.0)),
+              "empty": np.zeros(dims, bool),
+              "full": np.ones(dims, bool)}[
+            draw(st.sampled_from(["random", "empty", "full"]))]
+        wide = 10.0 ** rng.uniform(-3.0, -0.01, dims)
+        edge = rng.choice(_CLAMP_PREDS, dims)
+        q = {"wide": wide, "clamp": edge,
+             "mixed": np.where(rng.random(dims) < 0.5, wide, edge)}[
+            draw(st.sampled_from(["wide", "clamp", "mixed"]))]
+        gts.append(mask(fg))
+        preds.append(vol(q))
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(gts)))
+        gts.insert(at, mask(np.ones((4, 4, 4), bool)))
+        preds.insert(at, vol(rng.uniform(0.05, 0.95, (4, 4, 4))))
+    return gts, preds
+
+
+def _outcome(call):
+    """call()'s result, or the type and message of the ValueError or
+    ZeroDivisionError it raised."""
+    try:
+        return call()
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+class TestLeafPathGradCheck:
+    """grad_check's perturbed values are rebuilt leaf-to-root paths, bit for
+    bit the values of the brute-force loop of oracles.grad_check_reference:
+    every value, the worst error and any error raised."""
+
+    @given(batch=_grad_check_batches(), kind=st.sampled_from(LOSS_KINDS),
+           chunk=st.sampled_from([8, 16, reduction._CHUNK]),
+           max_voxels=st.sampled_from([None, 1, 3]), seed=st.integers(0, 3),
+           step=st.sampled_from([1e-4, 2.0 ** -22]),
+           clamp=st.sampled_from([CE_CLAMP_DEFAULT, 2.0 ** -20]),
+           weight_tp_denominator=st.booleans(),
+           connectivity=st.sampled_from(list(Connectivity)))
+    @settings(max_examples=120, deadline=None)
+    def test_every_perturbed_value_is_the_full_evaluation(
+            self, batch, kind, chunk, max_voxels, seed, step, clamp,
+            weight_tp_denominator, connectivity):
+        gts, preds = batch
+        options = dict(clamp=clamp, weight_tp_denominator=weight_tp_denominator,
+                       connectivity=connectivity)
+
+        def leaf_paths():
+            obj = objective(kind, **options)
+            plan, _, _ = _prepare(obj, gts, preds)
+            _objective_core(obj, plan, True)    # raises as grad_check does
+            got = list(_perturbed_values(obj, plan, step, max_voxels, seed))
+            return tuple(np.concatenate(x).tobytes() for x in zip(*got))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "_CHUNK", chunk)
+            ref = _outcome(lambda: grad_check_reference(
+                kind, gts, preds, step, max_voxels=max_voxels, seed=seed,
+                **options))
+            worst = _outcome(lambda: grad_check(
+                kind, gts, preds, step, max_voxels=max_voxels, seed=seed,
+                **options))
+            values = _outcome(leaf_paths)
+        if isinstance(ref[0], type):
+            assert worst == values == ref
+            return
+        assert worst.hex() == float(ref[0]).hex()
+        assert values == tuple(x.tobytes() for x in ref[1:])
+
+    def test_ce_leaves_take_numpys_log(self):
+        # a one-voxel ce case's value is its one leaf, so each perturbed
+        # log's last bit shows; a scalar log would show among these 1200
+        # values (math.log differs from numpy's on about 0.4% of values)
+        rng = np.random.default_rng(49)
+        for i, q in enumerate(rng.uniform(0.01, 0.99, 600)):
+            gt, pred = mask(np.full((1, 1, 1), i % 2)), vol(np.full((1, 1, 1), q))
+            obj = objective("ce")
+            plan, _, _ = _prepare(obj, gt, pred)
+            (_, up, down), = _perturbed_values(obj, plan, 1e-4, None, 0)
+            _, _, ref_up, ref_down = grad_check_reference("ce", gt, pred)
+            assert (up.tobytes(), down.tobytes()) == (ref_up.tobytes(),
+                                                      ref_down.tobytes())
+
+    def test_a_non_finite_perturbed_value_is_rejected(self):
+        # finite at q, with a finite gradient; moving the background voxel
+        # by -1 cancels s + TP + a*FP to 0, leaving den = b * FN, a
+        # subnormal, and the value -inf
+        gt, pred = mask(np.array([1, 0]).reshape(2, 1, 1)), vol(
+            np.array([0.5, 0.0]).reshape(2, 1, 1))
+        options = dict(tversky=TverskyParams(alpha=1.0, beta=1e-320, smooth=0.5))
+        rep = evaluate_loss("tversky", gt, pred, want_grad=True, **options)
+        assert math.isfinite(rep.value) and np.isfinite(rep.gradient.data).all()
+        for check in (grad_check, grad_check_reference):
+            with pytest.raises(ValueError, match="loss value is non-finite"):
+                check("tversky", gt, pred, 1.0, **options)
+
+    def test_all_voxel_check_of_a_multi_chunk_case(self):
+        # every voxel of a 20^3 case in two chunks of 2^12 (the last piece
+        # unpadded), checked against the brute-force loop at the 12 voxels
+        # it samples
+        rng = np.random.default_rng(48)
+        gt, pred = random_case(rng, dims=(20, 20, 20), fg=0.1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "_CHUNK", 1 << 12)
+            for kind in LOSS_KINDS:
+                obj = objective(kind)
+                plan, _, _ = _prepare(obj, gt, pred)
+                assert len(plan.trees.chunks) == 2
+                (js, up, down), = _perturbed_values(obj, plan, 1e-4, None, 0)
+                assert js.tobytes() == np.arange(plan.n).tobytes()
+                _, sample, ref_up, ref_down = grad_check_reference(
+                    kind, gt, pred, max_voxels=12, seed=3)
+                assert up[sample].tobytes() == ref_up.tobytes()
+                assert down[sample].tobytes() == ref_down.tobytes()
+                assert grad_check(kind, gt, pred) < 1e-4
 
 
 class TestPlanWeights:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import auc_reference, dice_reference, hausdorff_reference, kappa_reference
 
@@ -145,6 +145,20 @@ class TestHausdorff:
             ref = hausdorff_reference(a.data, b.data, sp)
             assert got == pytest.approx(ref, abs=1e-9)
             checked += 1
+
+    @given(data=st.data(), dims=st.tuples(*[st.integers(1, 6)] * 3),
+           percentile=st.sampled_from([100.0, 95.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_at_anisotropic_spacing(self, data, dims,
+                                                        percentile):
+        sp = (0.7, 1.1, 2.2)
+        n = int(np.prod(dims))
+        a, b = (np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                         bool).reshape(dims) for _ in range(2))
+        assume(a.any() and b.any())
+        got = hausdorff(mask(a, sp), mask(b, sp), percentile)
+        ref = hausdorff_reference(a, b, sp, percentile)
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(7)

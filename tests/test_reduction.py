@@ -158,3 +158,40 @@ def test_sparse_case_sums_keep_the_sign_of_an_all_negative_zero_case():
 def test_sparse_case_sums_rejects_terms_that_do_not_match_the_positions():
     with pytest.raises(ValueError, match="3 terms for 2 positions"):
         sparse_case_sums(np.ones(3), merge_schedule([0, 4], [3, 3]))
+
+
+@st.composite
+def _leaf_changes(draw):
+    """One case's values (mixed, mixed with zeros of both signs, or all
+    -0.0; its size empty-free, odd, a power of two or neither), some of
+    its positions and a new value for each, drawn the same way."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 7, 8, 9, 13, 64, 100, 343]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    zeros = draw(st.sampled_from([0.0, 0.8, 1.0]))
+
+    def values(size):
+        v = rng.standard_normal(size) * scale
+        z = rng.random(size) < zeros
+        v[z] = rng.choice([0.0, -0.0], size)[z]
+        return v
+
+    positions = rng.integers(0, n, draw(st.integers(1, 12)))
+    return values(n), positions, values(positions.size)
+
+
+@given(change=_leaf_changes())
+@settings(max_examples=200, deadline=None)
+def test_path_sums_are_the_trees_of_each_changed_case(change):
+    values, positions, leaves = change
+    levels = reduction.tree_levels(values)
+    assert levels[0] is values and levels[-1].size == 1
+    assert float(levels[-1][0]).hex() == pairwise_sum(values).hex()
+    want = []
+    for j, x in zip(positions, leaves):
+        changed = values.copy()
+        changed[j] = x
+        want.append(pairwise_sum(changed))
+    got = reduction.path_sums(levels, positions, leaves)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert float(levels[-1][0]).hex() == pairwise_sum(values).hex()

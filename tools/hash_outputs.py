@@ -19,7 +19,10 @@ hashing its own, then prints the groups that differ and exits 1 if any do.
                the loss phases' chunk boundaries (2^16 voxels and 2^16 + 1,
                1.5 * 2^16 - 1, + 0 and + 1), each also case by case
     gradcheck  grad_check over the same kinds and batches, 6 voxels per case
-               (2 in the log-uniform ones)
+               (2 in the log-uniform ones); of every kind, 8 voxels of a
+               2^16 + 2^14 and of a 2^16 + 2^15 + 2^13 voxel case, whose
+               last chunk piece is padded and is not, and every voxel of a
+               5x6x7 case
     degenerate evaluate_loss values and gradients on all-empty and
                all-foreground truth with predictions of exactly 0.0, -0.0,
                1.0 or a mix of them (a 4^3, a 3x4x5 and a one-voxel case,
@@ -155,13 +158,25 @@ def _loss(ll, g):
 
 def _gradcheck(ll, g):
     for name, (gt, pred) in _batches(ll).items():
-        # every checked voxel costs two evaluations of the whole batch
+        # few voxels, so a tree whose grad_check evaluates the whole batch
+        # twice per checked voxel stays cheap under --against
         voxels = 2 if name.startswith(("large", "edges")) else 6
         for kind in ll.loss.LOSS_KINDS:
             for wtd in (False, True):
                 err = ll.loss.grad_check(kind, gt, pred, max_voxels=voxels,
                                          weight_tp_denominator=wtd)
                 g.add(name, kind, wtd, err)
+    # cases over the chunk boundary, their last piece of 2^14 voxels padded
+    # with "+ 0.0" and of 2^15 + 2^13 not, and every voxel of a small case
+    rng = np.random.default_rng(20246)
+    across = _cases(ll, rng, [(65536 + 16384, 1, 1), (65536 + 32768 + 8192, 1, 1)],
+                    wide=True)
+    small = _cases(ll, rng, [(5, 6, 7)], wide=True)
+    for name, (gts, preds), voxels in (("across", across, 8), ("all", small, None)):
+        for gt, pred in zip(gts, preds):
+            for kind in ll.loss.LOSS_KINDS:
+                g.add(name, kind, ll.loss.grad_check(kind, gt, pred,
+                                                     max_voxels=voxels))
 
 
 def _degenerate(ll, g):
