@@ -82,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .components import Connectivity, DEFAULT_CONNECTIVITY, _flat_labels
+from .components import Connectivity, DEFAULT_CONNECTIVITY, _lesion_ids
 from .reduction import (ChunkTrees, MergeSchedule, exact_sum, merge_schedule,
                         path_sums, sparse_case_sums, tree_levels)
 from .volume import (Mask, ShapeMismatchError, Volume, _flat, _grid,
@@ -271,7 +271,9 @@ def _truth(obj: Objective, gts, omega=None) -> _Plan:
     elif omega is not None:
         w = np.concatenate([_flat(m.weights)[fg] for m, fg in zip(maps, fgs)])
     else:
-        w = np.concatenate([_lesion_weights(obj, g, fg) for g, fg in zip(gts, fgs)])
+        at = np.split(idx, np.searchsorted(idx, stops[:-1]))
+        w = np.concatenate([_lesion_weights(obj, g, pos - start)
+                            for g, pos, (start, _) in zip(gts, at, bounds)])
     trees = ChunkTrees(sizes)
     starts = [c.start for c in trees.chunks]
     cuts = np.append(np.searchsorted(idx, starts), idx.size)
@@ -281,10 +283,11 @@ def _truth(obj: Objective, gts, omega=None) -> _Plan:
                  np.empty((2, trees.leaves.size), dtype=bool) if obj.ce else None)
 
 
-def _lesion_weights(obj: Objective, g: Mask, fg) -> np.ndarray:
-    """omega of each lesion voxel's lesion volume, in x-fastest order (fg
-    is g's flattened foreground), without a full-grid weight map."""
-    ids = _flat_labels(fg, g.shape.dims, obj.connectivity)[fg]
+def _lesion_weights(obj: Objective, g: Mask, pos) -> np.ndarray:
+    """omega of each lesion voxel's lesion volume, in x-fastest order (pos
+    are the flat positions of g's foreground), without a full-grid weight
+    map."""
+    ids = _lesion_ids(pos, g.shape.dims, obj.connectivity)
     return _omega_lut(np.bincount(ids)[1:], obj.curve)[ids]
 
 
@@ -462,13 +465,15 @@ def _quiet():
 
 
 def _objective_core(obj: Objective, plan: _Plan, want_grad: bool):
-    """Value (and flat gradient, a new array; plan.q is left as it is) of
-    obj at plan.q, the whole batch as one shard.  A value or gradient that
-    is not finite (lesion sums that overflow under a huge w_max) raises
-    ValueError instead of numpy's warnings and a NaN result."""
+    """Value, flat gradient (a new array, or None without want_grad; plan.q
+    is left as it is) and the case sums (_case_sums) of obj at plan.q, the
+    whole batch as one shard.  A value or gradient that is not finite
+    (lesion sums that overflow under a huge w_max) raises ValueError
+    instead of numpy's warnings and a NaN result."""
     grad = np.empty(plan.n) if want_grad else None
     with _quiet():
-        totals = _totals(obj, [_case_sums(obj, plan)], plan.n)
+        sums = _case_sums(obj, plan)
+        totals = _totals(obj, [sums], plan.n)
         if want_grad:
             for c, g in _gradient(obj, plan, totals):
                 grad[c.start:c.stop] = g
@@ -476,7 +481,7 @@ def _objective_core(obj: Objective, plan: _Plan, want_grad: bool):
         raise ValueError("loss value is non-finite")
     if grad is not None and not np.isfinite(grad).all():
         raise ValueError("loss gradient is non-finite")
-    return totals.value, grad
+    return totals.value, grad, sums
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +536,7 @@ def evaluate_loss(kind: str, gt, pred, *, want_grad: bool = False, omega=None,
     """
     obj = objective(kind, LOSS_KINDS, **options)
     plan, preds, single = _prepare(obj, gt, pred, omega)
-    value, grad = _objective_core(obj, plan, want_grad)
+    value, grad, _sums = _objective_core(obj, plan, want_grad)
     return _wrap(value, grad, plan, preds, single)
 
 
@@ -559,7 +564,7 @@ def _leaves(obj: Objective, key: str, q, loc, w) -> np.ndarray:
 
 
 def _perturbed_values(obj: Objective, plan: _Plan, step: float,
-                      max_voxels: int | None, seed: int):
+                      max_voxels: int | None, seed: int, sums):
     """Yield, case by case, the flat positions js of the voxels grad_check
     samples and obj's values with each one's prediction moved to q + step
     (up) and to q - step (down), the rest at plan.q (left as it is): the
@@ -570,10 +575,9 @@ def _perturbed_values(obj: Objective, plan: _Plan, step: float,
     (reduction.tree_levels), and every perturbed leaf's path to the root
     rebuilt (reduction.path_sums); each value is _totals of the batch's
     case sums with that case's replaced by the new roots.  A value that is
-    not finite raises ValueError, as _objective_core's does.
+    not finite raises ValueError, as _objective_core's does.  sums are the
+    batch's case sums at plan.q (_objective_core's third value).
     """
-    with _quiet():
-        sums = _case_sums(obj, plan)
     idx = np.concatenate([c.start + plan.local[fg]
                           for c, fg in zip(plan.trees.chunks, plan.lesions)])
     rng = np.random.default_rng(seed)
@@ -631,9 +635,9 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
         raise ValueError(f"seed must be >= 0, got {seed}")
     obj = objective(kind, LOSS_KINDS, **options)
     plan, _preds, _single = _prepare(obj, gt, pred)
-    grad = _objective_core(obj, plan, True)[1]
+    _value, grad, sums = _objective_core(obj, plan, True)
     worst = 0.0
-    for js, up, down in _perturbed_values(obj, plan, step, max_voxels, seed):
+    for js, up, down in _perturbed_values(obj, plan, step, max_voxels, seed, sums):
         with _quiet():
             fd = (up - down) / (2.0 * step)
             a = grad[js]

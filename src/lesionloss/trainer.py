@@ -40,7 +40,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import expit
 
-from .components import Connectivity, DEFAULT_CONNECTIVITY, _flat_labels
+from .components import Connectivity, DEFAULT_CONNECTIVITY, _lesion_ids
 from .loss import (
     CE_CLAMP_DEFAULT,
     TRAIN_LOSS_KINDS,
@@ -323,7 +323,8 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
     """Recall per size bucket; a truth lesion counts as detected when one
     predicted component covers at least half of its voxels.  A case whose
     scores and truth differ in grid raises ShapeMismatchError.  Both
-    labelings are read at the truth voxels only."""
+    labelings are read at the truth voxels only, the predicted one by
+    position."""
     thresh = check_threshold(thresh)    # also when cases is empty
     connectivity = Connectivity(connectivity)
     tally = [[0, 0] for _ in fields(LesionRecallReport)]    # [lesions, detected]
@@ -336,10 +337,16 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
         image, truth = case
         pred = model.score_volume(image)
         require_same_shape(pred, truth)
-        fg = _flat(truth.data)
-        hit = _flat(threshold(pred, thresh).data)
-        t = _flat_labels(fg, truth.shape.dims, connectivity)[fg]
-        p = _flat_labels(hit, truth.shape.dims, connectivity)[fg]
+        dims = truth.shape.dims
+        fg, hit = _flat(truth.data), _flat(threshold(pred, thresh).data)
+        at, hit_at = np.flatnonzero(fg), np.flatnonzero(hit)
+        t = _lesion_ids(at, dims, connectivity)
+        # the predicted id of each truth voxel, by its rank among the
+        # predicted voxels; 0 where the prediction misses it
+        on = hit[at]
+        p = np.zeros(at.size, dtype=np.intp)
+        p[on] = _lesion_ids(hit_at, dims, connectivity)[
+            np.searchsorted(hit_at, at[on])]
         for lesion_id, vol in enumerate(np.bincount(t)[1:].tolist(), start=1):
             counts = np.bincount(p[t == lesion_id])
             best = int(counts[1:].max()) if counts.size > 1 else 0

@@ -86,13 +86,12 @@ def build_weight_map(
 def _omega_lut(volumes, params: WeightCurveParams | None = None,
                volume_scale: float = 1.0) -> np.ndarray:
     """Weight by label: w_min at 0, then omega of each lesion's voxel count
-    times volume_scale.  Every entry is checked positive and finite, as a
-    WeightMap's weights are."""
+    times volume_scale, taken once per distinct count.  Every entry is
+    checked positive and finite, as a WeightMap's weights are."""
     p = params if params is not None else WeightCurveParams()
-    lut = np.empty(len(volumes) + 1, dtype=np.float64)
-    lut[0] = p.w_min
-    for i, count in enumerate(volumes):
-        lut[i + 1] = omega(int(count) * volume_scale, p)
+    counts = [int(c) for c in volumes]
+    by_count = {c: omega(c * volume_scale, p) for c in set(counts)}
+    lut = np.array([p.w_min] + [by_count[c] for c in counts], dtype=np.float64)
     if not np.isfinite(lut).all() or (lut <= 0.0).any():
         raise ValueError("weights must be positive and finite")
     return lut

@@ -4,7 +4,8 @@ These deliberately avoid the library's code paths (scipy labeling,
 KD-trees, vectorized counting) so that agreement is a genuine
 cross-check rather than a tautology.  grad_check_reference alone runs the
 library's evaluation: it is the brute-force loop that grad_check's
-leaf-path values must match bit for bit.
+leaf-path values must match bit for bit.  walk and serpentine draw the
+thin, winding masks that the labeling tests feed both sides.
 """
 
 import math
@@ -310,3 +311,36 @@ def pick_seeds_reference(rng, support, k, tries=60, separation=3):
                 if len(seeds) == k:
                     return seeds
     return None
+
+
+def walk(dims, rng, steps, restart=0.0):
+    """A random walk of unit steps along the axes, clipped to the grid:
+    thin, winding lesions that touch themselves along edges and corners.
+    After the first voxel, each step starts the walk again at a random
+    voxel with probability restart."""
+    data = np.zeros(dims, bool)
+    for i in range(steps):
+        if i == 0 or (restart and rng.random() < restart):
+            at = np.array([rng.integers(0, d) for d in dims])
+        data[tuple(at)] = True
+        axis = rng.integers(0, 3)
+        at[axis] = np.clip(at[axis] + rng.choice((-1, 1)), 0, dims[axis] - 1)
+    return data
+
+
+def serpentine(dims):
+    """One thin lesion winding through the grid: every other row of every
+    other plane, rows joined at alternate x ends, planes at alternate y
+    ends.  Its runs chain from one end to the other, a deep run graph for
+    pointer jumping."""
+    nx, ny, nz = dims
+    data = np.zeros(dims, bool)
+    for i, z in enumerate(range(0, nz, 2)):
+        for j, y in enumerate(range(0, ny, 2)):
+            data[:, y, z] = True
+            if y + 2 < ny:
+                data[nx - 1 if j % 2 == 0 else 0, y + 1, z] = True
+        if z + 2 < nz:
+            y_end = (ny - 1) // 2 * 2 if i % 2 == 0 else 0
+            data[:, y_end, z + 1] = True
+    return data

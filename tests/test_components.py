@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import flood_fill_labels
+from oracles import flood_fill_labels, serpentine, walk
+from scipy import ndimage
 
+from lesionloss import components
 from lesionloss.components import (
     Connectivity,
     LesionLabeling,
@@ -78,7 +80,7 @@ class TestFloodFillOracle:
     def test_matches_oracle_exactly(self, dims, seed, density, connectivity):
         """Ids and volumes equal the flood fill's, with no renaming: this
         pins the x-fastest scan order of scipy's numbering that
-        components._flat_labels relies on."""
+        components._lesion_ids keeps."""
         data = np.random.default_rng(seed).random(dims) < density
         lab = label_components(Mask.from_array(data), connectivity)
         expected = flood_fill_labels(data, connectivity)
@@ -104,6 +106,136 @@ class TestFloodFillOracle:
         a = label_components(Mask.from_array(base))
         b = label_components(Mask.from_array(moved))
         assert a.volumes == b.volumes
+
+
+def scipy_labels(data, connectivity):
+    """scipy's labeling of the [x, y, z] grid data, numbered in the scan
+    order of its (z, y, x) transpose: x-fastest, as the library numbers."""
+    rank = {6: 1, 18: 2, 26: 3}[Connectivity(connectivity).value]
+    ids, _ = ndimage.label(data.T, structure=ndimage.generate_binary_structure(3, rank))
+    return ids.T
+
+
+def lesion_ids(data, connectivity):
+    """components._lesion_ids of the [x, y, z] grid data's foreground."""
+    pos = np.flatnonzero(data.ravel(order="F"))
+    return components._lesion_ids(pos, data.shape, connectivity)
+
+
+def assert_ids_match_oracles(data, connectivity):
+    want = flood_fill_labels(data, connectivity)
+    assert np.array_equal(scipy_labels(data, connectivity), want)
+    at = want.ravel(order="F")[data.ravel(order="F")]
+    assert lesion_ids(data, connectivity).tolist() == at.tolist()
+    lab = label_components(Mask.from_array(data), connectivity)
+    assert np.array_equal(lab.labels, want)
+    assert lab.volumes == tuple(np.bincount(at)[1:].tolist())
+
+
+def spiral(side):
+    """A square spiral in a one-plane grid of side x side voxels, its arms
+    one voxel apart: one lesion whose runs join from the outside in."""
+    data = np.zeros((side, side, 1), bool)
+    lo, hi = 0, side - 1
+    while lo <= hi:
+        data[lo:hi + 1, lo, 0] = True
+        data[hi, lo:hi + 1, 0] = True
+        data[lo:hi + 1, hi, 0] = True
+        data[lo, lo + 2:hi + 1, 0] = True
+        if lo + 2 <= hi:
+            data[lo + 1, lo + 2, 0] = True
+        lo, hi = lo + 2, hi - 2
+    return data
+
+
+def comb(levels):
+    """2^levels one-voxel-wide teeth (y = 0, 2, ..) in a one-column grid,
+    joined along the last z row; tooth k's tip sits at z = k's bit
+    reversal.  Each tooth is a tree of runs rooted at its tip, and each
+    round of min-label hooking joins only the roots that are smaller than
+    a neighbouring root, so the teeth merge in levels + 1 rounds."""
+    n = 2 ** levels
+    data = np.zeros((1, 2 * n - 1, n + 1), bool)
+    for k in range(n):
+        data[0, 2 * k, int(format(k, f"0{levels}b")[::-1], 2):] = True
+    data[0, :, n] = True
+    return data
+
+
+class TestRunLabeling:
+    """The run labeler (components._lesion_ids) numbers every foreground
+    voxel as the flood fill and scipy's own labeling do."""
+
+    @given(dims=st.tuples(*[st.integers(1, 12)] * 3),
+           seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["noise", "walk"]),
+           density=st.sampled_from([0.0, 0.02, 0.1, 0.3, 0.6, 0.9, 1.0]),
+           connectivity=st.sampled_from(list(Connectivity)))
+    @example(dims=(4, 3, 2), seed=0, kind="noise", density=1.0,
+             connectivity=Connectivity.SIX)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_oracles(self, dims, seed, kind, density, connectivity):
+        rng = np.random.default_rng(seed)
+        if kind == "noise":
+            data = rng.random(dims) < density
+        else:
+            data = walk(dims, rng, int(density * 3 * np.prod(dims)))
+        assert_ids_match_oracles(data, connectivity)
+
+    @pytest.mark.parametrize("connectivity", list(Connectivity))
+    @pytest.mark.parametrize("voxels, lesions", [
+        # x = nx - 1 of a row, then x = 0 of the next: consecutive flat
+        # positions, 4 apart in x
+        ([(4, 0, 0), (0, 1, 0)], 2),
+        ([(4, 2, 0), (0, 0, 1)], 2),
+        # a full row and the next row's first voxel do touch
+        ([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0), (0, 1, 0)], 1),
+        # y = 0 and y = ny - 1: no neighbour row, (dy, dz) = (-1, 1), (1, 0)
+        # or (1, 1), wraps into another row of the plane or another plane
+        ([(2, 0, 0), (2, 2, 0)], 2),
+        ([(2, 2, 0), (2, 0, 1)], 2),
+        ([(2, 2, 0), (2, 0, 2)], 2),
+        ([(2, 2, 0), (1, 0, 1), (3, 0, 1)], 3),
+        ([(2, 0, 1), (1, 2, 1), (3, 2, 0)], 3),
+        # nor does the last plane's last voxel join the grid's first
+        ([(4, 2, 2), (0, 0, 0)], 2),
+    ])
+    def test_rows_and_planes_do_not_wrap(self, voxels, lesions, connectivity):
+        data = np.zeros((5, 3, 3), bool)
+        for v in voxels:
+            data[v] = True
+        assert_ids_match_oracles(data, connectivity)
+        lab = label_components(Mask.from_array(data), connectivity)
+        assert lab.lesion_count == lesions
+
+    @pytest.mark.parametrize("connectivity", list(Connectivity))
+    @pytest.mark.parametrize("dims", [(1, 9, 11), (7, 1, 12), (13, 10, 1),
+                                      (1, 1, 14), (1, 15, 1), (16, 1, 1),
+                                      (1, 1, 1)])
+    def test_one_voxel_thick_grids(self, dims, connectivity):
+        rng = np.random.default_rng(sum(dims))
+        for density in (0.0, 0.3, 0.7, 1.0):
+            assert_ids_match_oracles(rng.random(dims) < density, connectivity)
+
+    @pytest.mark.parametrize("connectivity", list(Connectivity))
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (6, 5, 4), (9, 1, 3), (2, 40, 30)])
+    def test_empty_and_full_grids(self, dims, connectivity):
+        for fill in (False, True):
+            data = np.full(dims, fill)
+            assert_ids_match_oracles(data, connectivity)
+            assert lesion_ids(data, connectivity).tolist() == [1] * data.sum()
+
+    @pytest.mark.parametrize("connectivity", list(Connectivity))
+    @pytest.mark.parametrize("shapes", [
+        [serpentine(d) for d in ((9, 9, 9), (10, 7, 12), (5, 12, 3))],
+        [spiral(side) for side in (9, 14, 25)],
+        [comb(levels) for levels in (1, 3, 5)]],
+        ids=["serpentine", "spiral", "comb"])
+    def test_winding_and_deep_merging_lesions_are_one(self, shapes, connectivity):
+        for data in shapes:
+            assert_ids_match_oracles(data, connectivity)
+            assert label_components(Mask.from_array(data),
+                                    connectivity).lesion_count == 1
 
 
 class TestVolumes:

@@ -766,7 +766,7 @@ class TestPlanBuffers:
                 yielded.append(c)
             assert tuple(yielded) == chunks
             assert plan.q.tobytes() == q.tobytes()
-            _value, grad = _objective_core(obj, plan, True)
+            _value, grad, _sums = _objective_core(obj, plan, True)
             assert grad.shape == (plan.n,)
             assert not np.shares_memory(grad, plan.q)
             assert not np.shares_memory(grad, leaves)
@@ -882,8 +882,8 @@ class TestLeafPathGradCheck:
         def leaf_paths():
             obj = objective(kind, **options)
             plan, _, _ = _prepare(obj, gts, preds)
-            _objective_core(obj, plan, True)    # raises as grad_check does
-            got = list(_perturbed_values(obj, plan, step, max_voxels, seed))
+            sums = _objective_core(obj, plan, True)[2]    # raises as grad_check does
+            got = list(_perturbed_values(obj, plan, step, max_voxels, seed, sums))
             return tuple(np.concatenate(x).tobytes() for x in zip(*got))
 
         with pytest.MonkeyPatch.context() as mp:
@@ -910,7 +910,8 @@ class TestLeafPathGradCheck:
             gt, pred = mask(np.full((1, 1, 1), i % 2)), vol(np.full((1, 1, 1), q))
             obj = objective("ce")
             plan, _, _ = _prepare(obj, gt, pred)
-            (_, up, down), = _perturbed_values(obj, plan, 1e-4, None, 0)
+            sums = _objective_core(obj, plan, True)[2]
+            (_, up, down), = _perturbed_values(obj, plan, 1e-4, None, 0, sums)
             _, _, ref_up, ref_down = grad_check_reference("ce", gt, pred)
             assert (up.tobytes(), down.tobytes()) == (ref_up.tobytes(),
                                                       ref_down.tobytes())
@@ -940,7 +941,8 @@ class TestLeafPathGradCheck:
                 obj = objective(kind)
                 plan, _, _ = _prepare(obj, gt, pred)
                 assert len(plan.trees.chunks) == 2
-                (js, up, down), = _perturbed_values(obj, plan, 1e-4, None, 0)
+                sums = _objective_core(obj, plan, True)[2]
+                (js, up, down), = _perturbed_values(obj, plan, 1e-4, None, 0, sums)
                 assert js.tobytes() == np.arange(plan.n).tobytes()
                 _, sample, ref_up, ref_down = grad_check_reference(
                     kind, gt, pred, max_voxels=12, seed=3)

@@ -34,7 +34,7 @@ from lesionloss.trainer import _batch_eval, _prepare_batch, _shard_bounds
 from lesionloss.volume import GridShape, Mask, ShapeMismatchError, Volume
 from lesionloss.weighting import WeightCurveParams
 
-from oracles import features_reference, recall_reference
+from oracles import features_reference, recall_reference, walk
 
 
 def tiny_corpus(count=4, seed=70, dims=(14, 14, 14)):
@@ -658,15 +658,24 @@ _BARS[:, 0, 0] = _BARS[:, 2, 4] = True
 
 @st.composite
 def recall_cases(draw):
-    """1-3 (truth, prediction) boolean grids of sides 1-9, each drawn at a
-    density from empty to full."""
+    """1-3 (truth, prediction) boolean grids: noise of sides 1-9, each drawn
+    at a density from empty to full, or thin random-walk lesions of sides
+    6-20, one voxel in 48 at most, the prediction keeping part of each truth
+    lesion and adding lesions of its own."""
     cases = []
     for _ in range(draw(st.integers(1, 3))):
-        dims = draw(st.tuples(*[st.integers(1, 9)] * 3))
+        walks = draw(st.booleans())
+        dims = draw(st.tuples(*[st.integers(6, 20) if walks else st.integers(1, 9)] * 3))
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        densities = [draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8, 1.0]))
-                     for _ in range(2)]
-        cases.append(tuple(rng.random(dims) < d for d in densities))
+        if walks:
+            steps = int(np.prod(dims)) // 96
+            truth = walk(dims, rng, steps, restart=1 / 16)
+            keep = rng.random(dims) < draw(st.sampled_from([0.3, 0.6, 1.0]))
+            cases.append((truth, truth & keep | walk(dims, rng, steps, restart=1 / 16)))
+        else:
+            densities = [draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8, 1.0]))
+                         for _ in range(2)]
+            cases.append(tuple(rng.random(dims) < d for d in densities))
     return cases
 
 
@@ -686,7 +695,7 @@ class TestRecallOracle:
     @example(cases=[(_BARS, _EMPTY)], connectivity=Connectivity.SIX)
     @example(cases=[(_BARS, np.ones((4, 3, 5), bool))],
              connectivity=Connectivity.TWENTY_SIX)
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_matches_reference(self, cases, connectivity):
         rep = evaluate_lesionwise(
             _EchoModel(), [(Volume.from_array(pred.astype(np.float32)),

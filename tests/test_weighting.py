@@ -144,6 +144,26 @@ class TestWeightMap:
                 vals = wm.weights[lab.labels == lesion_id]
                 assert (vals == omega(float(count))).all()
 
+    @pytest.mark.parametrize("params, scale", [
+        (None, 1.0), (None, 0.375),
+        (WeightCurveParams(w_max=6.0, w_min=0.5, vrange=40.0, k=3.0,
+                           a_shift=2.0), 2.5)])
+    def test_shared_volumes_weigh_as_each_lesion_alone(self, params, scale):
+        # 16 lesions, one per other row, of 5 volumes in scan order 1, 2,
+        # 4, 8, 12, 1, 2, ... voxels: one omega per distinct volume is the
+        # per-lesion omega of every lesion
+        data = np.zeros((12, 31, 2), bool)
+        for i in range(16):
+            data[:(1, 2, 4, 8, 12)[i % 5], 2 * i, 1] = True
+        lab = label_components(Mask.from_array(data))
+        assert len(set(lab.volumes)) == 5 and lab.lesion_count == 16
+        wm = build_weight_map(lab, params, volume_scale=scale)
+        per_lesion = {i: omega(v * scale, params)
+                      for i, v in enumerate(lab.volumes, start=1)}
+        want = np.array([per_lesion.get(i, (params or WeightCurveParams()).w_min)
+                         for i in lab.labels.ravel(order="F")])
+        assert wm.weights.ravel(order="F").tobytes() == want.tobytes()
+
     def test_degenerate_params_give_constant_map(self):
         m = _mask_with_blocks([(slice(0, 3), slice(0, 3), slice(0, 3))])
         lab = label_components(m)

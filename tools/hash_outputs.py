@@ -44,8 +44,9 @@ hashing its own, then prints the groups that differ and exits 1 if any do.
                (unit volume scale, and mm^3 scale on an anisotropic
                spacing) for every connectivity, on 120 seeded random masks
                of 1-16 voxels per axis, 1-voxel-thick slabs and lines,
-               single voxels, empty and full grids and a fragmented 48^3
-               phantom truth
+               single voxels, empty and full grids, a fragmented 48^3
+               phantom truth, sparse 64^3 blobs, runs across row ends, a
+               3-D serpentine and 32^3 noise at 30%
     scores     extract_features values and score_volume float32 bytes for
                fixed weights and for weights trained on a small corpus, on
                the recall group's fragmented phantoms and the phantoms
@@ -308,7 +309,39 @@ def _label_masks(ll, rng):
         ll.volume.GridShape((48, 48, 48)), 10, (1.0, 4.0),
         fragmentation_prob=0.5, fragments_per_lesion=(2, 5), seed=600)
         ).truth.data)
+    # many small runs, runs that cross row ends, one deep run graph and
+    # dense noise, for the run labeler
+    blobs = np.zeros((64, 64, 64), bool)
+    x, y, z = np.ogrid[:64, :64, :64]
+    for _ in range(40):
+        c, r = rng.integers(0, 64, 3), rng.uniform(0.8, 3.5)
+        blobs |= (x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2 <= r * r
+    masks.append(blobs)
+    wrap = np.zeros(9 * 8 * 30, bool)    # runs across 25 row ends
+    for row in rng.choice(8 * 30 - 1, 25, replace=False):
+        end = (row + 1) * 9
+        wrap[end - rng.integers(1, 5):end + rng.integers(1, 5)] = True
+    masks.append(wrap.reshape((9, 8, 30), order="F"))
+    masks.append(_serpentine((15, 13, 11)))
+    masks.append(rng.random((32, 32, 32)) < 0.3)    # dense noise
     return masks
+
+
+def _serpentine(dims):
+    """One thin lesion winding through the grid: every other row of every
+    other plane, rows joined at alternate x ends, planes at alternate y
+    ends.  (tests/oracles.serpentine draws the same mask; the tool keeps
+    its own copy so that it runs on a bare src tree, without the tests.)"""
+    nx, ny, nz = dims
+    data = np.zeros(dims, bool)
+    for i, z in enumerate(range(0, nz, 2)):
+        for j, y in enumerate(range(0, ny, 2)):
+            data[:, y, z] = True
+            if y + 2 < ny:
+                data[nx - 1 if j % 2 == 0 else 0, y + 1, z] = True
+        if z + 2 < nz:
+            data[:, (ny - 1) // 2 * 2 if i % 2 == 0 else 0, z + 1] = True
+    return data
 
 
 def _labels(ll, g):
