@@ -51,16 +51,17 @@ grad_check harness cross-checks them against central finite differences.
 Moving one voxel's prediction changes one leaf of each term's case tree,
 so grad_check lays out every level of a case's tree once, one term at a
 time (O(n) extra memory for a case of n voxels), rebuilds each checked
-voxel's leaf-to-root path (O(log n) per voxel and term) and takes each
-value from the unchanged value formula over the case sums, the bits of a
-full evaluation of the perturbed batch.  An all-voxel check of a 48^3
-case takes 1.2-2.5 s per kind (2 vCPUs).
+voxel's leaf-to-root path (O(log n) per voxel and term) with the leaf
+writers of _case_sums, and runs the value formula of every evaluation
+(_value) once per case over the arrays of perturbed global sums: the bits
+of a full evaluation of each perturbed batch.  An all-voxel check of a
+48^3 case takes 0.25-1.4 s per kind (2 vCPUs).
 
 An evaluation runs in two phases over contiguous case shards, each with a
 plan of its own built by _truth:
 
     phase 1 (_case_sums)   each shard's per-case sums of every term
-    value (_totals)        the global sums, exact_sum over all case sums
+    value (_totals)        the exact global sums, then the value (_value)
     phase 2 (_gradient)    each shard's gradient from the global sums,
                            yielded chunk by chunk
 
@@ -215,9 +216,9 @@ class _Plan:
     """A batch's ground truth, laid out once, and the buffers of every
     evaluation of it.
 
-    The cases sit one after another in x-fastest order (case i holds
-    sizes[i] voxels, at bounds[i] = (start, stop)), cut into the chunks of
-    trees (reduction.ChunkTrees(sizes)).  The lesion voxels of chunk j are
+    The cases sit one after another in x-fastest order (case i at
+    bounds[i] = (start, stop)), cut into the chunks of trees
+    (reduction.ChunkTrees of the case sizes).  The lesion voxels of chunk j are
     local[lesions[j]], their positions from the chunk's start in ascending
     order, and w[lesions[j]] their weights (ones when the ratio term is
     unweighted); merge is the merge schedule of the lesion voxels, by
@@ -233,7 +234,6 @@ class _Plan:
     writes its chain rule over q.
     """
 
-    sizes: tuple[int, ...]
     bounds: tuple[tuple[int, int], ...]
     trees: ChunkTrees
     lesions: tuple[slice, ...]
@@ -279,7 +279,7 @@ def _truth(obj: Objective, gts, omega=None) -> _Plan:
     cuts = np.append(np.searchsorted(idx, starts), idx.size)
     lesions = tuple(slice(lo, hi) for lo, hi in zip(cuts.tolist(), cuts[1:].tolist()))
     local = idx - np.repeat(starts, np.diff(cuts))
-    return _Plan(sizes, bounds, trees, lesions, local, w, merge, np.empty(sum(sizes)),
+    return _Plan(bounds, trees, lesions, local, w, merge, np.empty(sum(sizes)),
                  np.empty((2, trees.leaves.size), dtype=bool) if obj.ce else None)
 
 
@@ -331,44 +331,51 @@ def _true_class(obj: Objective, q, loc, out):
     return np.clip(out, obj.clamp, 1.0 - obj.clamp, out=out)
 
 
+def _grid_leaves(obj: Objective, key: str, q, loc, out):
+    """The leaves of the full-grid term key at predictions q, whose lesion
+    voxels sit at loc, into out: for "ce" the logs of the clamped
+    true-class probabilities, for "fp" q with its lesion voxels zeroed."""
+    if key == "ce":
+        return np.log(_true_class(obj, q, loc, out), out=out)
+    np.copyto(out, q)
+    out[loc] = 0.0
+    return out
+
+
+def _lesion_terms(obj: Objective, q_fg, w):
+    """The terms of obj that live on the lesion voxels, at their
+    predictions q_fg of weights w: their keys, "tp_w", "fn_w" and "tp" for
+    an unweighted denominator TP sum, and one row of terms per key."""
+    keys = ("tp_w", "fn_w", "tp") if _plain_tp_den(obj) else ("tp_w", "fn_w")
+    terms = np.empty((len(keys), q_fg.size))
+    np.multiply(q_fg, w, out=terms[0])
+    np.subtract(1.0, q_fg, out=terms[1])
+    terms[1] *= w
+    terms[2:] = q_fg    # the denominator TP, when it is a sum of its own
+    return keys, terms
+
+
 def _case_sums(obj: Objective, plan: _Plan) -> dict[str, list[float]]:
     """Phase 1: the per-case sums of each term of obj at plan.q (kept).
 
-    Each chunk's full-grid terms go through plan.trees' leaves: "ce" sums
-    the logs of the clamped true-class probabilities, "fp" q with its
-    lesion voxels zeroed, each by the chunk's tree, whose nodes join into
-    case sums.  The lesion-voxel sums ("tp_w", "fn_w" and "tp" for
-    an unweighted denominator TP sum) take their terms at the lesion
-    voxels only and reduce them by plan's merge schedule, the case trees
-    of a full-grid selection without its zeros.
-    """
+    Each chunk's full-grid terms (_grid_leaves) go one at a time through
+    plan.trees, whose nodes join into case sums.  The lesion-voxel terms
+    (_lesion_terms) are reduced by plan's merge schedule: the case trees
+    of a full-grid selection without its zeros."""
     trees = plan.trees
-    ce, fp = [], []
     q_fg = np.empty(plan.w.size) if obj.ratio is not None else None
+    nodes = {key: [] for key, on in (("ce", obj.ce), ("fp", q_fg is not None)) if on}
     for c, fg in zip(trees.chunks, plan.lesions):
         q, loc = plan.q[c.start:c.stop], plan.local[fg]
-        chunk = trees.leaves[:q.size]
-        if obj.ce:
-            np.log(_true_class(obj, q, loc, chunk), out=chunk)
-            ce.append(trees.nodes(c))
-        if obj.ratio is not None:
+        for key, got in nodes.items():
+            _grid_leaves(obj, key, q, loc, trees.leaves[:q.size])
+            got.append(trees.nodes(c))
+        if q_fg is not None:
             np.take(q, loc, out=q_fg[fg])
-            np.copyto(chunk, q)
-            chunk[loc] = 0.0
-            fp.append(trees.nodes(c))
-    sums = {}
-    if obj.ce:
-        sums["ce"] = trees.join(ce)
-    if obj.ratio is None:
-        return sums
-    keys = ("tp_w", "fn_w", "tp") if _plain_tp_den(obj) else ("tp_w", "fn_w")
-    terms = np.empty((len(keys), q_fg.size))
-    np.multiply(q_fg, plan.w, out=terms[0])
-    np.subtract(1.0, q_fg, out=terms[1])
-    terms[1] *= plan.w
-    terms[2:] = q_fg    # the denominator TP, when it is a sum of its own
-    sums.update(zip(keys, sparse_case_sums(terms, plan.merge).tolist()))
-    sums["fp"] = trees.join(fp)
+    sums = {key: trees.join(got) for key, got in nodes.items()}
+    if q_fg is not None:
+        keys, terms = _lesion_terms(obj, q_fg, plan.w)
+        sums.update(zip(keys, sparse_case_sums(terms, plan.merge).tolist()))
     return sums
 
 
@@ -393,27 +400,36 @@ def _global_sum(sums: list[float]) -> float:
         return sum(sums)
 
 
-def _totals(obj: Objective, parts, n: int) -> _Totals:
-    """The value of obj from the case sums of every shard of a batch of n
-    voxels.  exact_sum is order-free, so the shards' split and order never
-    change a bit."""
-    total = {key: _global_sum([c for part in parts for c in part[key]])
-             for key in parts[0]}
+def _value(obj: Objective, total, n: int):
+    """The value of obj over n voxels from its global sums total (floats,
+    or arrays of them: the same bits), with the ratio's numerator and
+    denominator (None without a ratio term); a zero denominator gives
+    inf or NaN, never ZeroDivisionError."""
     # -log commutes exactly with the tree and the exact case sum
     ce = -total["ce"] / n if obj.ce else None
     if obj.ratio is None:
-        return _Totals(ce, n, None, None)
+        return ce, None, None
     # Tversky over global sums: unit weights give the "1 - ratio" form,
     # whose denominator TP sum is the numerator one; WLT is the -ratio
     a, b, s = obj.tversky.alpha, obj.tversky.beta, obj.tversky.smooth
     num = s + total["tp_w"]
     den = s + total.get("tp", total["tp_w"]) + a * total["fp"] + b * total["fn_w"]
-    ratio = num / den
+    ratio = np.divide(num, den)
     value = -ratio if obj.weighted else 1.0 - ratio
     if ce is not None:
         lam = obj.ce_weight
         value = lam * ce + (1.0 - lam) * value
-    return _Totals(value, n, num, den)
+    return value, num, den
+
+
+def _totals(obj: Objective, parts, n: int) -> _Totals:
+    """The value of obj, a float, from the case sums of every shard of a
+    batch of n voxels, under the caller's _quiet.  exact_sum is order-free,
+    so the shards' split and order never change a bit."""
+    total = {key: _global_sum([c for part in parts for c in part[key]])
+             for key in parts[0]}
+    value, num, den = _value(obj, total, n)
+    return _Totals(float(value), n, num, den)
 
 
 def _gradient(obj: Objective, plan: _Plan, totals: _Totals):
@@ -541,25 +557,15 @@ def evaluate_loss(kind: str, gt, pred, *, want_grad: bool = False, omega=None,
 
 
 def _leaves(obj: Objective, key: str, q, loc, w) -> np.ndarray:
-    """The leaves of _case_sums' term key at predictions q whose lesion
-    voxels sit at loc, of weights w: the term at every voxel, in the ops
-    and order of _case_sums, and +0.0 where it has none.  A lesion-voxel
-    sum's tree over these dense leaves gives sparse_case_sums' bits (see
-    reduction.merge_schedule)."""
-    if key == "ce":
-        out = np.empty(q.size)
-        return np.log(_true_class(obj, q, loc, out), out=out)
-    if key == "fp":
-        out = q.copy()
-        out[loc] = 0.0
-        return out
+    """_case_sums' term key at every voxel of predictions q whose lesion
+    voxels sit at loc, of weights w, by _case_sums' own writers, with +0.0
+    where a lesion-voxel term has none: the tree over these leaves gives
+    sparse_case_sums' bits (see reduction.merge_schedule)."""
+    if key in ("ce", "fp"):
+        return _grid_leaves(obj, key, q, loc, np.empty(q.size))
+    keys, terms = _lesion_terms(obj, q[loc], w)
     out = np.zeros(q.size)
-    if key == "tp":
-        out[loc] = q[loc]
-    elif key == "tp_w":
-        out[loc] = q[loc] * w
-    else:
-        out[loc] = (1.0 - q[loc]) * w
+    out[loc] = terms[keys.index(key)]
     return out
 
 
@@ -573,11 +579,11 @@ def _perturbed_values(obj: Objective, plan: _Plan, step: float,
     A voxel is one leaf of each term's case tree.  So each term's tree
     over the case is laid out once, one term at a time
     (reduction.tree_levels), and every perturbed leaf's path to the root
-    rebuilt (reduction.path_sums); each value is _totals of the batch's
-    case sums with that case's replaced by the new roots.  A value that is
+    rebuilt (reduction.path_sums).  Each new root and the other cases'
+    sums, in batch order, make the term's global sum as in _totals, and
+    one _value over these arrays gives the case's values.  A value that is
     not finite raises ValueError, as _objective_core's does.  sums are the
-    batch's case sums at plan.q (_objective_core's third value).
-    """
+    batch's case sums at plan.q (_objective_core's third value)."""
     idx = np.concatenate([c.start + plan.local[fg]
                           for c, fg in zip(plan.trees.chunks, plan.lesions)])
     rng = np.random.default_rng(seed)
@@ -587,25 +593,20 @@ def _perturbed_values(obj: Objective, plan: _Plan, step: float,
             js = np.sort(rng.choice(js.size, size=max_voxels, replace=False))
         lo, hi = np.searchsorted(idx, (start, stop))
         loc, w, q = idx[lo:hi] - start, plan.w[lo:hi], plan.q[start:stop]
-        lesion = np.zeros(q.size, dtype=bool)
-        lesion[loc] = True
-        hit = np.flatnonzero(lesion[js])
+        hit = np.flatnonzero(np.isin(js, loc))
         w_hit = w[np.searchsorted(loc, js[hit])]
         moved = (q[js] + step, q[js] - step)
+        total = {}
         with _quiet():
-            roots = {}
-            for key in sums:    # one term's tree at a time
+            for key, got in sums.items():    # one term's tree at a time
                 levels = tree_levels(_leaves(obj, key, q, loc, w))
-                roots[key] = [path_sums(levels, js, _leaves(obj, key, m, hit, w_hit))
-                              for m in moved]
+                roots = [path_sums(levels, js, _leaves(obj, key, m, hit, w_hit))
+                         for m in moved]
                 del levels
-            case = {key: list(got) for key, got in sums.items()}
-            values = np.empty((2, js.size))
-            for side in range(2):
-                for k in range(js.size):
-                    for key, got in roots.items():
-                        case[key][i] = float(got[side][k])
-                    values[side, k] = _totals(obj, [case], plan.n).value
+                before, after = got[:i], got[i + 1:]
+                total[key] = np.array([[_global_sum([*before, r, *after])
+                                        for r in side.tolist()] for side in roots])
+            values = _value(obj, total, plan.n)[0]
         if not np.isfinite(values).all():
             raise ValueError("loss value is non-finite")
         yield start + js, values[0], values[1]
@@ -621,12 +622,13 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
     seed (at least 0); None checks every voxel.  options are objective()'s
     keyword options, as for evaluate_loss.
 
-    Each perturbed value is the bits of a full evaluation, got by
-    rebuilding the one leaf-to-root path that the voxel changes in each
-    term's case tree (_perturbed_values): O(m log n) time per term for m
-    checked voxels of a case of n.  Extra memory: one term's tree levels
-    at a time (about 2n values) and two roots per checked voxel and term.
-    """
+    Each perturbed value is the bits of a full evaluation, from the one
+    leaf-to-root path that the voxel changes in each term's case tree and
+    one value formula per case over the new roots (_perturbed_values):
+    O(m log n) time per term for m checked voxels of a case of n.  Extra
+    memory: one term's tree levels at a time (about 2n values) and two
+    roots per checked voxel and term.  A perturbed value that is not
+    finite (a denominator that cancels to zero) raises ValueError."""
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"degenerate step: {step}")
     if max_voxels is not None and max_voxels < 1:
@@ -635,14 +637,12 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
         raise ValueError(f"seed must be >= 0, got {seed}")
     obj = objective(kind, LOSS_KINDS, **options)
     plan, _preds, _single = _prepare(obj, gt, pred)
-    _value, grad, sums = _objective_core(obj, plan, True)
-    worst = 0.0
-    for js, up, down in _perturbed_values(obj, plan, step, max_voxels, seed, sums):
-        with _quiet():
-            fd = (up - down) / (2.0 * step)
-            a = grad[js]
-            err = np.abs(a - fd) / np.maximum(1.0, np.abs(a))
-        hit = err[err > worst]    # a NaN error never compares greater
-        if hit.size:
-            worst = float(hit.max())
-    return worst
+    _, grad, sums = _objective_core(obj, plan, True)
+    js, up, down = map(np.concatenate, zip(
+        *_perturbed_values(obj, plan, step, max_voxels, seed, sums)))
+    with _quiet():
+        fd = (up - down) / (2.0 * step)
+        a = grad[js]
+        err = np.abs(a - fd) / np.maximum(1.0, np.abs(a))
+    # a NaN error never compares greater
+    return float(np.max(err, where=err > 0.0, initial=0.0))

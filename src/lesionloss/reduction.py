@@ -7,6 +7,9 @@ the cases are split into contiguous shards.  The trees run chunk by chunk
 (chunk_table: runs of whole cases, or pieces of one large case, of at
 most _CHUNK values) in two chunk-sized buffers, by steps laid out once
 per layout (ChunkTrees), and give the same bits as one tree per case.
+The loss phases drive ChunkTrees directly; case_sums and pairwise_sum
+stay here as the public form of these sums, which the tests check and
+the benchmark's probes time (bench/probes.py times pairwise_sum).
 
 A sum whose terms are zero outside a few known positions (the lesion
 voxels) need not visit the zeros: sparse_case_sums runs the same trees
@@ -49,11 +52,6 @@ def _tree_steps(k: int, m: int, src: np.ndarray, dst: np.ndarray):
             steps.append((level[:, m - 1], 0.0, out[:, half]))
         src, dst, m = dst, src, half + odd
     return steps, src[:k]
-
-
-def _run(steps):
-    for a, b, out in steps:
-        np.add(a, b, out=out)
 
 
 @dataclass(frozen=True)
@@ -124,14 +122,15 @@ class ChunkTrees:
         """The tree nodes of chunk's values in leaves: one sum per whole
         case, or the piece's node."""
         steps, sums = self._trees[chunk.shape]
-        _run(steps)
+        for a, b, out in steps:
+            np.add(a, b, out=out)
         nodes = sums.tolist()
         return [x + 0.0 for x in nodes] if chunk.pad else nodes
 
     def join(self, nodes) -> list[float]:
         """The case sums from each chunk's nodes, in table order: a whole
         case's node is its sum, and the nodes of a case's pieces go
-        through the same tree, above the pieces' level."""
+        through the same tree above the pieces' level (tree_levels)."""
         sums, parts = [], []
         for chunk, got in zip(self.chunks, nodes):
             if not chunk.parts:
@@ -139,10 +138,7 @@ class ChunkTrees:
                 continue
             parts += got
             if len(parts) == chunk.parts:
-                top = np.array(parts)
-                steps, total = _tree_steps(1, top.size, top, np.empty(top.size))
-                _run(steps)
-                sums.append(float(total[0]))
+                sums.append(float(tree_levels(np.array(parts))[-1][0]))
                 parts = []
         return sums
 

@@ -209,7 +209,8 @@ def _batch_eval(prep, theta, want_grad):
         return _case_sums(obj, plan)
 
     n = sum(plan.n for _, plan in shards)
-    totals = _totals(obj, _run(pool, forward, len(shards)), n)
+    with _quiet():    # the value's np.divide warns where float / did not
+        totals = _totals(obj, _run(pool, forward, len(shards)), n)
     if not want_grad:
         return totals.value, None
 

@@ -162,6 +162,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "lesionloss: error: loss value is non-finite\n"
 
+    def test_gradcheck_cancelled_denominator_is_a_one_line_data_error(
+            self, capsys, tmp_path):
+        # moving the lesion voxel of 0.5 by -1 cancels the ratio's
+        # numerator and denominator to 0 at beta = 0
+        save_mask(Mask.from_array(np.array([1, 0], bool).reshape(2, 1, 1)),
+                  tmp_path / "gt")
+        save_volume(Volume.from_array(np.array([0.5, 0.0], np.float32)
+                                      .reshape(2, 1, 1)), tmp_path / "pred")
+        code, out, err = run(capsys, "gradcheck", "--kind", "tversky",
+                             "--gt", str(tmp_path / "gt.vhdr"),
+                             "--pred", str(tmp_path / "pred.vhdr"),
+                             "--step", "1", "--alpha", "1", "--beta", "0",
+                             "--smooth", "0.5")
+        assert code == 2 and out == ""
+        assert err == "lesionloss: error: loss value is non-finite\n"
+
     def test_train_has_no_tp_denominator_switch(self, capsys, tmp_path):
         small = ["train", "--epochs", "1", "--train-count", "2",
                  "--dims", "10 10 10", "--small-radius", "1.2 1.5",

@@ -750,7 +750,7 @@ class TestPlanBuffers:
             trees = plan.trees
             chunks, leaves, spare = trees.chunks, trees.leaves, trees.spare
             width = max(c.stop - c.start for c in chunks)
-            assert width <= min(chunk, max(plan.sizes))
+            assert width <= min(chunk, max(b - a for a, b in plan.bounds))
             assert plan.q.shape == (plan.n,)
             assert leaves.shape == spare.shape == (width,)
             assert (plan.mask.shape if obj.ce else plan.mask) == (
@@ -851,12 +851,20 @@ def _grad_check_batches(draw):
 
 
 def _outcome(call):
-    """call()'s result, or the type and message of the ValueError or
-    ZeroDivisionError it raised."""
+    """call()'s result, or the type and message of the ValueError it
+    raised."""
     try:
         return call()
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         return type(exc), str(exc)
+
+
+# the kind's default, alpha = 0, beta = 0 and a non-default smooth: the
+# array value formula of _perturbed_values against the scalar one of a full
+# evaluation over every branch
+_GRAD_CHECK_TVERSKY = [None, TverskyParams(alpha=0.0, beta=1.0, smooth=1e-6),
+                       TverskyParams(alpha=0.7, beta=0.0, smooth=1.0),
+                       TverskyParams(alpha=0.4, beta=0.6, smooth=0.25)]
 
 
 class TestLeafPathGradCheck:
@@ -870,14 +878,17 @@ class TestLeafPathGradCheck:
            step=st.sampled_from([1e-4, 2.0 ** -22]),
            clamp=st.sampled_from([CE_CLAMP_DEFAULT, 2.0 ** -20]),
            weight_tp_denominator=st.booleans(),
-           connectivity=st.sampled_from(list(Connectivity)))
+           connectivity=st.sampled_from(list(Connectivity)),
+           tversky=st.sampled_from(_GRAD_CHECK_TVERSKY),
+           ce_weight=st.sampled_from([0.0, 0.5, 1.0]))
     @settings(max_examples=120, deadline=None)
     def test_every_perturbed_value_is_the_full_evaluation(
             self, batch, kind, chunk, max_voxels, seed, step, clamp,
-            weight_tp_denominator, connectivity):
+            weight_tp_denominator, connectivity, tversky, ce_weight):
         gts, preds = batch
         options = dict(clamp=clamp, weight_tp_denominator=weight_tp_denominator,
-                       connectivity=connectivity)
+                       connectivity=connectivity, tversky=tversky,
+                       ce_weight=ce_weight)
 
         def leaf_paths():
             obj = objective(kind, **options)
@@ -919,15 +930,18 @@ class TestLeafPathGradCheck:
     def test_a_non_finite_perturbed_value_is_rejected(self):
         # finite at q, with a finite gradient; moving the background voxel
         # by -1 cancels s + TP + a*FP to 0, leaving den = b * FN, a
-        # subnormal, and the value -inf
+        # subnormal, and the value -inf; at beta = 0 moving the lesion voxel
+        # by -1 first cancels num and den to 0, a 0 / 0
         gt, pred = mask(np.array([1, 0]).reshape(2, 1, 1)), vol(
             np.array([0.5, 0.0]).reshape(2, 1, 1))
-        options = dict(tversky=TverskyParams(alpha=1.0, beta=1e-320, smooth=0.5))
-        rep = evaluate_loss("tversky", gt, pred, want_grad=True, **options)
-        assert math.isfinite(rep.value) and np.isfinite(rep.gradient.data).all()
-        for check in (grad_check, grad_check_reference):
-            with pytest.raises(ValueError, match="loss value is non-finite"):
-                check("tversky", gt, pred, 1.0, **options)
+        for beta in (1e-320, 0.0):
+            options = dict(tversky=TverskyParams(alpha=1.0, beta=beta, smooth=0.5))
+            rep = evaluate_loss("tversky", gt, pred, want_grad=True, **options)
+            assert math.isfinite(rep.value)
+            assert np.isfinite(rep.gradient.data).all()
+            for check in (grad_check, grad_check_reference):
+                with pytest.raises(ValueError, match="loss value is non-finite"):
+                    check("tversky", gt, pred, 1.0, **options)
 
     def test_all_voxel_check_of_a_multi_chunk_case(self):
         # every voxel of a 20^3 case in two chunks of 2^12 (the last piece

@@ -19,10 +19,11 @@ hashing its own, then prints the groups that differ and exits 1 if any do.
                the loss phases' chunk boundaries (2^16 voxels and 2^16 + 1,
                1.5 * 2^16 - 1, + 0 and + 1), each also case by case
     gradcheck  grad_check over the same kinds and batches, 6 voxels per case
-               (2 in the log-uniform ones); of every kind, 8 voxels of a
-               2^16 + 2^14 and of a 2^16 + 2^15 + 2^13 voxel case, whose
-               last chunk piece is padded and is not, and every voxel of a
-               5x6x7 case
+               (2 in the log-uniform ones, and every voxel of the 5-case
+               mixed batch, whose global sums span its cases); of every
+               kind, 8 voxels of a 2^16 + 2^14 and of a 2^16 + 2^15 + 2^13
+               voxel case, whose last chunk piece is padded and is not, and
+               every voxel of a 5x6x7 case
     degenerate evaluate_loss values and gradients on all-empty and
                all-foreground truth with predictions of exactly 0.0, -0.0,
                1.0 or a mix of them (a 4^3, a 3x4x5 and a one-voxel case,
@@ -160,8 +161,10 @@ def _loss(ll, g):
 def _gradcheck(ll, g):
     for name, (gt, pred) in _batches(ll).items():
         # few voxels, so a tree whose grad_check evaluates the whole batch
-        # twice per checked voxel stays cheap under --against
-        voxels = 2 if name.startswith(("large", "edges")) else 6
+        # twice per checked voxel stays cheap under --against; every voxel
+        # of the mixed batch, whose perturbed global sums span five cases
+        voxels = (None if name == "mixed" else
+                  2 if name.startswith(("large", "edges")) else 6)
         for kind in ll.loss.LOSS_KINDS:
             for wtd in (False, True):
                 err = ll.loss.grad_check(kind, gt, pred, max_voxels=voxels,
