@@ -52,7 +52,8 @@ class LesionLabeling:
         n = len(self.volumes)
         if labels.min(initial=0) < 0 or labels.max(initial=0) != n:
             raise ValueError("labels must cover the contiguous range 0..L")
-        counts = np.bincount(_flat(labels), minlength=n + 1)
+        flat = _flat(labels)
+        counts = np.bincount(flat[flat != 0], minlength=n + 1)    # counts[0] unread
         if n and (counts[1:] == 0).any():
             raise ValueError("labels must cover the contiguous range 0..L")
         if tuple(int(c) for c in counts[1:]) != tuple(int(v) for v in self.volumes):

@@ -26,8 +26,8 @@ evaluate_loss, grad_check and the trainer.
 
 A batch is laid out once, as a plan (_truth; once per loss or grad_check
 call and once per shard of a train run): the cases one after another in
-x-fastest order, the positions of the lesion voxels (the foreground
-index set, held chunk by chunk) and the weights at those positions only;
+x-fastest order, the ascending batch positions of the lesion voxels (the
+foreground index set) and the weights at those positions only;
 background weights are never read.  A plan always carries weights:
 plain Tversky is WLT's unit-weight case, so an unweighted ratio term gets
 unit weights and every ratio term runs one formula (x * 1.0 == x, so they
@@ -38,10 +38,11 @@ built.  A plan also holds its cases' bounds, their chunks
 (reduction.ChunkTrees: runs of whole cases, or pieces of one large case,
 of at most reduction._CHUNK voxels), the predictions q (one flat float64
 array in the same order, the plan's only batch-sized buffer) and two
-chunks of scratch, through which both phases stream the batch chunk by
-chunk.
+chunks of scratch, through which both phases stream the full-grid terms
+chunk by chunk.
 The lesion-voxel sums (TP, TP.W, FN.W) take their terms at the foreground
-positions only and reduce them there by the plan's merge schedule
+positions only, in one gather of q per evaluation, and reduce them there
+by the plan's merge schedule
 (reduction.merge_schedule), which runs each case's tree without the
 zeros a full-grid selection would add, bit for bit; only the terms that
 live on every voxel, FP and CE, are full-grid sums.
@@ -55,7 +56,7 @@ voxel's leaf-to-root path (O(log n) per voxel and term) with the leaf
 writers of _case_sums, and runs the value formula of every evaluation
 (_value) once per case over the arrays of perturbed global sums: the bits
 of a full evaluation of each perturbed batch.  An all-voxel check of a
-48^3 case takes 0.25-1.4 s per kind (2 vCPUs).
+48^3 case takes 0.15-0.75 s per kind (2 vCPUs).
 
 An evaluation runs in two phases over contiguous case shards, each with a
 plan of its own built by _truth:
@@ -63,7 +64,8 @@ plan of its own built by _truth:
     phase 1 (_case_sums)   each shard's per-case sums of every term
     value (_totals)        the exact global sums, then the value (_value)
     phase 2 (_gradient)    each shard's gradient from the global sums,
-                           yielded chunk by chunk
+                           yielded chunk by chunk (the ratio term's
+                           lesion gradient taken once, from the weights)
 
 Each case sum is the fixed-order pairwise tree of reduction.case_sums
 over that case alone (one (k, n) tree pass per chunk of k consecutive
@@ -218,30 +220,28 @@ class _Plan:
 
     The cases sit one after another in x-fastest order (case i at
     bounds[i] = (start, stop)), cut into the chunks of trees
-    (reduction.ChunkTrees of the case sizes).  The lesion voxels of chunk j are
-    local[lesions[j]], their positions from the chunk's start in ascending
-    order, and w[lesions[j]] their weights (ones when the ratio term is
-    unweighted); merge is the merge schedule of the lesion voxels, by
-    which the lesion-voxel sums run their case trees over them only (None
-    without a ratio term: only its sums read it).  Background weights are
-    never kept, so they cannot reach the loss.
+    (reduction.ChunkTrees of the case sizes).  fg holds the batch positions
+    of the lesion voxels in ascending order and w their weights (ones when
+    the ratio term is unweighted); fg[lesions[j]] are the ones in chunk j.
+    merge is the merge schedule of fg, by which the lesion-voxel sums run
+    their case trees over them only (None without a ratio term: only its
+    sums read it).  Background weights are never kept, so they cannot
+    reach the loss.
 
     q, the predictions, is the one batch-sized buffer: the caller writes
     them and the phases only read them.  trees holds two chunks of float64
     scratch (leaves: a chunk's terms or gradient; spare: the tree's other
-    level) and mask two of bool (the CE gradient's clamp test; None
-    without CE).  Every evaluation reuses them; the trainer's backward
-    writes its chain rule over q.
+    level), which every evaluation reuses; the trainer's backward writes
+    its chain rule over q.
     """
 
     bounds: tuple[tuple[int, int], ...]
     trees: ChunkTrees
     lesions: tuple[slice, ...]
-    local: np.ndarray
+    fg: np.ndarray
     w: np.ndarray
     merge: MergeSchedule | None
     q: np.ndarray
-    mask: np.ndarray | None
 
     @property
     def n(self) -> int:
@@ -258,8 +258,8 @@ def _truth(obj: Objective, gts, omega=None) -> _Plan:
     sizes = tuple(fg.size for fg in fgs)
     stops = np.cumsum(sizes).tolist()
     bounds = tuple(zip([0] + stops[:-1], stops))
-    idx = np.flatnonzero(np.concatenate(fgs))
-    merge = merge_schedule(idx, sizes) if obj.ratio is not None else None
+    fg = np.flatnonzero(np.concatenate(fgs))
+    merge = merge_schedule(fg, sizes) if obj.ratio is not None else None
     if omega is not None:
         maps, _ = _as_list(omega, WeightMap)
         if len(maps) != len(gts):
@@ -267,20 +267,17 @@ def _truth(obj: Objective, gts, omega=None) -> _Plan:
         for g, w in zip(gts, maps):
             require_same_shape(g, w)
     if not obj.weighted:
-        w = np.ones(idx.size)
+        w = np.ones(fg.size)
     elif omega is not None:
-        w = np.concatenate([_flat(m.weights)[fg] for m, fg in zip(maps, fgs)])
+        w = np.concatenate([_flat(m.weights)[g] for m, g in zip(maps, fgs)])
     else:
-        at = np.split(idx, np.searchsorted(idx, stops[:-1]))
+        at = np.split(fg, np.searchsorted(fg, stops[:-1]))
         w = np.concatenate([_lesion_weights(obj, g, pos - start)
                             for g, pos, (start, _) in zip(gts, at, bounds)])
     trees = ChunkTrees(sizes)
-    starts = [c.start for c in trees.chunks]
-    cuts = np.append(np.searchsorted(idx, starts), idx.size)
-    lesions = tuple(slice(lo, hi) for lo, hi in zip(cuts.tolist(), cuts[1:].tolist()))
-    local = idx - np.repeat(starts, np.diff(cuts))
-    return _Plan(bounds, trees, lesions, local, w, merge, np.empty(sum(sizes)),
-                 np.empty((2, trees.leaves.size), dtype=bool) if obj.ce else None)
+    cuts = np.searchsorted(fg, [c.start for c in trees.chunks] + [stops[-1]]).tolist()
+    lesions = tuple(slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+    return _Plan(bounds, trees, lesions, fg, w, merge, np.empty(sum(sizes)))
 
 
 def _lesion_weights(obj: Objective, g: Mask, pos) -> np.ndarray:
@@ -360,21 +357,20 @@ def _case_sums(obj: Objective, plan: _Plan) -> dict[str, list[float]]:
 
     Each chunk's full-grid terms (_grid_leaves) go one at a time through
     plan.trees, whose nodes join into case sums.  The lesion-voxel terms
-    (_lesion_terms) are reduced by plan's merge schedule: the case trees
-    of a full-grid selection without its zeros."""
+    (_lesion_terms), at the predictions of every lesion voxel at once,
+    are reduced by plan's merge schedule: the case trees of a full-grid
+    selection without its zeros."""
     trees = plan.trees
-    q_fg = np.empty(plan.w.size) if obj.ratio is not None else None
-    nodes = {key: [] for key, on in (("ce", obj.ce), ("fp", q_fg is not None)) if on}
-    for c, fg in zip(trees.chunks, plan.lesions):
-        q, loc = plan.q[c.start:c.stop], plan.local[fg]
+    nodes = {key: [] for key, on in (("ce", obj.ce), ("fp", obj.ratio is not None))
+             if on}
+    for c, s in zip(trees.chunks, plan.lesions):
+        q, loc = plan.q[c.start:c.stop], plan.fg[s] - c.start
         for key, got in nodes.items():
             _grid_leaves(obj, key, q, loc, trees.leaves[:q.size])
             got.append(trees.nodes(c))
-        if q_fg is not None:
-            np.take(q, loc, out=q_fg[fg])
     sums = {key: trees.join(got) for key, got in nodes.items()}
-    if q_fg is not None:
-        keys, terms = _lesion_terms(obj, q_fg, plan.w)
+    if obj.ratio is not None:
+        keys, terms = _lesion_terms(obj, plan.q[plan.fg], plan.w)
         sums.update(zip(keys, sparse_case_sums(terms, plan.merge).tolist()))
     return sums
 
@@ -435,41 +431,41 @@ def _totals(obj: Objective, parts, n: int) -> _Totals:
 def _gradient(obj: Objective, plan: _Plan, totals: _Totals):
     """Phase 2: the gradient at plan.q, after its _case_sums, from the global
     sums: yields (chunk, g) for each chunk of plan in order, g the chunk's
-    gradient in plan.trees' leaves, which the next chunk overwrites."""
+    gradient in plan.trees' leaves, which the next chunk overwrites.  The
+    ratio term's gradient depends on the weights and the global sums
+    alone, so its lesion-voxel values are taken once, before the chunks."""
     if obj.ratio is not None:
         # a background voxel moves FP only (d num = 0, d den = a; "0.0 +"
         # keeps alpha = -0.0 from signing the zero gradient); a lesion voxel
         # of weight w moves TP.W, the denominator TP sum and FN.W
         a, b = obj.tversky.alpha, obj.tversky.beta
-        num, den = totals.num, totals.den
+        num, den, w = totals.num, totals.den, plan.w
         background = num * (0.0 + a) / (den * den)
-        lam = obj.ce_weight
-    for c, fg in zip(plan.trees.chunks, plan.lesions):
-        q, loc = plan.q[c.start:c.stop], plan.local[fg]
+        dden = (1.0 if _plain_tp_den(obj) else w) - b * w
+        lesion = (num * dden - w * den) / (den * den)
+        if obj.ce:
+            # lam * CE + (1 - lam) * ratio, the ratio's background term a
+            # scalar
+            lam = obj.ce_weight
+            background, lesion = background * (1.0 - lam), lesion * (1.0 - lam)
+    for c, s in zip(plan.trees.chunks, plan.lesions):
+        q, loc = plan.q[c.start:c.stop], plan.fg[s] - c.start
         g = plan.trees.leaves[:q.size]
         if obj.ce:
-            # the clamp is flat outside [clamp, 1 - clamp]
-            inside, below = plan.mask[:, :q.size]
-            np.greater_equal(q, obj.clamp, out=inside)
-            inside &= np.less_equal(q, 1.0 - obj.clamp, out=below)
             np.divide(1.0, _true_class(obj, q, loc, g), out=g)
             g[loc] = -g[loc]
-            g *= inside
+            # the clamp is flat outside [clamp, 1 - clamp]
+            g *= (q >= obj.clamp) & (q <= 1.0 - obj.clamp)
             g /= totals.n
         if obj.ratio is not None:
-            w = plan.w[fg]
-            dden = (1.0 if _plain_tp_den(obj) else w) - b * w
-            lesion = (num * dden - w * den) / (den * den)
             if obj.ce:
-                # lam * CE + (1 - lam) * ratio, the ratio's background
-                # term a scalar
                 g *= lam
                 ce_fg = g[loc]
-                g += background * (1.0 - lam)
-                g[loc] = ce_fg + lesion * (1.0 - lam)
+                g += background
+                g[loc] = ce_fg + lesion[s]
             else:
                 g.fill(background)
-                g[loc] = lesion
+                g[loc] = lesion[s]
         yield c, g
 
 
@@ -584,15 +580,13 @@ def _perturbed_values(obj: Objective, plan: _Plan, step: float,
     one _value over these arrays gives the case's values.  A value that is
     not finite raises ValueError, as _objective_core's does.  sums are the
     batch's case sums at plan.q (_objective_core's third value)."""
-    idx = np.concatenate([c.start + plan.local[fg]
-                          for c, fg in zip(plan.trees.chunks, plan.lesions)])
     rng = np.random.default_rng(seed)
     for i, (start, stop) in enumerate(plan.bounds):
         js = np.arange(stop - start)
         if max_voxels is not None and js.size > max_voxels:
             js = np.sort(rng.choice(js.size, size=max_voxels, replace=False))
-        lo, hi = np.searchsorted(idx, (start, stop))
-        loc, w, q = idx[lo:hi] - start, plan.w[lo:hi], plan.q[start:stop]
+        lo, hi = np.searchsorted(plan.fg, (start, stop))
+        loc, w, q = plan.fg[lo:hi] - start, plan.w[lo:hi], plan.q[start:stop]
         hit = np.flatnonzero(np.isin(js, loc))
         w_hit = w[np.searchsorted(loc, js[hit])]
         moved = (q[js] + step, q[js] - step)

@@ -192,7 +192,7 @@ def pairwise_sum(values) -> float:
 
 def exact_sum(values) -> float:
     """Exactly rounded float sum; invariant to input ordering."""
-    return math.fsum(float(x) for x in values)
+    return math.fsum(values)
 
 
 def case_sums(values, sizes) -> list[float]:

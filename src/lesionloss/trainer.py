@@ -419,4 +419,7 @@ def load_scorer(path) -> VoxelScorer:
             raise ValueError("not a f32vec scorer file")
         if len(payload) != 4 * int(parts[1]):
             raise ValueError("vector payload size mismatch")
-        return VoxelScorer(np.frombuffer(payload, dtype="<f4").astype(np.float64))
+        # widening a signalling NaN warns; VoxelScorer rejects it as non-finite
+        with np.errstate(invalid="ignore"):
+            weights = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        return VoxelScorer(weights)

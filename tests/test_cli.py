@@ -4,6 +4,7 @@ import enum
 import inspect
 import io
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -777,6 +778,16 @@ class TestFileErrorsNameTheFile:
             code, err = run_quiet(argv)
             names = {str(path), str(path.with_suffix(".vraw"))}
             assert code == 0 or (code == 2 and any(n in err for n in names)), err
+
+    def test_signalling_nan_weight_is_a_one_line_data_error(self, tmp_path):
+        """A float32 signalling NaN among a scorer file's weights is
+        rejected as non-finite, with no numpy warning on the way."""
+        path, argv = write_inputs(tmp_path)["f32vec"]
+        path.write_bytes(b"f32vec 5\n" + bytes([1, 0, 0x80, 0x7f]) + bytes(16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_quiet(argv) == (
+                2, f"lesionloss: error: {path}: scorer weights must be finite\n")
 
 
 def artifact_bytes(root):

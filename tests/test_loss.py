@@ -731,8 +731,8 @@ _CHUNK_SIZES = (8, 64, reduction._CHUNK)
 
 class TestPlanBuffers:
     """A plan holds the buffers of every evaluation: the predictions q are
-    its one batch-sized buffer, and its trees' leaves and spare and its
-    mask hold at most one chunk each.  Phase 1 reads q and leaves it as it
+    its one batch-sized buffer, and its trees' leaves and spare hold
+    at most one chunk each.  Phase 1 reads q and leaves it as it
     is; phase 2 yields each chunk's gradient in the leaves; the loss API
     returns a gradient of its own, never q."""
 
@@ -753,9 +753,12 @@ class TestPlanBuffers:
             assert width <= min(chunk, max(b - a for a, b in plan.bounds))
             assert plan.q.shape == (plan.n,)
             assert leaves.shape == spare.shape == (width,)
-            assert (plan.mask.shape if obj.ce else plan.mask) == (
-                (2, width) if obj.ce else None)
-            assert plan.local.size == plan.w.size == lesions < plan.n
+            assert plan.fg.size == plan.w.size == lesions < plan.n
+            fg = np.concatenate([g.data.ravel(order="F") for g in gts])
+            assert np.array_equal(plan.fg, np.flatnonzero(fg))
+            for c, s in zip(chunks, plan.lesions):
+                assert ((plan.fg[s] >= c.start) & (plan.fg[s] < c.stop)).all()
+            assert sum(s.stop - s.start for s in plan.lesions) == lesions
             q = plan.q.copy()
             totals = _totals(obj, [_case_sums(obj, plan)], plan.n)
             assert plan.q.tobytes() == q.tobytes()

@@ -361,12 +361,12 @@ class TestShardedEpoch:
         with _prepare_batch(cfg, phantoms) as prep:
             _obj, shards, _pool = prep
             assert [plan for _, plan in shards] == plans and len(plans) == 2
-            buffers = [(plan.q, plan.trees, plan.mask) for plan in plans]
+            buffers = [(plan.q, plan.trees) for plan in plans]
             for want_grad in (True, False, True):
                 _batch_eval(prep, theta, want_grad)
             assert len(plans) == 2
-            for plan, (q, trees, mask) in zip(plans, buffers):
-                assert plan.q is q and plan.trees is trees and plan.mask is mask
+            for plan, (q, trees) in zip(plans, buffers):
+                assert plan.q is q and plan.trees is trees
                 assert q.shape == (plan.n,) and len(trees.chunks) > 1
                 assert trees.leaves.shape == trees.spare.shape == (1024,)
             assert len(grads) == 2 * sum(len(plan.trees.chunks) for plan in plans)
