@@ -42,9 +42,9 @@ chunks of scratch, through which both phases stream the full-grid terms
 chunk by chunk.
 The lesion-voxel sums (TP, TP.W, FN.W) take their terms at the foreground
 positions only, in one gather of q per evaluation, and reduce them there
-by the plan's merge schedule
-(reduction.merge_schedule), which runs each case's tree without the
-zeros a full-grid selection would add, bit for bit; only the terms that
+by the plan's merge schedule (reduction.merge_schedule), which runs each
+case's tree without the zeros a full-grid selection would add, bit for
+bit but for a zero sum's sign, which no value reads; only the terms that
 live on every voxel, FP and CE, are full-grid sums.
 
 Gradients are analytic (quotient rule over the three global sums); the
@@ -440,7 +440,7 @@ def _gradient(obj: Objective, plan: _Plan, totals: _Totals):
         # of weight w moves TP.W, the denominator TP sum and FN.W
         a, b = obj.tversky.alpha, obj.tversky.beta
         num, den, w = totals.num, totals.den, plan.w
-        background = num * (0.0 + a) / (den * den)
+        background = np.divide(num * (0.0 + a), den * den)
         dden = (1.0 if _plain_tp_den(obj) else w) - b * w
         lesion = (num * dden - w * den) / (den * den)
         if obj.ce:
@@ -556,7 +556,8 @@ def _leaves(obj: Objective, key: str, q, loc, w) -> np.ndarray:
     """_case_sums' term key at every voxel of predictions q whose lesion
     voxels sit at loc, of weights w, by _case_sums' own writers, with +0.0
     where a lesion-voxel term has none: the tree over these leaves gives
-    sparse_case_sums' bits (see reduction.merge_schedule)."""
+    sparse_case_sums' bits but for a zero sum's sign, which _global_sum
+    drops (see reduction.merge_schedule)."""
     if key in ("ce", "fp"):
         return _grid_leaves(obj, key, q, loc, np.empty(q.size))
     keys, terms = _lesion_terms(obj, q[loc], w)
@@ -624,7 +625,7 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
     roots per checked voxel and term.  A perturbed value that is not
     finite (a denominator that cancels to zero) raises ValueError."""
     if not (np.isfinite(step) and step > 0.0):
-        raise ValueError(f"degenerate step: {step}")
+        raise ValueError(f"step must be positive and finite, got {step}")
     if max_voxels is not None and max_voxels < 1:
         raise ValueError(f"max_voxels must be >= 1, got {max_voxels}")
     if seed < 0:

@@ -6,15 +6,19 @@ sum, so a sum is reproducible and independent of case order and of how
 the cases are split into contiguous shards.  The trees run chunk by chunk
 (chunk_table: runs of whole cases, or pieces of one large case, of at
 most _CHUNK values) in two chunk-sized buffers, by steps laid out once
-per layout (ChunkTrees), and give the same bits as one tree per case.
-The loss phases drive ChunkTrees directly; case_sums and pairwise_sum
-stay here as the public form of these sums, which the tests check and
-the benchmark's probes time (bench/probes.py times pairwise_sum).
+per layout (ChunkTrees), and give one tree per case's bits, but for a
+zero sum's sign (below).  The loss phases drive ChunkTrees directly;
+case_sums and pairwise_sum stay here as the public form of these sums,
+which the tests check and bench/probes.py times (pairwise_sum).
 
 A sum whose terms are zero outside a few known positions (the lesion
 voxels) need not visit the zeros: sparse_case_sums runs the same trees
 over the nonzero positions only, following a merge schedule built once
-per layout, and returns the same bits as case_sums over the full layout.
+per layout, and returns case_sums' bits over the full layout but for a
+zero sum's sign.  That sign follows the chunk table and the merge
+schedule, which depend on the case sizes and positions alone, never on
+case order, shards or threads, so it is deterministic; and no value
+reads it, since exact_sum (math.fsum) of zeros is +0.0.
 
 A case sum with one leaf changed need not run its whole tree again:
 tree_levels keeps every level of a case's tree, and path_sums rebuilds
@@ -60,17 +64,16 @@ class Chunk:
 
     With parts == 0 it holds rows whole cases of equal size; otherwise it
     is one of the parts _CHUNK-aligned pieces of a case larger than
-    _CHUNK (rows == 1).  Its tree nodes are then the nodes of that case's
-    tree at level log2(_CHUNK), where the dense tree adds 0.0 to the node
-    of a last piece of at most _CHUNK / 2 voxels (pad): its own tree
-    stops below that level, the case's keeps pairing it with padding.
+    _CHUNK (rows == 1), whose tree nodes are those of that case's tree at
+    level log2(_CHUNK), but for a zero node's sign: the tree of a last
+    piece of at most _CHUNK / 2 voxels stops below that level, where the
+    case's tree adds the padding's 0.0 to it.
     """
 
     start: int
     stop: int
     rows: int
     parts: int = 0
-    pad: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -96,8 +99,7 @@ def chunk_table(sizes) -> tuple[Chunk, ...]:
         for _ in range(k):
             for a in range(0, n, _CHUNK):
                 b = min(a + _CHUNK, n)
-                chunks.append(Chunk(start + a, start + b, 1, parts,
-                                    b == n and b - a <= _CHUNK // 2))
+                chunks.append(Chunk(start + a, start + b, 1, parts))
             start += n
     return tuple(chunks)
 
@@ -124,8 +126,7 @@ class ChunkTrees:
         steps, sums = self._trees[chunk.shape]
         for a, b, out in steps:
             np.add(a, b, out=out)
-        nodes = sums.tolist()
-        return [x + 0.0 for x in nodes] if chunk.pad else nodes
+        return sums.tolist()
 
     def join(self, nodes) -> list[float]:
         """The case sums from each chunk's nodes, in table order: a whole
@@ -147,8 +148,8 @@ def tree_levels(leaves: np.ndarray) -> list[np.ndarray]:
     """Every level of the pairwise tree of one case's float64 leaves, from
     the leaves themselves (level 0, kept as given) up to the root's level
     of one node: about 2 * leaves.size values in all.  The root is the
-    case's sum from case_sums, bit for bit: its chunks' trees are this
-    tree's subtrees."""
+    case's sum from case_sums, bit for bit but for a zero sum's sign: its
+    chunks' trees are this tree's subtrees (see Chunk)."""
     levels = [leaves]
     while levels[-1].size > 1:
         v = levels[-1]
@@ -223,16 +224,15 @@ class MergeSchedule:
 
     levels holds, for each tree level at which some pair of nodes meets,
     the np.add.reduceat starts that add each such pair (a node whose
-    sibling subtree holds no position passes through alone).  cases is
-    the number of cases, roots the case of each node left at the top (one
-    per case that holds a position) and pad marks the leaves that get
-    "+ 0.0" first (see merge_schedule).
+    sibling subtree holds no position passes through alone).  cases and
+    positions count the cases and positions, and roots holds the case of
+    each node left at the top (one per case that holds a position).
     """
 
     cases: int
     levels: tuple[np.ndarray, ...]
     roots: np.ndarray
-    pad: np.ndarray
+    positions: int
 
 
 def merge_schedule(positions, sizes) -> MergeSchedule:
@@ -245,12 +245,8 @@ def merge_schedule(positions, sizes) -> MergeSchedule:
 
     The dense tree adds a zero (of padding or of a position outside the
     set) to every node whose sibling holds no position; the schedule
-    leaves that node alone instead.  x + 0.0 is x except that -0.0 turns
-    into +0.0, and a sum is -0.0 only when both addends are, so adding
-    0.0 to each leaf first gives the dense bits, except in a case whose
-    every voxel is a position and whose size is a power of two: there no
-    zero is ever added, the tree is the dense one, and its leaves keep
-    their sign.
+    leaves that node alone instead, which moves no bit but a zero sum's
+    sign (x + 0.0 is x, but for x = -0.0).
     """
     pos = np.asarray(positions, dtype=np.int64)
     size = np.asarray(sizes, dtype=np.int64)
@@ -258,9 +254,6 @@ def merge_schedule(positions, sizes) -> MergeSchedule:
     case = np.searchsorted(stops, pos, side="right")
     stride = 1 << (int(size.max(initial=1)) - 1).bit_length()
     key = pos - (stops - size)[case] + case * stride
-    whole = ((np.bincount(case, minlength=size.size) == size) & (size > 0)
-             & ((size & (size - 1)) == 0))
-    pad = ~whole[case]
     levels = []
     for _ in range(stride.bit_length() - 1):
         key >>= 1
@@ -270,18 +263,17 @@ def merge_schedule(positions, sizes) -> MergeSchedule:
             starts = np.flatnonzero(first)
             levels.append(starts)
             key = key[starts]
-    return MergeSchedule(size.size, tuple(levels), key, pad)
+    return MergeSchedule(size.size, tuple(levels), key, pos.size)
 
 
 def sparse_case_sums(terms, schedule: MergeSchedule) -> np.ndarray:
     """The per-case sums of k rows of terms, one term per position of
     schedule, as a (k, cases) array: row j, case i is case_sums of the
     layout that holds row j's terms at the positions and +0.0 elsewhere,
-    bit for bit."""
-    v = np.array(terms, dtype=np.float64, ndmin=2)
-    if v.shape[1] != schedule.pad.size:
-        raise ValueError(f"{v.shape[1]} terms for {schedule.pad.size} positions")
-    np.add(v, 0.0, out=v, where=schedule.pad)
+    bit for bit but for a zero sum's sign."""
+    v = np.atleast_2d(np.asarray(terms, dtype=np.float64))
+    if v.shape[1] != schedule.positions:
+        raise ValueError(f"{v.shape[1]} terms for {schedule.positions} positions")
     for starts in schedule.levels:
         v = np.add.reduceat(v, starts, axis=1)
     sums = np.zeros((v.shape[0], schedule.cases))

@@ -306,7 +306,7 @@ def shrink(ph: Phantom, factor: float) -> Phantom:
     """
     factor = float(factor)
     if not 0.0 < factor <= 1.0:
-        raise ValueError(f"shrink factor must lie in (0, 1], got {factor}")
+        raise ValueError(f"factor must lie in (0, 1], got {factor}")
     dims = ph.spec.shape.dims
     truth = _grid(np.zeros(ph.spec.shape.voxel_count, dtype=bool), dims)
     new_lesions = []

@@ -33,13 +33,17 @@ class WeightCurveParams:
     a_shift: float = DEFAULT_A_SHIFT
 
     def __post_init__(self):
-        vals = (self.w_max, self.w_min, self.vrange, self.k, self.a_shift)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("curve parameters must be finite")
-        if not self.w_max >= self.w_min > 0.0:
-            raise ValueError("need w_max >= w_min > 0")
-        if self.vrange <= 0.0 or self.k <= 0.0 or self.a_shift <= 0.0:
-            raise ValueError("vrange, k and a_shift must be positive")
+        names = ("w_max", "w_min", "vrange", "k", "a_shift")
+        for name in names:    # each message leads with its parameter
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not self.w_min > 0.0:
+            raise ValueError("w_min must be positive")
+        if not self.w_max >= self.w_min:
+            raise ValueError("w_max must be >= w_min")
+        for name in names[2:]:
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)

@@ -179,6 +179,32 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "lesionloss: error: loss value is non-finite\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["loss", "--kind", "tversky", "--grad-out", "g"],
+         "loss gradient is non-finite"),
+        (["gradcheck", "--kind", "tversky"], "loss gradient is non-finite"),
+        (["loss", "--kind", "combined", "--grad-out", "g"],
+         "loss gradient is non-finite"),
+        (["train", "--loss", "tversky", "--alpha", "0", "--small-lesions", "0",
+          "--large-lesions", "0", "--train-count", "2", "--epochs", "1"],
+         "training diverged at epoch 0: loss=0.0, gradient is non-finite"),
+    ])
+    def test_underflowing_squared_denominator_is_a_one_line_data_error(
+            self, tmp_path, argv, message):
+        # empty truth and zero predictions leave the ratio's denominator at
+        # the smoothing, whose square underflows to 0
+        save_mask(Mask.from_array(np.zeros((4, 4, 4), bool)), tmp_path / "gt")
+        save_volume(Volume.from_array(np.zeros((4, 4, 4), np.float32)),
+                    tmp_path / "pred")
+        argv = [str(tmp_path / a) if a == "g" else a for a in argv]
+        if argv[0] != "train":
+            argv += ["--gt", str(tmp_path / "gt.vhdr"),
+                     "--pred", str(tmp_path / "pred.vhdr")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_quiet(argv + ["--smooth", "1e-200"]) == (
+                2, f"lesionloss: error: {message}\n")
+
     def test_train_has_no_tp_denominator_switch(self, capsys, tmp_path):
         small = ["train", "--epochs", "1", "--train-count", "2",
                  "--dims", "10 10 10", "--small-radius", "1.2 1.5",
@@ -687,7 +713,7 @@ class TestFileErrorsNameTheFile:
         ("spec", lambda b: b.replace(b"n_lesions=1", b"n_lesions=40"),
          "could not place lesion"),
         ("spec", lambda b: b.replace(b"shrink_factors=", b"shrink_factors=2"),
-         "shrink factor must lie in (0, 1]"),
+         "factor must lie in (0, 1]"),
         ("f32vec", lambda b: b.replace(b"f32vec 5", b"f32vec abc"),
          "invalid literal for int() with base 10: b'abc'"),
         ("f32vec", lambda b: b.replace(b"f32vec 5", b"f32vec 0")[:9],
@@ -721,15 +747,31 @@ class TestFileErrorsNameTheFile:
     @pytest.mark.parametrize("command, line, message", [
         ("synth", "noise_sigma=-1", "noise_sigma must be >= 0 and finite"),
         ("train", "learning_rate=inf", "learning_rate must be positive and finite"),
+        ("loss", "w_max=inf", "w_max must be finite"),
+        ("weights", "w_min=-1", "w_min must be positive"),
+        ("gradcheck", "vrange=-1", "vrange must be positive"),
+        ("train", "k=0", "k must be positive"),
+        ("weights", "a_shift=-2", "a_shift must be positive"),
+        ("gradcheck", "step=0", "step must be positive and finite, got 0.0"),
+        ("shrink", "factor=2", "factor must lie in (0, 1], got 2.0"),
     ])
     def test_config_value_a_constructor_rejects_names_file_and_key(
             self, tmp_path, command, line, message):
         # the value parses; the library's check rejects it in the
         # subcommand.  Given by flag, it keeps the library's message.
+        write_inputs(tmp_path)
+        save_volume(Volume.from_array(np.full((4, 4, 4), 0.5, np.float32)),
+                    tmp_path / "p")
         path = tmp_path / "run.cfg"
         path.write_text(line + "\n")
-        argv = [command] + (["--out", str(tmp_path / "ph")]
-                            if command == "synth" else [])
+        pair = ["--gt", str(tmp_path / "m.vhdr"), "--pred", str(tmp_path / "p.vhdr"),
+                "--kind", "tversky"]
+        argv = [command] + {
+            "synth": ["--out", str(tmp_path / "out")],
+            "weights": ["--gt", str(tmp_path / "m.vhdr"), "--out", str(tmp_path / "w")],
+            "loss": pair, "gradcheck": pair,
+            "shrink": ["--in", str(tmp_path / "ph"), "--out", str(tmp_path / "out")],
+        }.get(command, [])
         key, value = line.split("=")
         assert run_quiet(argv + ["--config", str(path)]) == (
             2, f"lesionloss: error: {path}: {key}: {message}\n")

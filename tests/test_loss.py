@@ -304,7 +304,7 @@ class TestGradients:
     def test_degenerate_step_rejected(self):
         rng = np.random.default_rng(16)
         gt, pred = random_case(rng)
-        with pytest.raises(ValueError, match="degenerate step"):
+        with pytest.raises(ValueError, match="step must be positive and finite"):
             grad_check("tversky", gt, pred, step=0.0)
 
     @pytest.mark.parametrize("max_voxels", [0, -1])
@@ -489,7 +489,8 @@ _EDGE_PREDS = np.array([0.0, -0.0, 1.0, 0.5, CE_CLAMP_DEFAULT, 1.0 - CE_CLAMP_DE
 @st.composite
 def _batches(draw, runs=False, pool_dims=None):
     """1-3 cases of random dims; truth random, empty or full; predictions
-    uniform, on the edge values, or a mix of both.  With runs, 2-6 cases
+    uniform, on the edge values, a mix of both, or all +0.0 or all -0.0
+    (so a case sum can be a zero of either sign).  With runs, 2-6 cases
     whose dims repeat from a pool of one or two, so runs of equal-size
     cases go through the reductions together; the pool's dims are drawn
     from pool_dims when given."""
@@ -509,8 +510,9 @@ def _batches(draw, runs=False, pool_dims=None):
         uniform = rng.uniform(0.0, 1.0, dims).astype(np.float32)
         edge = rng.choice(_EDGE_PREDS, dims)
         q = {"uniform": uniform, "edge": edge,
-             "mixed": np.where(rng.random(dims) < 0.5, uniform, edge)}[
-            draw(st.sampled_from(["uniform", "edge", "mixed"]))]
+             "mixed": np.where(rng.random(dims) < 0.5, uniform, edge),
+             "zero": np.full(dims, rng.choice([0.0, -0.0]), np.float32)}[
+            draw(st.sampled_from(["uniform", "edge", "mixed", "zero"]))]
         gts.append(mask(fg))
         preds.append(vol(q))
     return gts, preds
@@ -778,7 +780,7 @@ class TestPlanBuffers:
 
 # grid lengths at and around multiples of the chunk sizes 8 and 64: a
 # chunk, a chunk + 1, and 1.5 chunks -1, 0 and +1, where a last piece's
-# node starts to take "+ 0.0"
+# tree starts to stop below the chunk level
 _CHUNK_DIMS = st.one_of(
     st.sampled_from([7, 8, 9, 11, 12, 13, 63, 64, 65, 95, 96, 97, 129, 200])
     .map(lambda n: (n, 1, 1)),
@@ -817,8 +819,8 @@ _CLAMP_PREDS = np.array([c + d for c in (CE_CLAMP_DEFAULT, 2.0 ** -20)
 _CLAMP_PREDS = np.concatenate([_CLAMP_PREDS, 1.0 - _CLAMP_PREDS])
 
 # lines at and around multiples of the chunk sizes 8 and 16: a last piece
-# of at most half a chunk takes "+ 0.0" (9, 17, 20 and 33 at 8), a longer
-# one not (13 and 15 at 8, 27 at 16)
+# of at most half a chunk, whose tree stops below the chunk level (9, 17,
+# 20 and 33 at 8), and a longer one (13 and 15 at 8, 27 at 16)
 _LEAF_PATH_DIMS = st.one_of(
     st.sampled_from([1, 7, 8, 9, 13, 15, 16, 17, 20, 27, 33])
     .map(lambda n: (n, 1, 1)),

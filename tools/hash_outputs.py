@@ -28,7 +28,11 @@ hashing its own, then prints the groups that differ and exits 1 if any do.
                all-foreground truth with predictions of exactly 0.0, -0.0,
                1.0 or a mix of them (a 4^3, a 3x4x5 and a one-voxel case,
                alone and as a batch), every kind, the switch off and on;
-               and grad_check of every kind on empty and full truth
+               grad_check of every kind on empty and full truth; and
+               evaluate_loss values and gradients of a 64x32x40 case (2^16
+               + 2^14 voxels, its last chunk piece padded) on empty, full
+               and 5% truth with predictions of 0.0, -0.0 or a mix of 0.0,
+               -0.0 and 1.0, every kind, the switch off and on
     train      train weights and loss curves, and scorer_loss with its
                gradient: every train kind, an equal-size, a mixed-size,
                the 40-phantom 24^3 A/B corpus and a 48^3, 41x43x47, 48^3
@@ -207,6 +211,21 @@ def _degenerate(ll, g):
                               *[v.data for v in rep.gradient])
                 g.add(truth, n, kind,
                       ll.loss.grad_check(kind, gts[:n], inside[:n]))
+    # a case of 2^16 + 2^14 voxels, whose last chunk piece is padded
+    dims = (64, 32, 40)
+    truths = {"empty": np.zeros(dims, bool), "full": np.ones(dims, bool),
+              "5%": rng.random(dims) < 0.05}
+    preds = {"0.0": np.full(dims, 0.0), "-0.0": np.full(dims, -0.0),
+             "mixed": rng.choice([0.0, -0.0, 1.0], dims)}
+    for truth, fg in truths.items():
+        gt = ll.volume.Mask.from_array(fg)
+        for name, q in preds.items():
+            pred = ll.volume.Volume.from_array(q.astype(np.float32))
+            for kind in ll.loss.LOSS_KINDS:
+                for wtd in (False, True):
+                    rep = ll.loss.evaluate_loss(kind, gt, pred, want_grad=True,
+                                                weight_tp_denominator=wtd)
+                    g.add(truth, name, kind, wtd, rep.value, rep.gradient.data)
 
 
 def _corpora(ll):
