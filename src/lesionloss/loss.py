@@ -41,22 +41,22 @@ array in the same order, the plan's only batch-sized buffer) and two
 chunks of scratch, through which both phases stream the full-grid terms
 chunk by chunk.
 The lesion-voxel sums (TP, TP.W, FN.W) take their terms at the foreground
-positions only, in one gather of q per evaluation, and reduce them there
-by the plan's merge schedule (reduction.merge_schedule), which runs each
-case's tree without the zeros a full-grid selection would add, bit for
-bit but for a zero sum's sign, which no value reads; only the terms that
-live on every voxel, FP and CE, are full-grid sums.
+positions only, in one gather of q per evaluation, and each case's sum of
+them is exactly rounded (reduction.exact_sum), the same bits in any order
+of its terms; only the terms that live on every voxel, FP and CE, are
+full-grid tree sums.
 
 Gradients are analytic (quotient rule over the three global sums); the
 grad_check harness cross-checks them against central finite differences.
-Moving one voxel's prediction changes one leaf of each term's case tree,
-so grad_check lays out every level of a case's tree once, one term at a
-time (O(n) extra memory for a case of n voxels), rebuilds each checked
-voxel's leaf-to-root path (O(log n) per voxel and term) with the leaf
-writers of _case_sums, and runs the value formula of every evaluation
-(_value) once per case over the arrays of perturbed global sums: the bits
-of a full evaluation of each perturbed batch.  An all-voxel check of a
-48^3 case takes 0.15-0.75 s per kind (2 vCPUs).
+Moving one voxel's prediction changes one leaf of each full-grid term's
+case tree, so grad_check lays out every level of a case's CE and FP trees
+once, one term at a time (O(n) extra memory for a case of n voxels),
+rebuilds each checked voxel's leaf-to-root path (O(log n) per voxel and
+term) with the leaf writers of _case_sums, replaces a lesion voxel's term
+in each exact lesion-voxel case sum (_expansion), and runs the value
+formula of every evaluation (_value) once per case over the arrays of
+perturbed global sums: the bits of a full evaluation of each perturbed
+batch.
 
 An evaluation runs in two phases over contiguous case shards, each with a
 plan of its own built by _truth:
@@ -67,12 +67,12 @@ plan of its own built by _truth:
                            yielded chunk by chunk (the ratio term's
                            lesion gradient taken once, from the weights)
 
-Each case sum is the fixed-order pairwise tree of reduction.case_sums
-over that case alone (one (k, n) tree pass per chunk of k consecutive
-cases of n voxels, bit-identical to k separate trees; a larger case's
-pieces are subtrees of its tree), and the exactly rounded sum across
-cases is order-free, so values are reproducible, case-order free and the
-same for any split into shards or chunks.  The loss API and grad_check
+Each FP and CE case sum is the fixed-order pairwise tree of
+reduction.case_sums over that case alone (one (k, n) tree pass per chunk
+of k consecutive cases of n voxels, bit-identical to k separate trees; a
+larger case's pieces are subtrees of its tree), and the exactly rounded
+sum across cases is order-free, so values are reproducible, case-order
+free and the same for any split into shards or chunks.  The loss API and grad_check
 run the whole batch as one shard (_objective_core) and copy each chunk's
 gradient into the one they return; the trainer runs one shard per thread
 and writes its chain rule over q.  Each phase reads an Objective, every
@@ -81,13 +81,13 @@ parameter of the loss, and writes into its plan's chunk scratch only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .components import Connectivity, DEFAULT_CONNECTIVITY, _lesion_ids
-from .reduction import (ChunkTrees, MergeSchedule, exact_sum, merge_schedule,
-                        path_sums, sparse_case_sums, tree_levels)
+from .reduction import ChunkTrees, exact_sum, path_sums, tree_levels
 from .volume import (Mask, ShapeMismatchError, Volume, _flat, _grid,
                      require_same_shape)
 from .weighting import WeightCurveParams, WeightMap, _omega_lut
@@ -222,11 +222,10 @@ class _Plan:
     bounds[i] = (start, stop)), cut into the chunks of trees
     (reduction.ChunkTrees of the case sizes).  fg holds the batch positions
     of the lesion voxels in ascending order and w their weights (ones when
-    the ratio term is unweighted); fg[lesions[j]] are the ones in chunk j.
-    merge is the merge schedule of fg, by which the lesion-voxel sums run
-    their case trees over them only (None without a ratio term: only its
-    sums read it).  Background weights are never kept, so they cannot
-    reach the loss.
+    the ratio term is unweighted); fg[lesions[j]] are the ones in chunk j
+    and fg[a:b] for (a, b) = spans[i] the ones in case i, over which the
+    lesion-voxel sums run.  Background weights are never kept, so they
+    cannot reach the loss.
 
     q, the predictions, is the one batch-sized buffer: the caller writes
     them and the phases only read them.  trees holds two chunks of float64
@@ -240,7 +239,7 @@ class _Plan:
     lesions: tuple[slice, ...]
     fg: np.ndarray
     w: np.ndarray
-    merge: MergeSchedule | None
+    spans: tuple[tuple[int, int], ...]
     q: np.ndarray
 
     @property
@@ -259,7 +258,8 @@ def _truth(obj: Objective, gts, omega=None) -> _Plan:
     stops = np.cumsum(sizes).tolist()
     bounds = tuple(zip([0] + stops[:-1], stops))
     fg = np.flatnonzero(np.concatenate(fgs))
-    merge = merge_schedule(fg, sizes) if obj.ratio is not None else None
+    edges = [0] + np.searchsorted(fg, stops).tolist()
+    spans = tuple(zip(edges, edges[1:]))
     if omega is not None:
         maps, _ = _as_list(omega, WeightMap)
         if len(maps) != len(gts):
@@ -271,13 +271,12 @@ def _truth(obj: Objective, gts, omega=None) -> _Plan:
     elif omega is not None:
         w = np.concatenate([_flat(m.weights)[g] for m, g in zip(maps, fgs)])
     else:
-        at = np.split(fg, np.searchsorted(fg, stops[:-1]))
-        w = np.concatenate([_lesion_weights(obj, g, pos - start)
-                            for g, pos, (start, _) in zip(gts, at, bounds)])
+        w = np.concatenate([_lesion_weights(obj, g, fg[a:b] - start)
+                            for g, (a, b), (start, _) in zip(gts, spans, bounds)])
     trees = ChunkTrees(sizes)
     cuts = np.searchsorted(fg, [c.start for c in trees.chunks] + [stops[-1]]).tolist()
     lesions = tuple(slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]))
-    return _Plan(bounds, trees, lesions, fg, w, merge, np.empty(sum(sizes)))
+    return _Plan(bounds, trees, lesions, fg, w, spans, np.empty(sum(sizes)))
 
 
 def _lesion_weights(obj: Objective, g: Mask, pos) -> np.ndarray:
@@ -358,8 +357,8 @@ def _case_sums(obj: Objective, plan: _Plan) -> dict[str, list[float]]:
     Each chunk's full-grid terms (_grid_leaves) go one at a time through
     plan.trees, whose nodes join into case sums.  The lesion-voxel terms
     (_lesion_terms), at the predictions of every lesion voxel at once,
-    are reduced by plan's merge schedule: the case trees of a full-grid
-    selection without its zeros."""
+    are summed exactly case by case, each case's a run of its term row
+    read through a memoryview (no list of floats)."""
     trees = plan.trees
     nodes = {key: [] for key, on in (("ce", obj.ce), ("fp", obj.ratio is not None))
              if on}
@@ -371,7 +370,8 @@ def _case_sums(obj: Objective, plan: _Plan) -> dict[str, list[float]]:
     sums = {key: trees.join(got) for key, got in nodes.items()}
     if obj.ratio is not None:
         keys, terms = _lesion_terms(obj, plan.q[plan.fg], plan.w)
-        sums.update(zip(keys, sparse_case_sums(terms, plan.merge).tolist()))
+        for key, row in zip(keys, terms):
+            sums[key] = [_global_sum(memoryview(row[a:b])) for a, b in plan.spans]
     return sums
 
 
@@ -387,9 +387,10 @@ class _Totals:
     den: float | None
 
 
-def _global_sum(sums: list[float]) -> float:
-    """exact_sum of one term's case sums; they share a sign, so one that
-    overflows (OverflowError) is that sign's infinity, as sum() gives."""
+def _global_sum(sums) -> float:
+    """exact_sum of values of one sign (one term's case sums, or one case's
+    lesion-voxel terms), so a sum that overflows (OverflowError) is that
+    sign's infinity, as sum() gives."""
     try:
         return exact_sum(sums)
     except OverflowError:
@@ -552,18 +553,25 @@ def evaluate_loss(kind: str, gt, pred, *, want_grad: bool = False, omega=None,
     return _wrap(value, grad, plan, preds, single)
 
 
-def _leaves(obj: Objective, key: str, q, loc, w) -> np.ndarray:
-    """_case_sums' term key at every voxel of predictions q whose lesion
-    voxels sit at loc, of weights w, by _case_sums' own writers, with +0.0
-    where a lesion-voxel term has none: the tree over these leaves gives
-    sparse_case_sums' bits but for a zero sum's sign, which _global_sum
-    drops (see reduction.merge_schedule)."""
-    if key in ("ce", "fp"):
-        return _grid_leaves(obj, key, q, loc, np.empty(q.size))
-    keys, terms = _lesion_terms(obj, q[loc], w)
-    out = np.zeros(q.size)
-    out[loc] = terms[keys.index(key)]
-    return out
+def _expansion(terms) -> list[float]:
+    """Floats whose exact sum is that of terms (one case's lesion-voxel
+    terms, of one sign), each the exactly rounded rest of the ones before,
+    so _global_sum([*expansion, -old, new]) is their exact sum with one
+    term old replaced by new, rounded once, as a full evaluation rounds
+    it.  A sum that overflows is its infinity alone."""
+    rest, parts = list(memoryview(terms)), []
+    while (s := _global_sum(rest)) != 0.0 and math.isfinite(s):
+        parts.append(s)
+        rest.append(-s)
+    return parts if math.isfinite(s) else [s]
+
+
+def _swapped(got, i, roots) -> np.ndarray:
+    """The global sums (as in _totals) of case sums got with case i's
+    replaced by each of roots, rows of perturbed case sums."""
+    before, after = got[:i], got[i + 1:]
+    return np.array([[_global_sum([*before, r, *after]) for r in side]
+                     for side in roots])
 
 
 def _perturbed_values(obj: Objective, plan: _Plan, step: float,
@@ -573,34 +581,43 @@ def _perturbed_values(obj: Objective, plan: _Plan, step: float,
     (up) and to q - step (down), the rest at plan.q (left as it is): the
     bits of a full evaluation of each perturbed batch.
 
-    A voxel is one leaf of each term's case tree.  So each term's tree
-    over the case is laid out once, one term at a time
+    A voxel is one leaf of each full-grid term's case tree (CE, FP).  So
+    each such tree over the case is laid out once, one term at a time
     (reduction.tree_levels), and every perturbed leaf's path to the root
-    rebuilt (reduction.path_sums).  Each new root and the other cases'
-    sums, in batch order, make the term's global sum as in _totals, and
-    one _value over these arrays gives the case's values.  A value that is
-    not finite raises ValueError, as _objective_core's does.  sums are the
-    batch's case sums at plan.q (_objective_core's third value)."""
+    rebuilt (reduction.path_sums).  A lesion voxel also replaces its term
+    in each exact lesion-voxel case sum (_expansion).  Each new case sum
+    and the other cases' sums, in batch order, make the term's global sum
+    as in _totals, and one _value over these arrays gives the case's
+    values.  A value that is not finite raises ValueError, as
+    _objective_core's does.  sums are the batch's case sums at plan.q
+    (_objective_core's third value)."""
     rng = np.random.default_rng(seed)
-    for i, (start, stop) in enumerate(plan.bounds):
+    for i, ((start, stop), (lo, hi)) in enumerate(zip(plan.bounds, plan.spans)):
         js = np.arange(stop - start)
         if max_voxels is not None and js.size > max_voxels:
             js = np.sort(rng.choice(js.size, size=max_voxels, replace=False))
-        lo, hi = np.searchsorted(plan.fg, (start, stop))
         loc, w, q = plan.fg[lo:hi] - start, plan.w[lo:hi], plan.q[start:stop]
         hit = np.flatnonzero(np.isin(js, loc))
-        w_hit = w[np.searchsorted(loc, js[hit])]
+        at = np.searchsorted(loc, js[hit])
         moved = (q[js] + step, q[js] - step)
         total = {}
         with _quiet():
-            for key, got in sums.items():    # one term's tree at a time
-                levels = tree_levels(_leaves(obj, key, q, loc, w))
-                roots = [path_sums(levels, js, _leaves(obj, key, m, hit, w_hit))
+            for key in [k for k in ("ce", "fp") if k in sums]:    # one tree at a time
+                levels = tree_levels(_grid_leaves(obj, key, q, loc, np.empty(q.size)))
+                roots = [path_sums(levels, js, _grid_leaves(obj, key, m, hit,
+                                                            np.empty(m.size)))
                          for m in moved]
                 del levels
-                before, after = got[:i], got[i + 1:]
-                total[key] = np.array([[_global_sum([*before, r, *after])
-                                        for r in side.tolist()] for side in roots])
+                total[key] = _swapped(sums[key], i, [r.tolist() for r in roots])
+            if obj.ratio is not None:
+                keys, terms = _lesion_terms(obj, q[loc], w)
+                up, down = (_lesion_terms(obj, m[hit], w[at])[1] for m in moved)
+                for key, row, *new in zip(keys, terms, up, down):
+                    parts, old = _expansion(row), (-row[at]).tolist()
+                    roots = [[_global_sum([*parts, o, x])
+                              for o, x in zip(old, side.tolist())] for side in new]
+                    total[key] = np.full((2, js.size), _global_sum(sums[key]))
+                    total[key][:, hit] = _swapped(sums[key], i, roots)
             values = _value(obj, total, plan.n)[0]
         if not np.isfinite(values).all():
             raise ValueError("loss value is non-finite")
@@ -618,12 +635,13 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
     keyword options, as for evaluate_loss.
 
     Each perturbed value is the bits of a full evaluation, from the one
-    leaf-to-root path that the voxel changes in each term's case tree and
-    one value formula per case over the new roots (_perturbed_values):
-    O(m log n) time per term for m checked voxels of a case of n.  Extra
-    memory: one term's tree levels at a time (about 2n values) and two
-    roots per checked voxel and term.  A perturbed value that is not
-    finite (a denominator that cancels to zero) raises ValueError."""
+    leaf-to-root path that the voxel changes in each CE and FP case tree,
+    its term replaced in each lesion-voxel case sum, and one value formula
+    per case over the new sums (_perturbed_values): O(m log n) time per
+    term for m checked voxels of a case of n.  Extra memory: one term's
+    tree levels at a time (about 2n values) and two sums per checked voxel
+    and term.  A non-finite perturbed value (a denominator that cancels to
+    zero) raises ValueError."""
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step}")
     if max_voxels is not None and max_voxels < 1:

@@ -1,24 +1,19 @@
 """Deterministic reductions shared by the loss engine and trainer.
 
-A batch's loss sums are exact_sum(case_sums(values, sizes)): each case by
+A batch's full-grid loss sums (FP and CE; a lesion-voxel sum is each
+case's exact_sum) are exact_sum(case_sums(values, sizes)): each case by
 its own fixed pairwise tree, then the case sums by one exactly rounded
 sum, so a sum is reproducible and independent of case order and of how
 the cases are split into contiguous shards.  The trees run chunk by chunk
 (chunk_table: runs of whole cases, or pieces of one large case, of at
 most _CHUNK values) in two chunk-sized buffers, by steps laid out once
 per layout (ChunkTrees), and give one tree per case's bits, but for a
-zero sum's sign (below).  The loss phases drive ChunkTrees directly;
-case_sums and pairwise_sum stay here as the public form of these sums,
-which the tests check and bench/probes.py times (pairwise_sum).
-
-A sum whose terms are zero outside a few known positions (the lesion
-voxels) need not visit the zeros: sparse_case_sums runs the same trees
-over the nonzero positions only, following a merge schedule built once
-per layout, and returns case_sums' bits over the full layout but for a
-zero sum's sign.  That sign follows the chunk table and the merge
-schedule, which depend on the case sizes and positions alone, never on
-case order, shards or threads, so it is deterministic; and no value
-reads it, since exact_sum (math.fsum) of zeros is +0.0.
+zero sum's sign, which follows the chunk table (the case sizes alone,
+never case order, shards or threads) and which no value reads, since
+exact_sum (math.fsum) of zeros is +0.0.  The loss phases drive
+ChunkTrees directly; case_sums and pairwise_sum stay here as the public
+form of these sums, which the tests check and bench/probes.py times
+(pairwise_sum).
 
 A case sum with one leaf changed need not run its whole tree again:
 tree_levels keeps every level of a case's tree, and path_sums rebuilds
@@ -216,66 +211,3 @@ def case_sums(values, sizes) -> list[float]:
         np.copyto(trees.leaves[:c.stop - c.start], v[c.start:c.stop])
         nodes.append(trees.nodes(c))
     return trees.join(nodes)
-
-
-@dataclass(frozen=True)
-class MergeSchedule:
-    """Where the pairwise trees of a batch's cases meet a set of positions.
-
-    levels holds, for each tree level at which some pair of nodes meets,
-    the np.add.reduceat starts that add each such pair (a node whose
-    sibling subtree holds no position passes through alone).  cases and
-    positions count the cases and positions, and roots holds the case of
-    each node left at the top (one per case that holds a position).
-    """
-
-    cases: int
-    levels: tuple[np.ndarray, ...]
-    roots: np.ndarray
-    positions: int
-
-
-def merge_schedule(positions, sizes) -> MergeSchedule:
-    """The merge schedule of ascending flat positions in a layout of cases
-    of the given sizes.
-
-    Each level halves the in-case node ids, as the tree does; a node's key
-    is case * stride + id with a power-of-two stride of at least every
-    size, so halving the key halves the id and keeps cases apart.
-
-    The dense tree adds a zero (of padding or of a position outside the
-    set) to every node whose sibling holds no position; the schedule
-    leaves that node alone instead, which moves no bit but a zero sum's
-    sign (x + 0.0 is x, but for x = -0.0).
-    """
-    pos = np.asarray(positions, dtype=np.int64)
-    size = np.asarray(sizes, dtype=np.int64)
-    stops = np.cumsum(size)
-    case = np.searchsorted(stops, pos, side="right")
-    stride = 1 << (int(size.max(initial=1)) - 1).bit_length()
-    key = pos - (stops - size)[case] + case * stride
-    levels = []
-    for _ in range(stride.bit_length() - 1):
-        key >>= 1
-        first = np.ones(key.size, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        if not first.all():
-            starts = np.flatnonzero(first)
-            levels.append(starts)
-            key = key[starts]
-    return MergeSchedule(size.size, tuple(levels), key, pos.size)
-
-
-def sparse_case_sums(terms, schedule: MergeSchedule) -> np.ndarray:
-    """The per-case sums of k rows of terms, one term per position of
-    schedule, as a (k, cases) array: row j, case i is case_sums of the
-    layout that holds row j's terms at the positions and +0.0 elsewhere,
-    bit for bit but for a zero sum's sign."""
-    v = np.atleast_2d(np.asarray(terms, dtype=np.float64))
-    if v.shape[1] != schedule.positions:
-        raise ValueError(f"{v.shape[1]} terms for {schedule.positions} positions")
-    for starts in schedule.levels:
-        v = np.add.reduceat(v, starts, axis=1)
-    sums = np.zeros((v.shape[0], schedule.cases))
-    sums[:, schedule.roots] = v
-    return sums

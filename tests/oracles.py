@@ -195,6 +195,11 @@ def _case_sum(per_case) -> float:
     return math.fsum(_tree_sum(x) for x in per_case)
 
 
+def _exact_case_sum(per_case) -> float:
+    """The lesion-voxel sums: each case's exactly rounded, then theirs."""
+    return math.fsum(math.fsum(x.tolist()) for x in per_case)
+
+
 def _weigh(x, w):
     return x if w is None else x * w
 
@@ -216,11 +221,12 @@ def _ce_reference(ps, qs, clamp):
 def _ratio_reference(ps, qs, ws, alpha, beta, smooth, weight_tp_denominator):
     """ws None: unit weights and 1 - ratio; else the negated WLT ratio."""
     ws_ = ws if ws is not None else [None] * len(ps)
-    tp_w = _case_sum(_weigh(p * q, w) for p, q, w in zip(ps, qs, ws_))
+    tp_w = _exact_case_sum(_weigh(p * q, w) for p, q, w in zip(ps, qs, ws_))
     fp = _case_sum((1.0 - p) * q for p, q in zip(ps, qs))
-    fn_w = _case_sum(_weigh(p * (1.0 - q), w) for p, q, w in zip(ps, qs, ws_))
+    fn_w = _exact_case_sum(_weigh(p * (1.0 - q), w) for p, q, w in zip(ps, qs, ws_))
     plain_tp_den = ws is not None and not weight_tp_denominator
-    tp_den = _case_sum(p * q for p, q in zip(ps, qs)) if plain_tp_den else tp_w
+    tp_den = (_exact_case_sum(p * q for p, q in zip(ps, qs)) if plain_tp_den
+              else tp_w)
     num = smooth + tp_w
     den = smooth + tp_den + alpha * fp + beta * fn_w
     value = 1.0 - num / den if ws is None else -(num / den)

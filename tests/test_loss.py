@@ -343,6 +343,17 @@ class TestGradients:
                 assert grad_check(kind, [gt] * n, [pred] * n, curve=curve,
                                   max_voxels=3) < 1e-4
 
+    def test_background_gradient_is_positive_zero_at_alpha_negative_zero(self):
+        # a background voxel's d den is alpha; num * -0.0 would sign its
+        # zero gradient, which the CLI's gradient file and train's chain
+        # rule would carry
+        rng = np.random.default_rng(23)
+        gt, pred = random_case(rng, dims=(4, 4, 4), fg=0.3)
+        rep = tversky_loss(gt, pred, TverskyParams(alpha=-0.0), want_grad=True)
+        background = rep.gradient.data[~gt.data]
+        assert background.size and (background == 0.0).all()
+        assert not np.signbit(background).any()
+
     def test_voxel_sampling_is_deterministic(self):
         rng = np.random.default_rng(17)
         gt, pred = random_case(rng, dims=(8, 8, 8))
@@ -726,6 +737,44 @@ class TestBatchIsGlobalRatio:
                     for g, v, m in zip(gts, preds, maps)]
         assert not math.isclose(value, math.fsum(per_case) / len(gts),
                                 rel_tol=1e-7)
+
+
+# cases of one voxel among small ones, for the lesion-voxel sums
+_ONE_VOXEL_OR_SMALL = st.one_of(st.just((1, 1, 1)), st.tuples(*[st.integers(1, 5)] * 3))
+
+
+class TestLesionCaseSums:
+    """Each lesion-voxel case sum is math.fsum of the case's terms, bit for
+    bit, so a batch's value is the same bits in any case order."""
+
+    @pytest.mark.parametrize("kind", ["tversky", "wlt", "combined"])
+    @given(batch=_batches(runs=True, pool_dims=_ONE_VOXEL_OR_SMALL),
+           wtd=st.booleans(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_case_sums_are_exact_and_order_free(self, kind, batch, wtd, data):
+        gts, preds = batch
+        obj = objective(kind, weight_tp_denominator=wtd)
+        plan, _, _ = _prepare(obj, gts, preds)
+        sums = _case_sums(obj, plan)
+        for i, (g, p) in enumerate(zip(gts, preds)):
+            fg = g.data.ravel(order="F")
+            q = p.data.ravel(order="F")[fg].astype(np.float64)
+            w = (build_weight_map(label_components(g)).weights.ravel(order="F")[fg]
+                 if kind != "tversky" else np.ones(q.size))
+            want = {"tp_w": q * w, "fn_w": (1.0 - q) * w, "tp": q}
+            for key in ("tp_w", "fn_w", "tp"):
+                if key in sums:
+                    assert sums[key][i].hex() == math.fsum(want[key].tolist()).hex()
+        assert ("tp" in sums) == (kind != "tversky" and not wtd)
+        order = data.draw(st.permutations(range(len(gts))))
+        got = evaluate_loss(kind, gts, preds, weight_tp_denominator=wtd,
+                            want_grad=True)
+        moved = evaluate_loss(kind, [gts[j] for j in order],
+                              [preds[j] for j in order],
+                              weight_tp_denominator=wtd, want_grad=True)
+        assert moved.value.hex() == got.value.hex()
+        for j, v in zip(order, moved.gradient):
+            assert v.data.tobytes() == got.gradient[j].data.tobytes()
 
 
 _CHUNK_SIZES = (8, 64, reduction._CHUNK)

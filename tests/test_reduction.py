@@ -8,9 +8,7 @@ from lesionloss.reduction import (
     case_sums,
     chunk_table,
     exact_sum,
-    merge_schedule,
     pairwise_sum,
-    sparse_case_sums,
 )
 
 from oracles import _tree_sum
@@ -106,61 +104,11 @@ def test_case_sums_rejects_a_layout_that_does_not_fill_the_values():
         case_sums(np.ones(5), [2, 2])
 
 
-@st.composite
-def _sparse_layouts(draw):
-    """Case sizes (empty, one, odd and powers of two), ascending positions
-    in each case (none, all, its first and last voxel, or a random subset)
-    and 1-3 rows of one term per position: random values of one magnitude
-    from 1e-300 to 1e300, with none, some or all of them zeros of one sign
-    or of both."""
-    sizes = draw(st.lists(st.sampled_from([0, 1, 2, 3, 4, 7, 8, 9, 64, 100, 343]),
-                          min_size=1, max_size=6))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    picks, start = [], 0
-    for n in sizes:
-        local = {"none": np.arange(0),
-                 "all": np.arange(n),
-                 "ends": np.unique([0, n - 1]) if n else np.arange(0),
-                 "random": np.flatnonzero(rng.random(n) < rng.random())}[
-            draw(st.sampled_from(["none", "all", "ends", "random"]))]
-        picks.append(start + local)
-        start += n
-    positions = np.concatenate(picks)
-    scale = draw(st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]))
-    terms = rng.standard_normal((draw(st.integers(1, 3)), positions.size)) * scale
-    zeros = rng.random(terms.shape) < draw(st.sampled_from([0.0, 0.5, 1.0]))
-    sign = {"+": 1.0, "-": -1.0, "both": rng.choice([-1.0, 1.0], terms.shape)}[
-        draw(st.sampled_from(["+", "-", "both"]))]
-    terms[zeros] = (sign * 0.0 * np.ones(terms.shape))[zeros]
-    return sizes, positions, terms
-
-
-@given(layout=_sparse_layouts())
-@settings(max_examples=200, deadline=None)
-def test_sparse_case_sums_are_the_case_sums_of_the_scattered_layout(layout):
-    sizes, positions, terms = layout
-    want = []
-    for row in terms:
-        dense = np.zeros(sum(sizes))
-        dense[positions] = row
-        want.append(case_sums(dense, sizes))
-    got = sparse_case_sums(terms, merge_schedule(positions, sizes))
-    # the schedule adds no zero where the dense tree does; + 0.0 changes
-    # nothing but a zero sum's sign, which no value reads
-    want = np.array(want).reshape(got.shape)
-    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
-
-
 def test_exact_sum_of_zeros_is_positive_zero():
     # every case sum reaches a value through exact_sum, so a zero case
     # sum's sign never reaches one
     for zeros in ([-0.0], [-0.0, -0.0], [0.0, -0.0], []):
         assert exact_sum(zeros).hex() == "0x0.0p+0"
-
-
-def test_sparse_case_sums_rejects_terms_that_do_not_match_the_positions():
-    with pytest.raises(ValueError, match="3 terms for 2 positions"):
-        sparse_case_sums(np.ones(3), merge_schedule([0, 4], [3, 3]))
 
 
 @st.composite

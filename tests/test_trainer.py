@@ -89,6 +89,20 @@ class TestFeatures:
         X = extract_features(img)
         assert (X[:, 3] >= 0.0).all()
 
+    @given(value=st.floats(1e-3, 1e3),
+           density=st.sampled_from([0.02, 0.05, 0.1, 0.2]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_near_constant_image_variance_nonnegative(self, value, density, seed):
+        # one value with sparse voxels one float32 step or so above it: the
+        # 3^3 mean of squares minus the squared mean cancels to a few ulps
+        # of either sign, and the variance is clipped at 0
+        rng = np.random.default_rng(seed)
+        image = np.full((12, 12, 12), value, np.float32)
+        image[rng.random(image.shape) < density] *= np.float32(1.0000001)
+        X = extract_features(Volume.from_array(image))
+        assert (X[:, 3] >= 0.0).all()
+
     def test_constant_image_variance_zero(self):
         img = Volume.from_array(np.full((5, 5, 5), 0.3, np.float32))
         X = extract_features(img)

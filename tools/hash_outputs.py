@@ -3,13 +3,18 @@
     python3 tools/hash_outputs.py                      # the package in ./src
     python3 tools/hash_outputs.py --src OTHER/src      # another tree's package
     python3 tools/hash_outputs.py --against OTHER/src  # ./src against another
+    python3 tools/hash_outputs.py --against OTHER/src --expect-moved loss train
 
 Prints one "group count sha256" line per group, where count is the number
 of outputs hashed.  Two trees whose lines are equal produce bit-identical
 outputs on every case below, so a refactor that must not move a bit is
 checked by comparing each tree's lines.  --against does that in one run:
 it hashes the other tree in a subprocess, with this file's cases, while
-hashing its own, then prints the groups that differ and exits 1 if any do.
+hashing its own, and compares the two output by output.  It prints each
+group that differs, with how many of its outputs differ and the largest
+relative difference over their numeric entries, and exits 1 if any does.
+With --expect-moved it exits 0 only when the groups that differ are
+exactly the named ones, so a deliberate bit move is a checked statement.
 
     loss       evaluate_loss values and float32 gradients: every kind, the
                weighted-TP-denominator switch off and on, three Tversky
@@ -54,8 +59,10 @@ hashing its own, then prints the groups that differ and exits 1 if any do.
                3-D serpentine and 32^3 noise at 30%
     scores     extract_features values and score_volume float32 bytes for
                fixed weights and for weights trained on a small corpus, on
-               the recall group's fragmented phantoms and the phantoms
-               group's benchmark-shaped 96^3 and 48^3 specs
+               the recall group's fragmented phantoms, the phantoms
+               group's benchmark-shaped 96^3 and 48^3 specs and a
+               near-constant 12^3 image (one value, 5% of its voxels one
+               float32 step above it), whose 3^3 variance is clipped at 0
     files      the exact bytes save_volume, save_mask, save_phantom (both
                grids and the .spec sidecar) and save_scorer write, for
                C-ordered, F-ordered and strided inputs, and what load_volume,
@@ -76,8 +83,8 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import multiprocessing
 import os
-import subprocess
 import sys
 import tempfile
 from dataclasses import replace
@@ -86,23 +93,127 @@ from pathlib import Path
 import numpy as np
 
 
+def _canon(x):
+    """An output item as it is hashed and compared: an array or a float as
+    itself, anything else as bytes (its repr, unless it is bytes)."""
+    if isinstance(x, (np.ndarray, float, bytes)):
+        return x
+    return repr(x).encode()
+
+
+def _encode(x) -> bytes:
+    """The bytes a canonical item (_canon) is hashed and compared by."""
+    if isinstance(x, np.ndarray):
+        return x.dtype.str.encode() + repr(x.shape).encode() + x.tobytes()
+    if isinstance(x, float):
+        return x.hex().encode()
+    return x
+
+
+def _numbers(x):
+    """A canonical item's numeric entries as a flat float64 array, or None
+    for an item that is not numeric."""
+    if isinstance(x, float):
+        return np.array([x])
+    if isinstance(x, np.ndarray) and x.dtype.kind in "biuf":
+        return x.astype(np.float64).ravel()
+    return None
+
+
+def _relative_difference(mine, theirs) -> float:
+    """The largest relative difference over the numeric entries of two
+    outputs (lists of canonical items), item by item: |a - b| / max(|a|,
+    |b|), 0 where the two are equal (either zero, or both NaN) and inf
+    where a non-finite entry differs or two numeric items differ in shape."""
+    worst = 0.0
+    for a, b in zip(mine, theirs):
+        a, b = _numbers(a), _numbers(b)
+        if a is None or b is None:
+            continue
+        if a.shape != b.shape:
+            return np.inf
+        with np.errstate(all="ignore"):
+            rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+        rel[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
+        worst = max(worst, float(np.nan_to_num(rel, nan=np.inf).max(initial=0.0)))
+    return worst
+
+
 class _Group:
-    def __init__(self, name):
+    """One group's digest over its outputs, one per add call.
+
+    Given send, each output also goes to it, as ("out", items), and line
+    is sent as ("end", line) by the caller; given peer (a connection that
+    recv()s what another tree's group sent), each output is compared with
+    the peer's, counting the ones that differ (differ) and the largest
+    relative difference over their numeric entries (worst).  close() reads
+    the peer's group to its end and keeps the peer's line (theirs; "" if
+    the peer ended early)."""
+
+    def __init__(self, name, send=None, peer=None):
         self.name, self.count, self.h = name, 0, hashlib.sha256()
+        self.send, self.peer, self.theirs = send, peer, None
+        self.differ, self.worst = 0, 0.0
 
     def add(self, *items):
-        for x in items:
-            if isinstance(x, np.ndarray):
-                x = x.dtype.str.encode() + repr(x.shape).encode() + x.tobytes()
-            elif isinstance(x, float):
-                x = x.hex().encode()
-            elif not isinstance(x, bytes):
-                x = repr(x).encode()
+        items = [_canon(x) for x in items]
+        codes = [_encode(x) for x in items]
+        for x in codes:
             self.h.update(len(x).to_bytes(8, "little") + x)
         self.count += 1
+        if self.send is not None:
+            self.send(("out", items))
+        if self.peer is None:
+            return
+        theirs = self._next()
+        if theirs is None:    # the peer's group has fewer outputs
+            self.differ += 1
+        elif codes != [_encode(x) for x in theirs]:
+            self.differ += 1
+            self.worst = max(self.worst, _relative_difference(items, theirs))
+
+    def _next(self):
+        """The peer's next output, or None once its group has ended."""
+        if self.theirs is not None:
+            return None
+        try:
+            kind, got = self.peer.recv()
+        except EOFError:    # the other process ended early
+            kind, got = "end", ""
+        if kind == "out":
+            return got
+        self.theirs = got
+        return None
+
+    def close(self):
+        while self.peer is not None and self.theirs is None:
+            if self._next() is not None:    # the peer's group has more outputs
+                self.differ += 1
 
     def line(self):
         return f"{self.name} {self.count} {self.h.hexdigest()}"
+
+
+def _verdict(groups, src, other, expected=()) -> int:
+    """Print each closed group (_Group.close) whose line differs from its
+    peer's, with how many of its outputs differ and the largest relative
+    difference over their numeric entries, and a summary; 0 when the
+    groups that differ are exactly the expected ones, else 1."""
+    moved = []
+    for g in groups:
+        if g.line() == g.theirs:
+            continue
+        moved.append(g.name)
+        count = max(g.count, int(g.theirs.split()[1]))
+        print(f"differs: {g.name}\n  {src}: {g.line()}\n  {other}: {g.theirs}\n"
+              f"  {g.differ} of {count} outputs differ, largest relative "
+              f"difference {g.worst:.3g}")
+    print(f"{len(moved)} of {len(groups)} groups differ from {other}")
+    if set(moved) == set(expected):
+        return 0
+    if expected:
+        print(f"expected to move: {' '.join(expected)}; moved: {' '.join(moved)}")
+    return 1
 
 
 def _cases(ll, rng, dims_list, wide=False):
@@ -386,11 +497,18 @@ def _scores(ll, g):
                                  .make_corpus(6, 300, dims=(16, 16, 16)))
     models = [ll.trainer.VoxelScorer(np.array([1.1, 2.3, -0.4, 0.2, -2.0])),
               ll.trainer.initial_scorer(0), ll.trainer.train(cfg)[0]]
-    phantoms = _fragmented(ll) + [ll.synth.generate(s) for s in _bench_specs(ll)]
-    for ph in phantoms:
-        g.add(ll.trainer.extract_features(ph.image))
+    # a near-constant image: one value, 5% of its voxels one float32 step
+    # above it, whose 3^3 variance cancels to a few ulps of either sign
+    near = np.full((12, 12, 12), 7.0, np.float32)
+    step = np.random.default_rng(20247).random(near.shape) < 0.05
+    near[step] *= np.float32(1.0000001)
+    images = [ph.image for ph in _fragmented(ll)] + [
+        ll.synth.generate(s).image for s in _bench_specs(ll)] + [
+        ll.volume.Volume.from_array(near)]
+    for image in images:
+        g.add(ll.trainer.extract_features(image))
         for model in models:
-            g.add(model.weights, model.score_volume(ph.image).data)
+            g.add(model.weights, model.score_volume(image).data)
 
 
 def _file_bytes(g, prefix):
@@ -508,43 +626,64 @@ GROUPS = {"loss": _loss, "gradcheck": _gradcheck, "degenerate": _degenerate,
           "files": _files, "metrics": _metrics, "help": _help}
 
 
+def _load(src):
+    """The lesionloss package in src, every submodule loaded."""
+    os.environ["COLUMNS"] = "80"    # argparse wraps help to the terminal width
+    sys.path.insert(0, os.path.abspath(src))
+    import lesionloss as ll
+    import lesionloss.cli  # noqa: F401  (loads every submodule)
+    print(f"# lesionloss from {os.path.dirname(ll.__file__)}", file=sys.stderr)
+    return ll
+
+
+def _hash_tree(src, conn):
+    """--against's other process: hash the package in src with this
+    file's cases, sending every output and each group's line to conn."""
+    ll = _load(src)
+    for name, fn in GROUPS.items():
+        g = _Group(name, send=conn.send)
+        fn(ll, g)
+        conn.send(("end", g.line()))
+    conn.close()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default="src",
                     help="directory holding the lesionloss package (default src)")
     ap.add_argument("--against", metavar="OTHER_SRC",
                     help="also hash the package in OTHER_SRC and report the "
-                         "groups whose lines differ (exit 1 if any)")
+                         "groups whose outputs differ (exit 1 if any)")
+    ap.add_argument("--expect-moved", nargs="*", default=[], metavar="GROUP",
+                    choices=list(GROUPS),
+                    help="with --against: exit 0 only when the groups that "
+                         "differ are exactly these")
     args = ap.parse_args(argv)
-    os.environ["COLUMNS"] = "80"    # argparse wraps help to the terminal width
-    other = None
+    if args.expect_moved and not args.against:
+        ap.error("--expect-moved needs --against")
+    other = peer = None
     if args.against:
-        other = subprocess.Popen(
-            [sys.executable, os.path.abspath(__file__), "--src", args.against],
-            stdout=subprocess.PIPE, text=True)
-    sys.path.insert(0, os.path.abspath(args.src))
-    import lesionloss as ll
-    import lesionloss.cli  # noqa: F401  (loads every submodule)
-
-    print(f"# lesionloss from {os.path.dirname(ll.__file__)}", file=sys.stderr)
-    mine = []
+        ctx = multiprocessing.get_context("spawn")
+        peer, send = ctx.Pipe(duplex=False)
+        other = ctx.Process(target=_hash_tree, args=(args.against, send))
+        other.start()
+        send.close()
+    ll = _load(args.src)
+    groups = []
     for name, fn in GROUPS.items():
-        g = _Group(name)
+        g = _Group(name, peer=peer)
         fn(ll, g)
-        mine.append(g.line())
-        print(mine[-1], flush=True)
+        g.close()
+        groups.append(g)
+        print(g.line(), flush=True)
     if other is None:
         return 0
-    theirs = other.communicate()[0].splitlines()
-    if other.returncode != 0:
-        print(f"hashing {args.against} failed with exit {other.returncode}",
+    other.join()
+    if other.exitcode != 0:
+        print(f"hashing {args.against} failed with exit {other.exitcode}",
               file=sys.stderr)
         return 2
-    differ = [(a, b) for a, b in zip(mine, theirs) if a != b]
-    for a, b in differ:
-        print(f"differs: {a.split()[0]}\n  {args.src}: {a}\n  {args.against}: {b}")
-    print(f"{len(differ)} of {len(mine)} groups differ from {args.against}")
-    return 1 if differ else 0
+    return _verdict(groups, args.src, args.against, args.expect_moved)
 
 
 if __name__ == "__main__":
