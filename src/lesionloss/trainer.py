@@ -6,8 +6,10 @@ The scorer maps five fixed per-voxel features (raw intensity, 3^3 mean,
 batch gradient descent composes the loss gradients with the logistic
 Jacobian; runs are deterministic for a fixed seed and invariant to the
 order of the training phantoms.  The box filters run on each feature
-row's C-ordered (z, y, x) view, where scipy copies contiguous lines, and
-give uniform_filter's bits (_box).
+row's C-ordered (z, y, x) view and give uniform_filter's bits (_box):
+scipy filters along x and y, whose lines are contiguous, and along z,
+whose lines are a plane apart, a running sum of whole planes repeats
+scipy's recurrence once a plane is large enough to pay for it.
 
 The batch is split once into min(threads, cases) contiguous case shards of
 about equal case count, each (features, plan): its cases' feature
@@ -65,14 +67,59 @@ SMALL_BUCKET_MAX = 20    # lesion is small when voxels < 20
 LARGE_BUCKET_MIN = 200   # lesion is large when voxels > 200
 
 
-def _box(src, size, out):
-    """The size^3 box mean of the (z, y, x) grid view src into out: 1-D
-    passes along x, then y, then z, each reading the last one's output,
-    which are ndimage.uniform_filter's passes on the [x, y, z] grid, bit
-    for bit."""
-    for axis in (2, 1, 0):
+def _reflected(j, n):
+    """The index scipy's reflect mode reads at position j of a line of n
+    (d c b a | a b c d | d c b a): the line and its mirror image repeat
+    with period 2n, also past the ends of a line shorter than the window."""
+    j %= 2 * n
+    return j if j < n else 2 * n - 1 - j
+
+
+# voxels per (y, x) plane from which summing whole planes along z beats
+# scipy's z pass: below it the per-plane numpy calls cost more than scipy's
+# strided line copies (measured: the two tie near 900 voxels per plane)
+_PLANE_SUM_MIN = 1024
+
+
+def _plane_sums(grid, size, scratch):
+    """The size-wide box mean along axis 0 of the (z, y, x) grid, in place,
+    bit for bit as ndimage.uniform_filter1d (reflect mode) gives it: scipy
+    1.17.1's recurrence, run over whole (y, x) planes into scratch (a grid
+    of grid's shape).  Over each line e extended by reflect, the unscaled
+    sum t_0 = ((0.0 + e_0) + e_1) + ... + e_{size-1}, then t_z = t_{z-1} +
+    (e_{z+size-1} - e_{z-1}), and out_z = t_z / size."""
+    n, before = len(grid), size // 2
+    after = size - 1 - before
+    np.add(grid[_reflected(-before, n)], 0.0, out=scratch[0])
+    for j in range(1 - before, after + 1):
+        scratch[0] += grid[_reflected(j, n)]
+    # the differences: planes before < z < n - after read inside the
+    # grid, all in one subtract; the rest reach past an end, one at a time
+    if n > size:
+        np.subtract(grid[size:], grid[:n - size], out=scratch[before + 1:n - after])
+    for z in range(1, n):
+        if not before < z < n - after:
+            np.subtract(grid[_reflected(z + after, n)],
+                        grid[_reflected(z - before - 1, n)], out=scratch[z])
+    for z in range(1, n):
+        np.add(scratch[z - 1], scratch[z], out=scratch[z])
+    np.divide(scratch, size, out=grid)
+
+
+def _box(src, size, out, scratch):
+    """The size^3 box mean of the (z, y, x) grid view src into out, which
+    are ndimage.uniform_filter's passes on the [x, y, z] grid, bit for bit.
+
+    uniform_filter1d runs along x, then y, on contiguous lines.  Along z,
+    where scipy would copy each line out at a stride of one plane, planes
+    of _PLANE_SUM_MIN voxels or more are summed whole (_plane_sums, with
+    scratch a grid of out's shape); smaller ones stay with scipy."""
+    whole = out[0].size >= _PLANE_SUM_MIN
+    for axis in (2, 1) if whole else (2, 1, 0):
         ndimage.uniform_filter1d(src, size, axis, output=out, mode="reflect")
         src = out
+    if whole:
+        _plane_sums(out, size, scratch)
 
 
 def extract_features(image: Volume) -> np.ndarray:
@@ -80,18 +127,18 @@ def extract_features(image: Volume) -> np.ndarray:
 
     The features are the rows of one C-ordered 5 x n matrix, the trainer's
     X; each filter writes its row through the row's C-ordered (z, y, x)
-    grid view (_box).  The (n, 5) view of X is returned, so .T gives X back
-    with no copy.
+    grid view (_box), with the bias row, filled last, as its scratch.  The
+    (n, 5) view of X is returned, so .T gives X back with no copy.
     """
     dims = image.shape.dims
     X = np.empty((len(FEATURE_NAMES), image.shape.voxel_count))
     raw, m3, m5, v3, bias = (_zyx(row, dims) for row in X)
     X[0] = _flat(image.data)
-    _box(raw, 3, m3)
-    _box(raw, 5, m5)
+    _box(raw, 3, m3, bias)
+    _box(raw, 5, m5, bias)
     np.multiply(raw, raw, out=v3)
-    _box(v3, 3, v3)
-    v3 -= np.multiply(m3, m3, out=bias)    # the bias row as scratch
+    _box(v3, 3, v3, bias)
+    v3 -= np.multiply(m3, m3, out=bias)
     np.clip(v3, 0.0, None, out=v3)
     bias[...] = 1.0
     return X.T

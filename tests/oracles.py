@@ -4,7 +4,9 @@ These deliberately avoid the library's code paths (scipy labeling,
 KD-trees, vectorized counting) so that agreement is a genuine
 cross-check rather than a tautology.  grad_check_reference alone runs the
 library's evaluation: it is the brute-force loop that grad_check's
-leaf-path values must match bit for bit.  walk and serpentine draw the
+leaf-path values must match bit for bit.  hausdorff_default_trees alone
+builds KD-trees: it is hausdorff with scipy's default trees, whose bits
+the cheaper trees hausdorff builds must give.  walk and serpentine draw the
 thin, winding masks that the labeling tests feed both sides.
 """
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import ndimage
 
-from lesionloss import loss
+from lesionloss import loss, metrics
 from lesionloss.components import Connectivity
 
 OFFSETS = {
@@ -144,6 +146,20 @@ def hausdorff_reference(a: np.ndarray, b: np.ndarray, spacing,
     d_ba = [min(math.dist(p, q) for q in pa) for p in pb]
     if percentile == 100.0:
         return max(max(d_ab), max(d_ba))
+    return float(max(np.percentile(d_ab, percentile),
+                     np.percentile(d_ba, percentile)))
+
+
+def hausdorff_default_trees(a, b, percentile: float = 100.0) -> float:
+    """metrics.hausdorff of two Masks with scipy's default KD-trees
+    (balanced, with shrunk node boxes) over the same voxel centers."""
+    from scipy.spatial import cKDTree
+
+    pa, pb = metrics._centers(a), metrics._centers(b)
+    d_ab = cKDTree(pb).query(pa)[0]
+    d_ba = cKDTree(pa).query(pb)[0]
+    if percentile == 100.0:
+        return float(max(d_ab.max(), d_ba.max()))
     return float(max(np.percentile(d_ab, percentile),
                      np.percentile(d_ba, percentile)))
 

@@ -27,12 +27,21 @@ class _Peer:
         return self.sent.pop(0)
 
 
+def _add(g, items):
+    """g.add of one output, a tuple of items whose last, when it is a dict,
+    holds items by kind."""
+    if items and isinstance(items[-1], dict):
+        g.add(*items[:-1], **items[-1])
+    else:
+        g.add(*items)
+
+
 def _hash(outputs, name="loss", peer=None):
-    """A group of outputs, each a tuple of items; its outputs and its line
-    go to peer when given."""
+    """A group of outputs, each a tuple of items (_add); its outputs and
+    its line go to peer when given."""
     g = hash_outputs._Group(name, send=None if peer is None else peer.send)
     for items in outputs:
-        g.add(*items)
+        _add(g, items)
     if peer is not None:
         peer.send(("end", g.line()))
     return g
@@ -44,7 +53,7 @@ def _compared(mine, theirs, name="loss"):
     _hash(theirs, name, peer)
     g = hash_outputs._Group(name, peer=peer)
     for items in mine:
-        g.add(*items)
+        _add(g, items)
     g.close()
     assert not peer.sent
     return g
@@ -58,7 +67,7 @@ _OUTPUTS = [("single", "tversky", False, 0.25,
 
 def test_same_outputs_differ_nowhere(capsys):
     g = _compared(_OUTPUTS, _OUTPUTS)
-    assert (g.differ, g.worst, g.theirs) == (0, 0.0, g.line())
+    assert (g.differ, g.worst, g.theirs) == (0, {"other": 0.0}, g.line())
     assert hash_outputs._verdict([g], "a", "b") == 0
     assert hash_outputs._verdict([g], "a", "b", ["loss"]) == 1
     assert "0 of 1 groups differ" in capsys.readouterr().out
@@ -70,7 +79,7 @@ def test_moved_outputs_are_counted_with_their_largest_relative_difference(capsys
                                  np.array([1.0, -2.0, -0.0], np.float32))
     theirs[2] = ("text", "recall=0.6")
     g = _compared(_OUTPUTS, theirs)
-    assert g.differ == 2 and g.worst == pytest.approx(2 ** -52, rel=1e-6)
+    assert g.differ == 2 and g.worst == {"other": pytest.approx(2 ** -52, rel=1e-6)}
     assert g.theirs != g.line()
     other = _compared(_OUTPUTS, _OUTPUTS, "train")
     assert hash_outputs._verdict([g, other], "a", "b", ["loss"]) == 0
@@ -78,17 +87,38 @@ def test_moved_outputs_are_counted_with_their_largest_relative_difference(capsys
     assert hash_outputs._verdict([g, other], "a", "b", ["loss", "train"]) == 1
     out = capsys.readouterr().out
     assert "differs: loss" in out and "differs: train" not in out
-    assert "2 of 3 outputs differ, largest relative difference 2.22e-16" in out
+    assert "2 of 3 outputs differ, largest relative difference: other 2.22e-16" in out
     assert "expected to move: loss train; moved: loss" in out
 
 
 def test_a_zero_sign_or_a_shape_is_a_difference():
     sign = _compared([(np.array([0.0]),)], [(np.array([-0.0]),)])
-    assert (sign.differ, sign.worst) == (1, 0.0)
+    assert (sign.differ, sign.worst) == (1, {"other": 0.0})
     shape = _compared([(np.zeros(2),)], [(np.zeros(3),)])
-    assert (shape.differ, shape.worst) == (1, np.inf)
+    assert (shape.differ, shape.worst) == (1, {"other": np.inf})
     nan = _compared([(np.array([np.nan, 1.0]),)], [(np.array([np.nan, np.inf]),)])
-    assert (nan.differ, nan.worst) == (1, np.inf)
+    assert (nan.differ, nan.worst) == (1, {"other": np.inf})
+
+
+def test_each_kind_reads_its_own_largest_relative_difference(capsys):
+    """One grad_check error that moved does not hide that no loss value or
+    gradient did: each kind the group adds reads its own largest
+    difference, 0 where none of its entries moved."""
+    def outputs(error):
+        return [("tversky", {"value": 0.25,
+                             "gradient": [np.array([1.0, -2.0], np.float32)]}),
+                ("tversky", 6, {"error": error}),
+                ("text", "recall=0.5")]
+
+    g = _compared(outputs(0.5), outputs(0.5 * (1 - 0.166)), "degenerate")
+    assert g.differ == 1
+    assert g.worst == {"value": 0.0, "gradient": 0.0,
+                       "error": pytest.approx(0.166)}
+    assert hash_outputs._verdict([g], "a", "b") == 1
+    assert ("1 of 3 outputs differ, largest relative difference: value 0, "
+            "gradient 0, error 0.166") in capsys.readouterr().out
+    text = _compared([("text", "recall=0.5")], [("text", "recall=0.6")])
+    assert (text.differ, text.worst) == (1, {})
 
 
 @pytest.mark.parametrize("cut", [1, 2])
@@ -109,6 +139,8 @@ def test_hashes_are_unchanged_by_the_comparison():
               b"0x1.0000000000000p-1", b"'x'", b"y"):
         h.update(len(x).to_bytes(8, "little") + x)
     assert g.line() == f"loss 1 {h.hexdigest()}"
+    # an item's kind is not hashed: the keyword items follow the others
+    assert _hash([(ids, 0.5, {"value": "x", "gradient": [b"y"]})]).line() == g.line()
 
 
 def test_a_peer_that_ends_early_leaves_an_empty_line():

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from lesionloss.loss import (
     _gradient,
     _objective_core,
     _perturbed_values,
+    _TERMS,
     _prepare,
     _totals,
     _truth,
@@ -432,6 +434,24 @@ class TestStructuralInvariances:
         gt, pred = random_case(np.random.default_rng(21), dims=(3, 3, 3))
         with pytest.raises(TypeError):
             call(kind, gt, pred, **option)
+
+    def test_defaults_restated_outside_objective_are_its_own(self):
+        """CombinedParams and TrainConfig restate loss defaults; each copy
+        is objective()'s default (a curve of None there is the default
+        WeightCurveParams) or its table row's Tversky parameters."""
+        declared = {name: p.default for name, p in
+                    inspect.signature(objective).parameters.items()}
+        assert declared["curve"] is None
+        combined, config = CombinedParams(), TrainConfig()
+        copies = [(combined.ce_weight, declared["ce_weight"]),
+                  (combined.tversky, _TERMS["combined"][2]),
+                  (combined.curve, WeightCurveParams()),
+                  (config.ce_weight, declared["ce_weight"]),
+                  (config.curve, WeightCurveParams()),
+                  (config.clamp, declared["clamp"]),
+                  (config.connectivity, declared["connectivity"])]
+        for mine, theirs in copies:
+            assert (type(mine), mine) == (type(theirs), theirs)
 
     def test_shape_mismatch_rejected(self):
         g = mask(np.zeros((2, 2, 2)))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import auc_reference, dice_reference, hausdorff_reference, kappa_reference
+from oracles import (auc_reference, dice_reference, hausdorff_default_trees,
+                     hausdorff_reference, kappa_reference)
 
 import lesionloss
 from lesionloss.loss import TverskyParams, tversky_loss
@@ -159,6 +160,22 @@ class TestHausdorff:
         got = hausdorff(mask(a, sp), mask(b, sp), percentile)
         ref = hausdorff_reference(a, b, sp, percentile)
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+    @given(dims=st.tuples(*[st.integers(1, 12)] * 3),
+           density=st.sampled_from([0.02, 0.1, 0.4, 0.9]),
+           spacing=st.sampled_from([(0.5, 1.25, 3.0), (0.7, 1.1, 2.2),
+                                    (3.3, 0.3, 1.0)]),
+           percentile=st.sampled_from([100.0, 95.0, 50.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_bits_of_the_default_trees(self, dims, density, spacing,
+                                       percentile, seed):
+        """The unbalanced, plain-node trees give the default trees' bits."""
+        rng = np.random.default_rng(seed)
+        a, b = (mask(rng.random(dims) < density, spacing) for _ in range(2))
+        assume(a.data.any() and b.data.any())
+        got = hausdorff(a, b, percentile)
+        assert got.hex() == hausdorff_default_trees(a, b, percentile).hex()
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(7)

@@ -12,7 +12,8 @@ checked by comparing each tree's lines.  --against does that in one run:
 it hashes the other tree in a subprocess, with this file's cases, while
 hashing its own, and compares the two output by output.  It prints each
 group that differs, with how many of its outputs differ and the largest
-relative difference over their numeric entries, and exits 1 if any does.
+relative difference over their numeric entries by kind (loss values,
+gradients, grad_check errors, other numbers), and exits 1 if any does.
 With --expect-moved it exits 0 only when the groups that differ are
 exactly the named ones, so a deliberate bit move is a checked statement.
 
@@ -120,23 +121,20 @@ def _numbers(x):
     return None
 
 
-def _relative_difference(mine, theirs) -> float:
+def _relative_difference(a, b) -> float | None:
     """The largest relative difference over the numeric entries of two
-    outputs (lists of canonical items), item by item: |a - b| / max(|a|,
-    |b|), 0 where the two are equal (either zero, or both NaN) and inf
-    where a non-finite entry differs or two numeric items differ in shape."""
-    worst = 0.0
-    for a, b in zip(mine, theirs):
-        a, b = _numbers(a), _numbers(b)
-        if a is None or b is None:
-            continue
-        if a.shape != b.shape:
-            return np.inf
-        with np.errstate(all="ignore"):
-            rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
-        rel[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
-        worst = max(worst, float(np.nan_to_num(rel, nan=np.inf).max(initial=0.0)))
-    return worst
+    canonical items: |a - b| / max(|a|, |b|), 0 where the two are equal
+    (either zero, or both NaN) and inf where a non-finite entry differs or
+    the two differ in shape; None when either is not numeric."""
+    a, b = _numbers(a), _numbers(b)
+    if a is None or b is None:
+        return None
+    if a.shape != b.shape:
+        return np.inf
+    with np.errstate(all="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    rel[(a == b) | (np.isnan(a) & np.isnan(b))] = 0.0
+    return float(np.nan_to_num(rel, nan=np.inf).max(initial=0.0))
 
 
 class _Group:
@@ -145,19 +143,32 @@ class _Group:
     Given send, each output also goes to it, as ("out", items), and line
     is sent as ("end", line) by the caller; given peer (a connection that
     recv()s what another tree's group sent), each output is compared with
-    the peer's, counting the ones that differ (differ) and the largest
-    relative difference over their numeric entries (worst).  close() reads
-    the peer's group to its end and keeps the peer's line (theirs; "" if
-    the peer ended early)."""
+    the peer's, counting the ones that differ (differ) and, by kind of
+    numeric entry, the largest relative difference over them (worst: kind
+    -> difference, 0 for a kind the group adds that no differing output
+    moved).  close() reads the peer's group to its end and keeps the
+    peer's line (theirs; "" if the peer ended early)."""
 
     def __init__(self, name, send=None, peer=None):
         self.name, self.count, self.h = name, 0, hashlib.sha256()
         self.send, self.peer, self.theirs = send, peer, None
-        self.differ, self.worst = 0, 0.0
+        self.differ, self.worst = 0, {}
 
-    def add(self, *items):
+    def add(self, *items, **kinds):
+        """One output: items of kind "other", then each keyword's item or
+        list of items of that kind (value, gradient or error, for a
+        grad_check error), hashed in that order."""
+        tags = ["other"] * len(items)
+        items = list(items)
+        for kind, xs in kinds.items():
+            xs = xs if isinstance(xs, list) else [xs]
+            items += xs
+            tags += [kind] * len(xs)
         items = [_canon(x) for x in items]
         codes = [_encode(x) for x in items]
+        for kind, x in zip(tags, items):
+            if _numbers(x) is not None:
+                self.worst.setdefault(kind, 0.0)
         for x in codes:
             self.h.update(len(x).to_bytes(8, "little") + x)
         self.count += 1
@@ -170,7 +181,10 @@ class _Group:
             self.differ += 1
         elif codes != [_encode(x) for x in theirs]:
             self.differ += 1
-            self.worst = max(self.worst, _relative_difference(items, theirs))
+            for kind, a, b in zip(tags, items, theirs):
+                rel = _relative_difference(a, b)
+                if rel is not None:
+                    self.worst[kind] = max(self.worst[kind], rel)
 
     def _next(self):
         """The peer's next output, or None once its group has ended."""
@@ -197,17 +211,18 @@ class _Group:
 def _verdict(groups, src, other, expected=()) -> int:
     """Print each closed group (_Group.close) whose line differs from its
     peer's, with how many of its outputs differ and the largest relative
-    difference over their numeric entries, and a summary; 0 when the
-    groups that differ are exactly the expected ones, else 1."""
+    difference over their numeric entries by kind, and a summary; 0 when
+    the groups that differ are exactly the expected ones, else 1."""
     moved = []
     for g in groups:
         if g.line() == g.theirs:
             continue
         moved.append(g.name)
         count = max(g.count, int(g.theirs.split()[1]))
+        worst = ", ".join(f"{k} {v:.3g}" for k, v in g.worst.items()) or "none"
         print(f"differs: {g.name}\n  {src}: {g.line()}\n  {other}: {g.theirs}\n"
               f"  {g.differ} of {count} outputs differ, largest relative "
-              f"difference {g.worst:.3g}")
+              f"difference: {worst}")
     print(f"{len(moved)} of {len(groups)} groups differ from {other}")
     if set(moved) == set(expected):
         return 0
@@ -269,8 +284,8 @@ def _loss(ll, g):
                         grads = rep.gradient
                         if grads is not None and not isinstance(grads, list):
                             grads = [grads]
-                        g.add(name, kind, wtd, p, rep.value,
-                              *[v.data for v in grads or ()])
+                        g.add(name, kind, wtd, p, value=rep.value,
+                              gradient=[v.data for v in grads or ()])
 
 
 def _gradcheck(ll, g):
@@ -284,7 +299,7 @@ def _gradcheck(ll, g):
             for wtd in (False, True):
                 err = ll.loss.grad_check(kind, gt, pred, max_voxels=voxels,
                                          weight_tp_denominator=wtd)
-                g.add(name, kind, wtd, err)
+                g.add(name, kind, wtd, error=err)
     # cases over the chunk boundary, their last piece of 2^14 voxels padded
     # with "+ 0.0" and of 2^15 + 2^13 not, and every voxel of a small case
     rng = np.random.default_rng(20246)
@@ -294,8 +309,8 @@ def _gradcheck(ll, g):
     for name, (gts, preds), voxels in (("across", across, 8), ("all", small, None)):
         for gt, pred in zip(gts, preds):
             for kind in ll.loss.LOSS_KINDS:
-                g.add(name, kind, ll.loss.grad_check(kind, gt, pred,
-                                                     max_voxels=voxels))
+                g.add(name, kind, error=ll.loss.grad_check(
+                    kind, gt, pred, max_voxels=voxels))
 
 
 def _degenerate(ll, g):
@@ -318,10 +333,10 @@ def _degenerate(ll, g):
                         rep = ll.loss.evaluate_loss(
                             kind, gts[:n], vols, want_grad=True,
                             weight_tp_denominator=wtd)
-                        g.add(truth, name, n, kind, wtd, rep.value,
-                              *[v.data for v in rep.gradient])
+                        g.add(truth, name, n, kind, wtd, value=rep.value,
+                              gradient=[v.data for v in rep.gradient])
                 g.add(truth, n, kind,
-                      ll.loss.grad_check(kind, gts[:n], inside[:n]))
+                      error=ll.loss.grad_check(kind, gts[:n], inside[:n]))
     # a case of 2^16 + 2^14 voxels, whose last chunk piece is padded
     dims = (64, 32, 40)
     truths = {"empty": np.zeros(dims, bool), "full": np.ones(dims, bool),
@@ -336,7 +351,8 @@ def _degenerate(ll, g):
                 for wtd in (False, True):
                     rep = ll.loss.evaluate_loss(kind, gt, pred, want_grad=True,
                                                 weight_tp_denominator=wtd)
-                    g.add(truth, name, kind, wtd, rep.value, rep.gradient.data)
+                    g.add(truth, name, kind, wtd, value=rep.value,
+                          gradient=rep.gradient.data)
 
 
 def _corpora(ll):
@@ -362,10 +378,10 @@ def _train(ll, g):
                 cfg = ll.trainer.TrainConfig(loss_kind=kind, epochs=20, seed=3,
                                              train_specs=specs, threads=threads)
                 model, curve = ll.trainer.train(cfg)
-                g.add(name, kind, threads, model.weights, np.array(curve))
+                g.add(name, kind, threads, model.weights, value=np.array(curve))
                 value, grad = ll.trainer.scorer_loss(
                     replace(cfg, epochs=0), model.weights, phantoms, True)
-                g.add(name, kind, threads, value, grad)
+                g.add(name, kind, threads, value=value, gradient=grad)
 
 
 def _fragmented(ll):
