@@ -9,7 +9,7 @@ order of the training phantoms.  The box filters run on each feature
 row's C-ordered (z, y, x) view and give uniform_filter's bits (_box):
 scipy filters along x and y, whose lines are contiguous, and along z,
 whose lines are a plane apart, a running sum of whole planes repeats
-scipy's recurrence once a plane is large enough to pay for it.
+scipy's recurrence.
 
 The batch is split once into min(threads, cases) contiguous case shards of
 about equal case count, each (features, plan): its cases' feature
@@ -75,12 +75,6 @@ def _reflected(j, n):
     return j if j < n else 2 * n - 1 - j
 
 
-# voxels per (y, x) plane from which summing whole planes along z beats
-# scipy's z pass: below it the per-plane numpy calls cost more than scipy's
-# strided line copies (measured: the two tie near 900 voxels per plane)
-_PLANE_SUM_MIN = 1024
-
-
 def _plane_sums(grid, size, scratch):
     """The size-wide box mean along axis 0 of the (z, y, x) grid, in place,
     bit for bit as ndimage.uniform_filter1d (reflect mode) gives it: scipy
@@ -111,15 +105,12 @@ def _box(src, size, out, scratch):
     are ndimage.uniform_filter's passes on the [x, y, z] grid, bit for bit.
 
     uniform_filter1d runs along x, then y, on contiguous lines.  Along z,
-    where scipy would copy each line out at a stride of one plane, planes
-    of _PLANE_SUM_MIN voxels or more are summed whole (_plane_sums, with
-    scratch a grid of out's shape); smaller ones stay with scipy."""
-    whole = out[0].size >= _PLANE_SUM_MIN
-    for axis in (2, 1) if whole else (2, 1, 0):
+    where scipy would copy each line out at a stride of one plane, whole
+    planes are summed (_plane_sums, with scratch a grid of out's shape)."""
+    for axis in (2, 1):
         ndimage.uniform_filter1d(src, size, axis, output=out, mode="reflect")
         src = out
-    if whole:
-        _plane_sums(out, size, scratch)
+    _plane_sums(out, size, scratch)
 
 
 def extract_features(image: Volume) -> np.ndarray:

@@ -127,13 +127,10 @@ class TestFeatures:
 
 @st.composite
 def feature_images(draw):
-    """float32 grids at a scale from 1e-30 to 1e30, seeded uniform values in
-    [-scale, scale] or one such value everywhere: of sides 1-9 (shorter
-    than the 5^3 window or not, cubic or not), or of z sides 1-9 under
-    x and y sides 32-40, whose (y, x) planes _box sums whole along z."""
-    side = st.integers(1, 9)
-    across = st.integers(32, 40) if draw(st.booleans()) else side
-    dims = draw(st.tuples(across, across, side))
+    """float32 grids of sides 1-9 (shorter than the 5^3 window or not, cubic
+    or not) at a scale from 1e-30 to 1e30: seeded uniform values in
+    [-scale, scale], or one such value everywhere."""
+    dims = draw(st.tuples(*[st.integers(1, 9)] * 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = draw(st.sampled_from([1e-30, 1.0, 1e4, 1e30]))
     shape = () if draw(st.booleans()) else dims
@@ -147,14 +144,13 @@ class TestFeaturesOracle:
     @given(image=feature_images())
     @example(image=np.full((1, 1, 1), -1e30, np.float32))
     @example(image=np.full((9, 2, 5), 0.3, np.float32))
-    # planes summed whole under z sides 1, 2 and 3, shorter than both
-    # windows or than one, and under 23, most planes in the bulk difference;
-    # the plane one voxel short of that, and one of sides above 9 too small
+    # the z pass (_plane_sums) at z sides 1, 2 and 3, shorter than both
+    # windows or than one, and at 23, most planes in the bulk difference,
+    # under planes wider than the strategy draws
     @example(image=np.random.default_rng(1).uniform(-1, 1, (32, 32, 1)).astype(np.float32))
     @example(image=np.random.default_rng(2).uniform(-1, 1, (40, 33, 2)).astype(np.float32))
     @example(image=np.random.default_rng(3).uniform(-1, 1, (35, 32, 3)).astype(np.float32))
     @example(image=np.random.default_rng(4).uniform(-1, 1, (37, 29, 23)).astype(np.float32))
-    @example(image=np.random.default_rng(5).uniform(-1, 1, (33, 31, 5)).astype(np.float32))
     @example(image=np.random.default_rng(6).uniform(-1, 1, (17, 5, 23)).astype(np.float32))
     @settings(max_examples=120, deadline=None)
     def test_matches_reference(self, image):
