@@ -21,7 +21,7 @@ order of their first runs, which is the scan order of their first voxels.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,27 +39,23 @@ DEFAULT_CONNECTIVITY = Connectivity.TWENTY_SIX
 
 @dataclass(frozen=True)
 class LesionLabeling:
-    """Per-voxel component ids (0 = background) plus per-lesion voxel counts."""
+    """Per-voxel component ids (0 = background) plus per-lesion voxel
+    counts, which it counts from the labels."""
 
     shape: GridShape
     labels: np.ndarray
-    volumes: tuple[int, ...]
+    volumes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         labels = _store(self.labels, np.int32)
         if labels.shape != self.shape.dims:
             raise ValueError("labels grid does not match shape dims")
-        n = len(self.volumes)
-        if labels.min(initial=0) < 0 or labels.max(initial=0) != n:
-            raise ValueError("labels must cover the contiguous range 0..L")
         flat = _flat(labels)
-        counts = np.bincount(flat[flat != 0], minlength=n + 1)    # counts[0] unread
-        if n and (counts[1:] == 0).any():
+        counts = np.bincount(flat[flat > 0])[1:]    # labels are mostly 0
+        if labels.min(initial=0) < 0 or not counts.all():
             raise ValueError("labels must cover the contiguous range 0..L")
-        if tuple(int(c) for c in counts[1:]) != tuple(int(v) for v in self.volumes):
-            raise ValueError("volumes do not match label counts")
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "volumes", tuple(int(v) for v in self.volumes))
+        object.__setattr__(self, "volumes", tuple(counts.tolist()))
 
     @property
     def lesion_count(self) -> int:
@@ -139,8 +135,7 @@ def label_components(
     ids = _lesion_ids(pos, dims, connectivity)
     labels = np.zeros(mask.shape.voxel_count, dtype=np.int32)
     labels[pos] = ids
-    return LesionLabeling(mask.shape, _grid(labels, dims),
-                          tuple(np.bincount(ids)[1:].tolist()))
+    return LesionLabeling(mask.shape, _grid(labels, dims))
 
 
 def lesion_volume_mm3(labeling: LesionLabeling, lesion_id: int) -> float:

@@ -68,7 +68,7 @@ plan of its own built by _truth:
                            lesion gradient taken once, from the weights)
 
 Each FP and CE case sum is the fixed-order pairwise tree of
-reduction.case_sums over that case alone (one (k, n) tree pass per chunk
+reduction.pairwise_sum over that case alone (one (k, n) tree pass per chunk
 of k consecutive cases of n voxels, bit-identical to k separate trees; a
 larger case's pieces are subtrees of its tree), and the exactly rounded
 sum across cases is order-free, so values are reproducible, case-order
@@ -131,8 +131,9 @@ class CombinedParams:
     curve: WeightCurveParams = WeightCurveParams()
 
     def __post_init__(self):
-        if not 0.0 <= self.ce_weight <= 1.0:
-            raise ValueError("ce_weight must lie in [0, 1]")
+        # rejects a ce_weight outside [0, 1], as TrainConfig does
+        objective("combined", ce_weight=self.ce_weight, tversky=self.tversky,
+                  curve=self.curve)
 
 
 @dataclass(frozen=True)

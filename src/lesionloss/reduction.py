@@ -1,24 +1,20 @@
 """Deterministic reductions shared by the loss engine and trainer.
 
 A batch's full-grid loss sums (FP and CE; a lesion-voxel sum is each
-case's exact_sum) are exact_sum(case_sums(values, sizes)): each case by
-its own fixed pairwise tree, then the case sums by one exactly rounded
-sum, so a sum is reproducible and independent of case order and of how
-the cases are split into contiguous shards.  The trees run chunk by chunk
+case's exact_sum) are the exact_sum of its case sums: each case by its
+own fixed pairwise tree, then the case sums by one exactly rounded sum,
+so a sum is reproducible and independent of case order and of how the
+cases are split into contiguous shards.  The trees run chunk by chunk
 (chunk_table: runs of whole cases, or pieces of one large case, of at
 most _CHUNK values) in two chunk-sized buffers, by steps laid out once
-per layout (ChunkTrees), and give one tree per case's bits, but for a
-zero sum's sign, which follows the chunk table (the case sizes alone,
-never case order, shards or threads) and which no value reads, since
-exact_sum (math.fsum) of zeros is +0.0.  The loss phases drive
-ChunkTrees directly; case_sums and pairwise_sum stay here as the public
-form of these sums, which the tests check and bench/probes.py times
-(pairwise_sum).
+per layout (ChunkTrees, which the loss phases drive), and give one tree
+per case's bits, but for a zero sum's sign, which follows the chunk table
+(the case sizes alone, never case order, shards or threads) and which no
+value reads, since exact_sum (math.fsum) of zeros is +0.0.
 
-A case sum with one leaf changed need not run its whole tree again:
-tree_levels keeps every level of a case's tree, and path_sums rebuilds
-only the changed leaf's path to the root, for many single-leaf changes
-at once.
+tree_levels keeps every level of one case's tree: its root is
+pairwise_sum, and path_sums rebuilds only a changed leaf's path to the
+root, for many single-leaf changes at once.
 """
 
 import itertools
@@ -39,8 +35,6 @@ def _tree_steps(k: int, m: int, src: np.ndarray, dst: np.ndarray):
     goes into the other of src's and dst's memory (dst holds at least
     k * m values).  Returns the steps and the view that holds the k sums
     once they have run."""
-    if m == 0:
-        return [], np.zeros(k)
     steps = []
     while m > 1:
         half, odd = m // 2, m & 1
@@ -84,7 +78,7 @@ def chunk_table(sizes) -> tuple[Chunk, ...]:
     for n, run in itertools.groupby(sizes):
         k = len(list(run))
         if n <= _CHUNK:
-            per = _CHUNK // n if n else k
+            per = _CHUNK // n
             for first in range(0, k, per):
                 rows = min(per, k - first)
                 chunks.append(Chunk(start, start + rows * n, rows))
@@ -108,7 +102,7 @@ class ChunkTrees:
 
     def __init__(self, sizes):
         self.chunks = chunk_table(sizes)
-        width = max((c.stop - c.start for c in self.chunks), default=0)
+        width = max(c.stop - c.start for c in self.chunks)
         self.leaves, self.spare = np.empty(width), np.empty(width)
         self._trees = {}
         for c in self.chunks:
@@ -142,9 +136,10 @@ class ChunkTrees:
 def tree_levels(leaves: np.ndarray) -> list[np.ndarray]:
     """Every level of the pairwise tree of one case's float64 leaves, from
     the leaves themselves (level 0, kept as given) up to the root's level
-    of one node: about 2 * leaves.size values in all.  The root is the
-    case's sum from case_sums, bit for bit but for a zero sum's sign: its
-    chunks' trees are this tree's subtrees (see Chunk)."""
+    of one node: about 2 * leaves.size values in all.  The root is
+    pairwise_sum, and the case's sum through ChunkTrees bit for bit but
+    for a zero sum's sign: its chunks' trees are this tree's subtrees (see
+    Chunk)."""
     levels = [leaves]
     while levels[-1].size > 1:
         v = levels[-1]
@@ -177,37 +172,16 @@ def path_sums(levels, positions, leaves) -> np.ndarray:
 
 
 def pairwise_sum(values) -> float:
-    """Sum an array with a fixed-shape pairwise tree.
+    """Sum an array with a fixed-shape pairwise tree (the root of
+    tree_levels; 0.0 for no values).
 
     The tree depends only on element order, never on chunking or thread
     count, so the result is bit-reproducible for a given input order.
     """
     v = np.asarray(values, dtype=np.float64).ravel()
-    return case_sums(v, [v.size])[0]
+    return float(tree_levels(v)[-1][0]) if v.size else 0.0
 
 
 def exact_sum(values) -> float:
     """Exactly rounded float sum; invariant to input ordering."""
     return math.fsum(values)
-
-
-def case_sums(values, sizes) -> list[float]:
-    """The per-case sums of a batch laid out case after case in one flat
-    array (case i holds sizes[i] values), each by the pairwise tree of
-    pairwise_sum.
-
-    The batch goes through the tree chunk by chunk (ChunkTrees): a chunk
-    of k equal-size cases is one (k, n) block, which adds the same pairs
-    as k separate trees, and a larger case's pieces are the subtrees
-    below one level of its tree, so every case sum is bit-identical to
-    pairwise_sum of that case alone.
-    """
-    v = np.asarray(values, dtype=np.float64).ravel()
-    if v.size != sum(sizes):
-        raise ValueError(f"{v.size} values do not fill cases of sizes {sizes}")
-    trees = ChunkTrees(sizes)
-    nodes = []
-    for c in trees.chunks:
-        np.copyto(trees.leaves[:c.stop - c.start], v[c.start:c.stop])
-        nodes.append(trees.nodes(c))
-    return trees.join(nodes)

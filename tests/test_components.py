@@ -261,23 +261,37 @@ class TestVolumes:
 
 
 class TestLabelingValidation:
-    def test_volume_mismatch_rejected(self):
+    def test_shape_mismatch_rejected(self):
         labels = np.zeros((2, 2, 2), np.int32)
         labels[0, 0, 0] = 1
-        with pytest.raises(ValueError):
-            LesionLabeling(GridShape((2, 2, 2)), labels, (2,))
         with pytest.raises(ValueError, match="does not match shape dims"):
-            LesionLabeling(GridShape((2, 2, 3)), labels, (1,))
+            LesionLabeling(GridShape((2, 2, 3)), labels)
 
     def test_gap_in_ids_rejected(self):
         labels = np.zeros((2, 2, 2), np.int32)
         labels[0, 0, 0] = 2
         with pytest.raises(ValueError):
-            LesionLabeling(GridShape((2, 2, 2)), labels, (0, 1))
-        for bad, volumes in ((-1, (1,)), (2, (1,))):
+            LesionLabeling(GridShape((2, 2, 2)), labels)
+        for bad in (-1, 2):
             labels[1, 1, 1] = bad
             with pytest.raises(ValueError, match="contiguous range 0..L"):
-                LesionLabeling(GridShape((2, 2, 2)), labels, volumes)
+                LesionLabeling(GridShape((2, 2, 2)), labels)
+
+    @given(dims=st.tuples(*[st.integers(1, 8)] * 3),
+           seed=st.integers(0, 2**32 - 1),
+           background=st.sampled_from([0.0, 0.5, 0.95, 1.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_volumes_are_the_label_counts(self, dims, seed, background):
+        # a random grid of ids 0..k, each of 1..k at least once
+        rng = np.random.default_rng(seed)
+        n = int(np.prod(dims))
+        k = int(rng.integers(0, n + 1))
+        ids = rng.integers(0, k + 1, n)
+        ids[rng.random(n) < background] = 0
+        ids[rng.permutation(n)[:k]] = np.arange(1, k + 1)
+        lab = LesionLabeling(GridShape(dims), ids.reshape(dims))
+        assert lab.volumes == tuple(np.bincount(ids)[1:].tolist())
+        assert lab.lesion_count == k
 
     def test_export_as_volume(self):
         data = np.zeros((3, 3, 3), bool)

@@ -4,17 +4,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lesionloss import reduction
-from lesionloss.reduction import (
-    case_sums,
-    chunk_table,
-    exact_sum,
-    pairwise_sum,
-)
+from lesionloss.loss import _case_sums, _truth, objective
+from lesionloss.reduction import exact_sum, pairwise_sum, tree_levels
+from lesionloss.volume import Mask
 
 from oracles import _tree_sum
 
-# empty, single, odd, power-of-two and criterion-7 (24^3) case sizes
-_SIZES = st.sampled_from([0, 1, 2, 3, 7, 8, 64, 343, 1000, 13824])
+# single, odd, power-of-two and criterion-7 (24^3) case sizes (no plan
+# holds an empty case: dims are positive)
+_SIZES = st.sampled_from([1, 2, 3, 7, 8, 64, 343, 1000, 13824])
+
+
+def _fp_sums(values, sizes):
+    """The plan of empty truths of dims (n, 1, 1), one per size, with
+    values as its predictions, and its FP case sums by the loss phases'
+    own path (loss._case_sums): an empty truth's FP leaves are its
+    predictions."""
+    obj = objective("tversky")
+    plan = _truth(obj, [Mask.from_array(np.zeros((n, 1, 1), bool)) for n in sizes])
+    plan.q[:] = values
+    return plan, _case_sums(obj, plan)["fp"]
+
+
+def _with_leaves(values, leaves, rng):
+    """values as they are ("mixed"), with ~80% of them zeros of either
+    sign ("signed zeros"), or all -0.0."""
+    if leaves == "signed zeros":
+        zeros = rng.random(values.size) < 0.8
+        values[zeros] = rng.choice([0.0, -0.0], values.size)[zeros]
+    elif leaves == "all -0.0":
+        values[:] = -0.0
+    return values
 
 
 @st.composite
@@ -35,7 +55,7 @@ def test_batch_reduction_is_case_by_case_tree_then_exact_sum(layout):
     stops = np.cumsum(sizes)
     cases = np.split(values, stops[:-1])
     want = exact_sum(pairwise_sum(c) for c in cases)
-    assert exact_sum(case_sums(values, sizes)).hex() == want.hex()
+    assert exact_sum(_fp_sums(values, sizes)[1]).hex() == want.hex()
 
 
 @given(layout=_layouts())
@@ -43,7 +63,7 @@ def test_batch_reduction_is_case_by_case_tree_then_exact_sum(layout):
 def test_case_sums_are_the_per_case_trees(layout):
     sizes, values = layout
     cases = np.split(values, np.cumsum(sizes)[:-1])
-    got = case_sums(values, sizes)
+    _, got = _fp_sums(values, sizes)
     assert [s.hex() for s in got] == [pairwise_sum(c).hex() for c in cases]
 
 
@@ -62,20 +82,15 @@ def _chunked_layouts(draw):
     in runs of equal sizes; the values mixed, mixed with zeros of both
     signs, or all -0.0."""
     chunk = draw(st.sampled_from([4, 8, 64]))
-    near = st.builds(lambda k, half, d: max(0, k * chunk + half * chunk // 2 + d),
+    near = st.builds(lambda k, half, d: max(1, k * chunk + half * chunk // 2 + d),
                      st.integers(0, 4), st.integers(0, 1), st.integers(-1, 1))
-    pool = draw(st.lists(st.one_of(near, st.integers(0, 3 * chunk)),
+    pool = draw(st.lists(st.one_of(near, st.integers(1, 3 * chunk)),
                          min_size=1, max_size=3))
     sizes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     values = rng.standard_normal(sum(sizes)) * draw(st.sampled_from([1.0, 1e300]))
     leaves = draw(st.sampled_from(["mixed", "signed zeros", "all -0.0"]))
-    if leaves == "signed zeros":
-        zeros = rng.random(values.size) < 0.8
-        values[zeros] = rng.choice([0.0, -0.0], values.size)[zeros]
-    elif leaves == "all -0.0":
-        values[:] = -0.0
-    return chunk, sizes, values
+    return chunk, sizes, _with_leaves(values, leaves, rng)
 
 
 @given(layout=_chunked_layouts())
@@ -87,8 +102,8 @@ def test_streamed_case_sums_are_each_case_alone(layout):
     assert want == [_tree_sum(c).hex() for c in cases]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reduction, "_CHUNK", chunk)
-        table = chunk_table(sizes)
-        got = case_sums(values, sizes)
+        plan, got = _fp_sums(values, sizes)
+    table = plan.trees.chunks
     # a padded last piece keeps a zero sum's sign where the dense tree
     # adds 0.0; + 0.0 changes nothing but that sign, which no value reads
     assert [(s + 0.0).hex() for s in got] == [(float.fromhex(s) + 0.0).hex()
@@ -99,9 +114,19 @@ def test_streamed_case_sums_are_each_case_alone(layout):
     assert all(c.stop - c.start <= chunk for c in table)
 
 
-def test_case_sums_rejects_a_layout_that_does_not_fill_the_values():
-    with pytest.raises(ValueError, match="do not fill"):
-        case_sums(np.ones(5), [2, 2])
+@pytest.mark.parametrize("n", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 3 * 2 ** 15])
+@pytest.mark.parametrize("leaves", ["mixed", "signed zeros", "all -0.0"])
+def test_pairwise_sum_is_the_whole_tree_at_chunk_sizes(n, leaves):
+    # around and past one _CHUNK, where a zero sum's sign once followed the
+    # chunk table; the whole tree keeps it, as the reference tree does
+    rng = np.random.default_rng(n)
+    values = _with_leaves(rng.standard_normal(n), leaves, rng)
+    got = pairwise_sum(values).hex()
+    assert got == float(tree_levels(values)[-1][0]).hex() == _tree_sum(values).hex()
+
+
+def test_pairwise_sum_of_no_values_is_zero():
+    assert pairwise_sum([]).hex() == "0x0.0p+0"
 
 
 def test_exact_sum_of_zeros_is_positive_zero():
@@ -135,14 +160,14 @@ def _leaf_changes(draw):
 @settings(max_examples=200, deadline=None)
 def test_path_sums_are_the_trees_of_each_changed_case(change):
     values, positions, leaves = change
-    levels = reduction.tree_levels(values)
+    levels = tree_levels(values)
     assert levels[0] is values and levels[-1].size == 1
-    assert float(levels[-1][0]).hex() == pairwise_sum(values).hex()
+    assert float(levels[-1][0]).hex() == _tree_sum(values).hex()
     want = []
     for j, x in zip(positions, leaves):
         changed = values.copy()
         changed[j] = x
-        want.append(pairwise_sum(changed))
+        want.append(_tree_sum(changed))
     got = reduction.path_sums(levels, positions, leaves)
     assert got.tobytes() == np.array(want).tobytes()
-    assert float(levels[-1][0]).hex() == pairwise_sum(values).hex()
+    assert float(levels[-1][0]).hex() == _tree_sum(values).hex()
