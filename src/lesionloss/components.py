@@ -47,9 +47,13 @@ class LesionLabeling:
     volumes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        labels = _store(self.labels, np.int32)
-        if labels.shape != self.shape.dims:
-            raise ValueError("labels grid does not match shape dims")
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind not in "biu":
+            raise ValueError(f"labels must be integer ids, got {labels.dtype}")
+        if not np.can_cast(labels.dtype, np.int32) and not (    # the cast would wrap
+                0 <= labels.min(initial=0) and labels.max(initial=0) < 2**31):
+            raise ValueError("label ids must lie in 0..2**31 - 1")
+        labels = _store(labels, np.int32, self.shape.dims)
         flat = _flat(labels)
         counts = np.bincount(flat[flat > 0])[1:]    # labels are mostly 0
         if labels.min(initial=0) < 0 or not counts.all():

@@ -118,8 +118,6 @@ def _ellipsoid_voxels(dims, center, radii) -> np.ndarray:
     """Integer voxel coordinates whose centers fall inside the ellipsoid."""
     los = [max(0, int(np.floor(c - r))) for c, r in zip(center, radii)]
     his = [min(d - 1, int(np.ceil(c + r))) for c, r, d in zip(center, radii, dims)]
-    if any(lo > hi for lo, hi in zip(los, his)):
-        return np.empty((0, 3), dtype=np.int64)
     ax = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in zip(los, his)]
     gx, gy, gz = np.meshgrid(*ax, indexing="ij")
     quad = (

@@ -159,7 +159,7 @@ class VoxelScorer:
         object.__setattr__(self, "weights", _freeze(w.copy()))
 
     def score_volume(self, image: Volume) -> Volume:
-        q = _scores(self.weights, extract_features(image).T).astype(np.float32)
+        q = _scores(self.weights, extract_features(image).T)
         return Volume(image.shape, _grid(q, image.shape.dims))
 
 

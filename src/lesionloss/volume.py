@@ -19,8 +19,12 @@ holds its [x, y, z] array x-fastest, that is F-contiguous.  Its flat
 x-fastest view, the order of the files and of every flat array the loss
 engine and the trainer work on, is then free, and so is the grid view of
 such a flat array.  The layout is spelled in this module alone: _store
-keeps a grid's array, _flat takes its flat view, _grid builds a grid
-from a flat array and _zyx gives scipy's view of one.
+keeps a grid's array and checks its shape, for every grid type, _flat
+takes its flat view, _grid builds a grid from a flat array and _zyx gives
+scipy's view of one.
+
+A file that does not read raises VolumeFormatError naming the file, from
+_read_pair alone; the parsers and checks it runs raise plain ValueError.
 """
 
 from __future__ import annotations
@@ -83,9 +87,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _store(arr, dtype) -> np.ndarray:
-    """A read-only x-fastest copy of the grid arr, cast to dtype."""
-    return _freeze(np.array(arr, dtype=dtype, order="F"))
+def _store(arr, dtype, dims) -> np.ndarray:
+    """A read-only x-fastest copy of the grid arr, cast to dtype; the shape
+    check of every grid type raises ShapeMismatchError unless it is dims."""
+    arr = np.array(arr, dtype=dtype, order="F")
+    if arr.shape != dims:
+        raise ShapeMismatchError(f"data shape {arr.shape} does not match dims {dims}")
+    return _freeze(arr)
 
 
 def _flat(grid: np.ndarray) -> np.ndarray:
@@ -113,11 +121,7 @@ class Volume:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _store(self.data, np.float32)
-        if arr.shape != self.shape.dims:
-            raise ShapeMismatchError(
-                f"data shape {arr.shape} does not match dims {self.shape.dims}"
-            )
+        arr = _store(self.data, np.float32, self.shape.dims)
         if not np.isfinite(arr).all():
             raise ValueError("volume contains non-finite values")
         object.__setattr__(self, "data", arr)
@@ -147,11 +151,7 @@ class Mask:
         arr = np.asarray(self.data)
         if arr.dtype != np.bool_ and not np.isin(arr, (0, 1)).all():
             raise ValueError("mask values must be 0 or 1")
-        if arr.shape != self.shape.dims:
-            raise ShapeMismatchError(
-                f"data shape {arr.shape} does not match dims {self.shape.dims}"
-            )
-        object.__setattr__(self, "data", _store(arr, bool))
+        object.__setattr__(self, "data", _store(arr, bool, self.shape.dims))
 
     @classmethod
     def from_array(cls, arr, spacing=(1.0, 1.0, 1.0)) -> "Mask":
@@ -255,13 +255,13 @@ def write_fields(path, fields: dict) -> None:
     )
 
 
-def read_fields(path, what: str, keys=None, *, comments: bool = False,
-                error: type[ValueError] = ValueError) -> dict[str, str]:
+def read_fields(path, what: str, keys=None, *, comments: bool = False) -> dict[str, str]:
     """The ``key=value`` lines of a UTF-8 text file as a dict.
 
     Blank lines are skipped, and with ``comments`` so is everything after
     a ``#``.  A line without ``=``, a repeated key and, given ``keys``, a
-    missing or unknown key raise ``error``.  Headers, phantom sidecars and
+    missing or unknown key raise ValueError; _read_pair turns a header's
+    into a VolumeFormatError naming the file.  Headers, phantom sidecars and
     CLI config files all read through here.
     """
     fields: dict[str, str] = {}
@@ -270,34 +270,31 @@ def read_fields(path, what: str, keys=None, *, comments: bool = False,
         if not line.strip():
             continue
         if "=" not in line:
-            raise error(f"malformed {what} line: {raw!r}")
+            raise ValueError(f"malformed {what} line: {raw!r}")
         key, value = line.split("=", 1)
         key = key.strip()
         if key in fields:
-            raise error(f"duplicate {what} field: {key}")
+            raise ValueError(f"duplicate {what} field: {key}")
         fields[key] = value.strip()
     if keys is not None:
         for problem, names in (("missing", keys - fields.keys()),
                                ("unknown", fields.keys() - keys)):
             if names:
-                raise error(f"{problem} {what} fields: {sorted(names)}")
+                raise ValueError(f"{problem} {what} fields: {sorted(names)}")
     return fields
 
 
 def _read_header(hdr_path: Path) -> tuple[GridShape, str]:
     fields = read_fields(hdr_path, "header",
-                         {"dims", "spacing", "dtype", "order"},
-                         error=VolumeFormatError)
+                         {"dims", "spacing", "dtype", "order"})
     if fields["order"] != STORAGE_ORDER:
-        raise VolumeFormatError(f"unsupported storage order: {fields['order']!r}")
+        raise ValueError(f"unsupported storage order: {fields['order']!r}")
     dtype = fields["dtype"]
     if dtype not in ("f32", "u8"):
-        raise VolumeFormatError(f"unknown dtype: {dtype!r}")
-    try:
+        raise ValueError(f"unknown dtype: {dtype!r}")
+    with _naming("invalid header geometry"):
         shape = GridShape(_field(fields, "dims", _values(int, 3)),
                           _field(fields, "spacing", _values(float, 3)))
-    except ValueError as exc:
-        raise VolumeFormatError(f"invalid header geometry: {exc}") from exc
     return shape, dtype
 
 
@@ -308,7 +305,7 @@ def _read_payload(shape: GridShape, dtype: str, raw_path: Path) -> np.ndarray:
     expected = shape.voxel_count * itemsize
     payload = raw_path.read_bytes()
     if len(payload) != expected:
-        raise VolumeFormatError(
+        raise ValueError(
             f"raw size mismatch: header implies {expected} bytes, "
             f"file holds {len(payload)}"
         )
@@ -317,7 +314,7 @@ def _read_payload(shape: GridShape, dtype: str, raw_path: Path) -> np.ndarray:
     else:
         flat = np.frombuffer(payload, dtype=np.uint8)
         if flat.max(initial=0) > 1:
-            raise VolumeFormatError("mask raw data contains values outside {0,1}")
+            raise ValueError("mask raw data contains values outside {0,1}")
         flat = flat.view(bool)
     return _grid(flat, shape.dims)
 
@@ -334,7 +331,7 @@ def _read_pair(path, dtype: str, kind):
     with _naming(hdr_path, VolumeFormatError):
         shape, stored = _read_header(hdr_path)
         if stored != dtype:
-            raise VolumeFormatError(_OTHER_LOADER[stored])
+            raise ValueError(_OTHER_LOADER[stored])
     with _naming(raw_path, VolumeFormatError):
         return kind(shape, _read_payload(shape, dtype, raw_path))
 

@@ -54,9 +54,7 @@ class WeightMap:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _store(self.weights, np.float64)
-        if w.shape != self.shape.dims:
-            raise ValueError("weights grid does not match shape dims")
+        w = _store(self.weights, np.float64, self.shape.dims)
         if not np.isfinite(w).all() or (w <= 0.0).any():
             raise ValueError("weights must be positive and finite")
         object.__setattr__(self, "weights", w)

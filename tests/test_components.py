@@ -16,7 +16,7 @@ from lesionloss.components import (
 from lesionloss.loss import evaluate_loss, objective
 from lesionloss.synth import PhantomSpec, generate
 from lesionloss.trainer import TrainConfig, VoxelScorer, evaluate_lesionwise
-from lesionloss.volume import GridShape, Mask, Volume
+from lesionloss.volume import GridShape, Mask, ShapeMismatchError, Volume
 
 
 def pair_mask(a, b, dims=(4, 4, 4)):
@@ -264,7 +264,7 @@ class TestLabelingValidation:
     def test_shape_mismatch_rejected(self):
         labels = np.zeros((2, 2, 2), np.int32)
         labels[0, 0, 0] = 1
-        with pytest.raises(ValueError, match="does not match shape dims"):
+        with pytest.raises(ShapeMismatchError, match="does not match dims"):
             LesionLabeling(GridShape((2, 2, 3)), labels)
 
     def test_gap_in_ids_rejected(self):
@@ -276,6 +276,27 @@ class TestLabelingValidation:
             labels[1, 1, 1] = bad
             with pytest.raises(ValueError, match="contiguous range 0..L"):
                 LesionLabeling(GridShape((2, 2, 2)), labels)
+
+    def test_ids_are_kept_exactly_or_rejected(self):
+        # the int32 cast would round 1.7 to id 1 and wrap +-2**32 + 1 to 1
+        shape = GridShape((2, 2, 2))
+        for bad in (1.7, 2**32 + 1, -2**32 + 1):
+            labels = np.zeros((2, 2, 2), np.asarray(bad).dtype)
+            labels[0, 0, 0] = bad
+            with pytest.raises(ValueError, match="label"):
+                LesionLabeling(shape, labels)
+        ids = np.zeros((2, 2, 2), np.int32)
+        ids[0, 0, 0] = ids[1, 1, 1] = 1
+        want = LesionLabeling(shape, ids)
+        assert want.volumes == (2,)
+        for dtype in (bool, np.uint8, np.int64, np.uint64):
+            lab = LesionLabeling(shape, ids.astype(dtype))
+            assert lab.volumes == want.volumes
+            assert lab.labels.dtype == np.int32
+            assert np.array_equal(lab.labels, want.labels)
+        two = ids.astype(np.int64)
+        two[1, 0, 0] = 2
+        assert LesionLabeling(shape, two).volumes == (2, 1)
 
     @given(dims=st.tuples(*[st.integers(1, 8)] * 3),
            seed=st.integers(0, 2**32 - 1),

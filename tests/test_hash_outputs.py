@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lesionloss
+
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "hash_outputs.py"
 _spec = importlib.util.spec_from_file_location("hash_outputs", _TOOL)
 hash_outputs = importlib.util.module_from_spec(_spec)
@@ -153,3 +155,21 @@ def test_a_peer_that_ends_early_leaves_an_empty_line():
         g.add(*items)
     g.close()
     assert (g.differ, g.theirs) == (len(_OUTPUTS), "")
+
+
+def test_every_malformed_pair_fails_to_load_naming_its_file(tmp_path):
+    """The files group's load errors: each loader on each malformed pair
+    raises VolumeFormatError naming the file, with tmp_path masked."""
+    class Recorder:
+        def __init__(self):
+            self.outputs = []
+
+        def add(self, *items):
+            self.outputs.append(items)
+
+    g = Recorder()
+    hash_outputs._load_errors(lesionloss, g, tmp_path)
+    assert len(g.outputs) == 2 * len(hash_outputs._BAD_PAIRS) == 26
+    for case, loader, kind, message in g.outputs:
+        assert kind == "VolumeFormatError", (case, loader)
+        assert message.startswith("<tmp>/bad") and str(tmp_path) not in message

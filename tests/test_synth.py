@@ -395,3 +395,9 @@ class TestGeometry:
     def test_support_voxels_empty_fragments(self):
         g = LesionGeometry((1.0, 1.0, 1.0), (1.0, 1.0, 1.0), ())
         assert g.support_voxels((4, 4, 4)).shape == (0, 3)
+
+    @pytest.mark.parametrize("center", [(-9.0, 2.0, 2.0), (2.0, 20.0, 2.0),
+                                        (2.0, 2.0, 4.5), (-5.0, -5.0, 9.0)])
+    def test_support_voxels_of_an_ellipsoid_off_the_grid(self, center):
+        coords = LesionGeometry(center, (1.5, 1.0, 0.5)).support_voxels((4, 4, 4))
+        assert coords.shape == (0, 3) and coords.dtype == np.int64

@@ -1,6 +1,11 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from lesionloss.components import LesionLabeling
 from lesionloss.volume import (
     GridShape,
     Mask,
@@ -13,6 +18,11 @@ from lesionloss.volume import (
     save_volume,
     threshold,
 )
+from lesionloss.weighting import WeightMap
+
+# each grid type with an array of valid values, for its shape check
+_GRIDS = {Volume: np.zeros, Mask: lambda s: np.zeros(s, bool),
+          WeightMap: np.ones, LesionLabeling: lambda s: np.zeros(s, np.int32)}
 
 
 class TestGridShape:
@@ -45,6 +55,16 @@ class TestVolumeType:
             Volume(GridShape((2, 2, 2)), np.zeros((2, 2, 3), np.float32))
         with pytest.raises(ShapeMismatchError):
             Mask(GridShape((2, 2, 2)), np.zeros((2, 2, 3), bool))
+
+    @given(kind=st.sampled_from(list(_GRIDS)),
+           dims=st.tuples(*[st.integers(1, 5)] * 3),
+           data_dims=st.lists(st.integers(0, 5), min_size=1, max_size=4).map(tuple))
+    @settings(max_examples=200, deadline=None)
+    def test_every_grid_type_checks_its_shape(self, kind, dims, data_dims):
+        assume(data_dims != dims)
+        message = f"data shape {data_dims} does not match dims {dims}"
+        with pytest.raises(ShapeMismatchError, match=re.escape(message)):
+            kind(GridShape(dims), _GRIDS[kind](data_dims))
 
     def test_immutable(self):
         v = Volume.from_array(np.zeros((2, 2, 2), np.float32))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import omega_reference
 
 from lesionloss.components import label_components
-from lesionloss.volume import Mask
+from lesionloss.volume import Mask, ShapeMismatchError
 from lesionloss.weighting import (
     DEFAULT_A_SHIFT,
     WeightCurveParams,
@@ -188,7 +188,7 @@ class TestWeightMap:
 
         with pytest.raises(ValueError):
             WeightMap(GridShape((2, 2, 2)), np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError, match="does not match shape dims"):
+        with pytest.raises(ShapeMismatchError, match="does not match dims"):
             WeightMap(GridShape((2, 2, 2)), np.ones((2, 2, 3)))
         lab = label_components(_mask_with_blocks([]))
         for scale in (0.0, -1.0, math.nan):

@@ -67,7 +67,10 @@ exactly the named ones, so a deliberate bit move is a checked statement.
     files      the exact bytes save_volume, save_mask, save_phantom (both
                grids and the .spec sidecar) and save_scorer write, for
                C-ordered, F-ordered and strided inputs, and what load_volume,
-               load_mask, read_phantom_sidecar and load_scorer read back
+               load_mask, read_phantom_sidecar and load_scorer read back;
+               and the type and message of the error each of load_volume
+               and load_mask raises on 13 malformed header+raw pairs (the
+               temporary directory replaced by a fixed token)
     metrics    dice, and hausdorff at percentiles 100, 95 and 50, at unit
                and (0.5, 1.25, 3.0) spacing on seeded same-shape mask
                pairs (random masks, thin slabs, single voxels; the message
@@ -533,6 +536,51 @@ def _file_bytes(g, prefix):
         g.add(path.name, path.read_bytes())
 
 
+def _header(*extra, **fields):
+    """The text of a valid 2^3 f32 header with fields replaced (None drops
+    one), then the lines extra."""
+    base = {"dims": "2 2 2", "spacing": "1 1 1", "dtype": "f32",
+            "order": "x-fastest-le", **fields}
+    lines = [f"{k}={v}" for k, v in base.items() if v is not None]
+    return "".join(f"{x}\n" for x in lines + list(extra))
+
+
+_F32 = np.zeros(8, "<f4").tobytes()
+
+# malformed pairs: case -> (header text, raw bytes)
+_BAD_PAIRS = {
+    "no =": (_header("junk"), _F32),
+    "duplicate key": (_header("dims=2 2 2"), _F32),
+    "unknown key": (_header("extra=1"), _F32),
+    "missing key": (_header(spacing=None), _F32),
+    "order": (_header(order="z-fastest-be"), _F32),
+    "f64": (_header(dtype="f64"), _F32),
+    "two dims": (_header(dims="2 4"), _F32),
+    "zero dim": (_header(dims="2 0 2"), _F32),
+    "nan spacing": (_header(spacing="1 nan 1"), _F32),
+    "u8 with f32 bytes": (_header(dtype="u8"), _F32),
+    "short raw": (_header(), _F32[:-4]),
+    "inf payload": (_header(), np.array([0, np.inf] * 4, "<f4").tobytes()),
+    "mask byte 7": (_header(dtype="u8"), bytes(7) + b"\x07"),
+}
+
+
+def _load_errors(ll, g, tmp):
+    """The type and message of each loader's error on each malformed pair,
+    with tmp replaced by a fixed token, since each tree hashes in its own."""
+    for i, (case, (header, raw)) in enumerate(_BAD_PAIRS.items()):
+        (tmp / f"bad{i}.vhdr").write_text(header)
+        (tmp / f"bad{i}.vraw").write_bytes(raw)
+        for load in (ll.volume.load_volume, ll.volume.load_mask):
+            try:
+                load(tmp / f"bad{i}")
+            except ValueError as exc:
+                g.add(case, load.__name__, type(exc).__name__,
+                      str(exc).replace(str(tmp), "<tmp>"))
+            else:
+                g.add(case, load.__name__, "no error")
+
+
 def _files(ll, g):
     rng = np.random.default_rng(20244)
     vol, syn = ll.volume, ll.synth
@@ -581,6 +629,7 @@ def _files(ll, g):
                 path = tmp / f"scorer{i}.f32"
                 ll.trainer.save_scorer(model, path)
                 g.add(path.read_bytes(), ll.trainer.load_scorer(path).weights)
+        _load_errors(ll, g, tmp)
 
 
 def _mask_pairs(rng):
