@@ -114,6 +114,23 @@ _PARAMS = {
     "large_lesions": (int, 1, None, "lesions per large-lesion phantom"),
 }
 
+# config keys whose value the library checks under another name: key ->
+# the starts of the library's messages for a rejected value.  A check of
+# several values (w_max >= w_min, a corpus's seed range) is named after
+# the first of them that the config file gave, the key itself first and
+# then in this order.  make_corpus names its small_* and large_* parameters
+# itself, and _cmd_train names the validation corpus.
+_LIBRARY_NAMES = {
+    "sample_seed": ("seed ",),
+    "hd_percentile": ("percentile ",),
+    "kappa_threshold": ("threshold ",),
+    "radius_range": ("radius_range_vox ",),
+    "w_min": ("w_max must be >= w_min",),
+    "corpus_seed": ("corpus seeds ", "validation corpus seeds "),
+    "train_count": ("corpus count ", "corpus seeds ", "validation corpus seeds "),
+    "val_count": ("validation corpus ",),
+}
+
 # WeightCurveParams' fields, in order; _curve reads each from its flag
 _CURVE = ("w_max", "w_min", "vrange", "k", "a_shift")
 _OBJECTIVE = ("alpha", "beta", "smooth", "ce_weight", "clamp")
@@ -171,17 +188,25 @@ def _fill_params(args) -> set[str]:
 @contextmanager
 def _naming_config(path, keys):
     """Name the config file and the key in front of a ValueError raised in
-    the block for a value that the file gave (keys): the library's checks
-    name the parameter first ("noise_sigma must be ..."), so a message
-    whose first word is such a key is that value's.  Values given by flag
-    keep the library's message."""
+    the block for a value that the file gave (keys).  The library's checks
+    name the parameter first: by the key ("noise_sigma must be ..."), by
+    the key and a colon where the library says which of its parameters
+    the value was ("small_lesions: n_lesions must be ..."), or by a start
+    that _LIBRARY_NAMES lists for the key.  Values given by flag keep the
+    library's message."""
     try:
         yield
     except ValueError as exc:
-        key = str(exc).partition(" ")[0]
-        if key not in keys:
+        message = str(exc)
+        lead = message.partition(" ")[0]
+        if lead.endswith(":") and lead[:-1] in keys:
+            raise ValueError(f"{path}: {message}") from exc
+        named = [lead] + [k for k, starts in _LIBRARY_NAMES.items()
+                          if message.startswith(starts)]
+        key = next((k for k in named if k in keys), None)
+        if key is None:
             raise
-        raise ValueError(f"{path}: {key}: {exc}") from exc
+        raise ValueError(f"{path}: {key}: {message}") from exc
 
 
 def _require(args, key):
@@ -341,7 +366,13 @@ def _corpus(args, count, start_seed):
 
 def _cmd_train(args) -> int:
     volume.check_threshold(args.threshold)    # before any training
-    val_specs = _corpus(args, args.val_count, args.corpus_seed + args.train_count)
+    try:
+        val_specs = _corpus(args, args.val_count,
+                            args.corpus_seed + args.train_count)
+    except ValueError as exc:    # its count or seed range
+        if not str(exc).startswith("corpus "):
+            raise
+        raise ValueError(f"validation {exc}") from exc
     options = _objective_options(args, args.loss, trainer.TRAIN_LOSS_KINDS)
     cfg = trainer.TrainConfig(
         loss_kind=args.loss,

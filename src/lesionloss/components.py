@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .volume import GridShape, Mask, Volume, _flat, _grid, _store
+from .volume import GridShape, Mask, Volume, _adopt, _flat, _grid, _store
 
 
 class Connectivity(enum.Enum):
@@ -132,14 +132,16 @@ def label_components(
     """Label connected foreground components of a mask.
 
     Component ids are assigned by the x-fastest scan position of each
-    component's first voxel (_lesion_ids), and scattered into the grid.
+    component's first voxel (_lesion_ids), and scattered into a new grid,
+    which is handed over as it is (volume._adopt) with the ids' counts.
     """
     dims = mask.shape.dims
     pos = np.flatnonzero(_flat(mask.data))
     ids = _lesion_ids(pos, dims, connectivity)
     labels = np.zeros(mask.shape.voxel_count, dtype=np.int32)
     labels[pos] = ids
-    return LesionLabeling(mask.shape, _grid(labels, dims))
+    return _adopt(LesionLabeling, shape=mask.shape, labels=_grid(labels, dims),
+                  volumes=tuple(np.bincount(ids)[1:].tolist()))
 
 
 def lesion_volume_mm3(labeling: LesionLabeling, lesion_id: int) -> float:

@@ -72,11 +72,15 @@ reduction.pairwise_sum over that case alone (one (k, n) tree pass per chunk
 of k consecutive cases of n voxels, bit-identical to k separate trees; a
 larger case's pieces are subtrees of its tree), and the exactly rounded
 sum across cases is order-free, so values are reproducible, case-order
-free and the same for any split into shards or chunks.  The loss API and grad_check
-run the whole batch as one shard (_objective_core) and copy each chunk's
-gradient into the one they return; the trainer runs one shard per thread
-and writes its chain rule over q.  Each phase reads an Objective, every
-parameter of the loss, and writes into its plan's chunk scratch only.
+free and the same for any split into shards or chunks.  Each phase reads
+an Objective, every parameter of the loss, and writes into its plan's
+chunk scratch only.  The loss API and grad_check run the whole batch as
+one shard (_objective_core), and neither holds a batch-sized gradient:
+the API casts each chunk's gradient into the float32 grids it returns,
+one per case (_gradient_grids), and grad_check gathers it at the voxels
+it checks (_gradient_at); both check each chunk for non-finite values
+while it is in cache.  The trainer runs one shard per thread and writes
+its chain rule over q.
 """
 
 from __future__ import annotations
@@ -88,7 +92,7 @@ import numpy as np
 
 from .components import Connectivity, DEFAULT_CONNECTIVITY, _lesion_ids
 from .reduction import ChunkTrees, exact_sum, path_sums, tree_levels
-from .volume import (Mask, ShapeMismatchError, Volume, _flat, _grid,
+from .volume import (Mask, ShapeMismatchError, Volume, _adopt, _flat,
                      require_same_shape)
 from .weighting import WeightCurveParams, WeightMap, _omega_lut
 
@@ -302,14 +306,6 @@ def _prepare(obj: Objective, gt, pred, omega=None):
     return plan, preds, single
 
 
-def _wrap(value, grad, plan: _Plan, preds, single) -> LossReport:
-    if grad is None:
-        return LossReport(float(value))
-    vols = [Volume(p.shape, _grid(grad[start:stop], p.shape.dims))
-            for p, (start, stop) in zip(preds, plan.bounds)]
-    return LossReport(float(value), vols[0] if single else vols)
-
-
 # ---------------------------------------------------------------------------
 # The objective in two phases over contiguous case shards, each with a
 # _Plan of its own; flat float64 predictions q in, float64 out
@@ -478,24 +474,55 @@ def _quiet():
     return np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
-def _objective_core(obj: Objective, plan: _Plan, want_grad: bool):
-    """Value, flat gradient (a new array, or None without want_grad; plan.q
-    is left as it is) and the case sums (_case_sums) of obj at plan.q, the
-    whole batch as one shard.  A value or gradient that is not finite
+def _objective_core(obj: Objective, plan: _Plan):
+    """The _totals and the case sums (_case_sums) of obj at plan.q (left as
+    it is), the whole batch as one shard.  A value that is not finite
     (lesion sums that overflow under a huge w_max) raises ValueError
-    instead of numpy's warnings and a NaN result."""
-    grad = np.empty(plan.n) if want_grad else None
+    instead of numpy's warnings and a NaN result, before any gradient is
+    taken."""
     with _quiet():
         sums = _case_sums(obj, plan)
         totals = _totals(obj, [sums], plan.n)
-        if want_grad:
-            for c, g in _gradient(obj, plan, totals):
-                grad[c.start:c.stop] = g
     if not np.isfinite(totals.value):
         raise ValueError("loss value is non-finite")
-    if grad is not None and not np.isfinite(grad).all():
-        raise ValueError("loss gradient is non-finite")
-    return totals.value, grad, sums
+    return totals, sums
+
+
+def _gradient_grids(obj: Objective, plan: _Plan, totals: _Totals, preds):
+    """Phase 2 cast into the gradient that the loss API returns: one new
+    float32 x-fastest grid per case of preds.  Each chunk's float64
+    gradient is cast into the case slices it covers (whole cases, or a
+    piece of one) and checked there while in cache: a value that is not
+    finite, or past float32's range, raises ValueError."""
+    grids = [np.empty(p.shape.dims, np.float32, order="F") for p in preds]
+    flats = [_flat(a) for a in grids]
+    i = 0
+    with _quiet():    # the check below, not the cast's warning, reports
+        for c, g in _gradient(obj, plan, totals):
+            at = c.start
+            while at < c.stop:
+                start, stop = plan.bounds[i]
+                end = min(stop, c.stop)
+                out = flats[i][at - start:end - start]
+                out[...] = g[at - c.start:end - c.start]
+                if not np.isfinite(out).all():
+                    raise ValueError("loss gradient is non-finite")
+                i, at = i + (end == stop), end
+    return grids
+
+
+def _gradient_at(obj: Objective, plan: _Plan, totals: _Totals, pos) -> np.ndarray:
+    """The float64 gradient at the ascending flat batch positions pos, each
+    value gathered from the phase-2 chunk that holds it.  Every chunk is
+    checked: a value that is not finite raises ValueError."""
+    out = np.empty(pos.size)
+    cuts = np.searchsorted(pos, [c.start for c in plan.trees.chunks] + [plan.n])
+    with _quiet():
+        for (c, g), lo, hi in zip(_gradient(obj, plan, totals), cuts, cuts[1:]):
+            if not np.isfinite(g).all():
+                raise ValueError("loss gradient is non-finite")
+            out[lo:hi] = g[pos[lo:hi] - c.start]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +577,12 @@ def evaluate_loss(kind: str, gt, pred, *, want_grad: bool = False, omega=None,
     """
     obj = objective(kind, LOSS_KINDS, **options)
     plan, preds, single = _prepare(obj, gt, pred, omega)
-    value, grad, _sums = _objective_core(obj, plan, want_grad)
-    return _wrap(value, grad, plan, preds, single)
+    totals, _sums = _objective_core(obj, plan)
+    if not want_grad:
+        return LossReport(totals.value)
+    vols = [_adopt(Volume, shape=p.shape, data=grid)
+            for p, grid in zip(preds, _gradient_grids(obj, plan, totals, preds))]
+    return LossReport(totals.value, vols[0] if single else vols)
 
 
 def _expansion(terms) -> list[float]:
@@ -575,12 +606,25 @@ def _swapped(got, i, roots) -> np.ndarray:
                      for side in roots])
 
 
-def _perturbed_values(obj: Objective, plan: _Plan, step: float,
-                      max_voxels: int | None, seed: int, sums):
-    """Yield, case by case, the flat positions js of the voxels grad_check
-    samples and obj's values with each one's prediction moved to q + step
-    (up) and to q - step (down), the rest at plan.q (left as it is): the
-    bits of a full evaluation of each perturbed batch.
+def _sample(plan: _Plan, max_voxels: int | None, seed: int) -> list[np.ndarray]:
+    """The voxels grad_check checks: for each case in order, the ascending
+    positions in the case of all its voxels, or of max_voxels of them drawn
+    with seed where the case has more."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for start, stop in plan.bounds:
+        js = np.arange(stop - start)
+        if max_voxels is not None and js.size > max_voxels:
+            js = np.sort(rng.choice(js.size, size=max_voxels, replace=False))
+        samples.append(js)
+    return samples
+
+
+def _perturbed_values(obj: Objective, plan: _Plan, step: float, samples, sums):
+    """Yield, case by case, the flat batch positions of the voxels of
+    samples (_sample) and obj's values with each one's prediction moved to
+    q + step (up) and to q - step (down), the rest at plan.q (left as it
+    is): the bits of a full evaluation of each perturbed batch.
 
     A voxel is one leaf of each full-grid term's case tree (CE, FP).  So
     each such tree over the case is laid out once, one term at a time
@@ -591,12 +635,9 @@ def _perturbed_values(obj: Objective, plan: _Plan, step: float,
     as in _totals, and one _value over these arrays gives the case's
     values.  A value that is not finite raises ValueError, as
     _objective_core's does.  sums are the batch's case sums at plan.q
-    (_objective_core's third value)."""
-    rng = np.random.default_rng(seed)
-    for i, ((start, stop), (lo, hi)) in enumerate(zip(plan.bounds, plan.spans)):
-        js = np.arange(stop - start)
-        if max_voxels is not None and js.size > max_voxels:
-            js = np.sort(rng.choice(js.size, size=max_voxels, replace=False))
+    (_objective_core's second value)."""
+    for i, ((start, stop), (lo, hi), js) in enumerate(zip(plan.bounds, plan.spans,
+                                                          samples)):
         loc, w, q = plan.fg[lo:hi] - start, plan.w[lo:hi], plan.q[start:stop]
         hit = np.flatnonzero(np.isin(js, loc))
         at = np.searchsorted(loc, js[hit])
@@ -640,8 +681,10 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
     its term replaced in each lesion-voxel case sum, and one value formula
     per case over the new sums (_perturbed_values): O(m log n) time per
     term for m checked voxels of a case of n.  Extra memory: one term's
-    tree levels at a time (about 2n values) and two sums per checked voxel
-    and term.  A non-finite perturbed value (a denominator that cancels to
+    tree levels at a time (about 2n values), and the analytic gradient and
+    two sums per checked voxel and term.  A non-finite analytic gradient
+    at any voxel, checked or not, raises ValueError, and so does a
+    non-finite perturbed value (a denominator that cancels to
     zero) raises ValueError."""
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -651,12 +694,14 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
         raise ValueError(f"seed must be >= 0, got {seed}")
     obj = objective(kind, LOSS_KINDS, **options)
     plan, _preds, _single = _prepare(obj, gt, pred)
-    _, grad, sums = _objective_core(obj, plan, True)
-    js, up, down = map(np.concatenate, zip(
-        *_perturbed_values(obj, plan, step, max_voxels, seed, sums)))
+    totals, sums = _objective_core(obj, plan)
+    samples = _sample(plan, max_voxels, seed)
+    a = _gradient_at(obj, plan, totals, np.concatenate(
+        [start + js for (start, _), js in zip(plan.bounds, samples)]))
+    _, up, down = map(np.concatenate, zip(
+        *_perturbed_values(obj, plan, step, samples, sums)))
     with _quiet():
         fd = (up - down) / (2.0 * step)
-        a = grad[js]
         err = np.abs(a - fd) / np.maximum(1.0, np.abs(a))
     # a NaN error never compares greater
     return float(np.max(err, where=err > 0.0, initial=0.0))

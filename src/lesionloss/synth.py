@@ -71,9 +71,10 @@ class PhantomSpec:
         if self.n_lesions < 0:
             raise ValueError("n_lesions must be >= 0")
         if not 0.0 < rmin <= rmax:
-            raise ValueError(f"need 0 < radius min <= max, got {rmin}, {rmax}")
+            raise ValueError(f"radius_range_vox must satisfy 0 < min <= max, "
+                             f"got {rmin}, {rmax}")
         if rmax > (min(self.shape.dims) - 1) / 2.0:
-            raise ValueError("radius range does not fit inside the grid")
+            raise ValueError("radius_range_vox does not fit inside the grid")
         if not 0.0 <= self.fragmentation_prob <= 1.0:
             raise ValueError("fragmentation_prob must lie in [0, 1]")
         fmin, fmax = self.fragments_per_lesion

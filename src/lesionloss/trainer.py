@@ -400,6 +400,11 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
 # Corpus builder and scorer files
 # ---------------------------------------------------------------------------
 
+# the PhantomSpec fields that make_corpus sets by size class, each with the
+# stem of its two parameters (small_<stem> and large_<stem>)
+_BY_SIZE = {"n_lesions": "lesions", "radius_range_vox": "radius"}
+
+
 def make_corpus(count: int, start_seed: int, dims=(24, 24, 24), *,
                 small_radius=(1.3, 1.7), large_radius=(3.8, 4.4),
                 small_lesions: int = 3, large_lesions: int = 1,
@@ -409,6 +414,8 @@ def make_corpus(count: int, start_seed: int, dims=(24, 24, 24), *,
 
     Phantom i gets seed start_seed + i, which must lie in [0, 2**64); even
     indices draw lesions from the small radius range, odd from the large one.
+    A spec's rejection of a size class's value leads with that class's
+    parameter ("large_lesions: n_lesions must be >= 0").
     """
     if count < 0:
         raise ValueError(f"corpus count must be >= 0, got {count}")
@@ -418,16 +425,23 @@ def make_corpus(count: int, start_seed: int, dims=(24, 24, 24), *,
     specs = []
     for i in range(count):
         small = i % 2 == 0
-        specs.append(
-            PhantomSpec(
-                shape=GridShape(dims, spacing),
-                n_lesions=small_lesions if small else large_lesions,
-                radius_range_vox=small_radius if small else large_radius,
-                noise_sigma=noise_sigma,
-                contrast=contrast,
-                seed=start_seed + i,
+        try:
+            specs.append(
+                PhantomSpec(
+                    shape=GridShape(dims, spacing),
+                    n_lesions=small_lesions if small else large_lesions,
+                    radius_range_vox=small_radius if small else large_radius,
+                    noise_sigma=noise_sigma,
+                    contrast=contrast,
+                    seed=start_seed + i,
+                )
             )
-        )
+        except ValueError as exc:
+            stem = _BY_SIZE.get(str(exc).partition(" ")[0])
+            if stem is None:
+                raise
+            size = "small" if small else "large"
+            raise ValueError(f"{size}_{stem}: {exc}") from exc
     return tuple(specs)
 
 

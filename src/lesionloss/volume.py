@@ -19,9 +19,11 @@ holds its [x, y, z] array x-fastest, that is F-contiguous.  Its flat
 x-fastest view, the order of the files and of every flat array the loss
 engine and the trainer work on, is then free, and so is the grid view of
 such a flat array.  The layout is spelled in this module alone: _store
-keeps a grid's array and checks its shape, for every grid type, _flat
-takes its flat view, _grid builds a grid from a flat array and _zyx gives
-scipy's view of one.
+keeps a copy of a grid's array and checks its shape, for every grid type's
+constructor, _adopt hands a grid that the package has just made and
+checked to its type without a copy or a second check, _flat takes its
+flat view, _grid builds a grid from a flat array and _zyx gives scipy's
+view of one.
 
 A file that does not read raises VolumeFormatError naming the file, from
 _read_pair alone; the parsers and checks it runs raise plain ValueError.
@@ -94,6 +96,19 @@ def _store(arr, dtype, dims) -> np.ndarray:
     if arr.shape != dims:
         raise ShapeMismatchError(f"data shape {arr.shape} does not match dims {dims}")
     return _freeze(arr)
+
+
+def _adopt(cls, **fields):
+    """An instance of the grid type cls with the given field values, made
+    without cls's constructor: no _store copy and none of its checks.  For
+    grids that the package has just made x-fastest, of cls's dtype and
+    shape, and checked as the constructor would, and that nothing else
+    holds; each array is frozen in place."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, _freeze(value)
+                           if isinstance(value, np.ndarray) else value)
+    return obj
 
 
 def _flat(grid: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import LesionLabeling
-from .volume import GridShape, Volume, _store
+from .volume import GridShape, Volume, _adopt, _flat, _grid, _store
 
 # default curve shift: sqrt(e^7) = e^3.5
 DEFAULT_A_SHIFT = math.exp(3.5)
@@ -78,11 +78,14 @@ def build_weight_map(
 
     volume_scale converts voxel counts before the curve is applied (pass
     the voxel volume in mm^3 for physical units); background stays w_min.
+    The map's grid, new and read from a checked lut, is handed over as it
+    is (volume._adopt).
     """
     if not volume_scale > 0.0:
         raise ValueError("volume_scale must be positive")
     lut = _omega_lut(labeling.volumes, params, volume_scale)
-    return WeightMap(labeling.shape, lut[labeling.labels])
+    weights = _grid(lut[_flat(labeling.labels)], labeling.shape.dims)
+    return _adopt(WeightMap, shape=labeling.shape, weights=weights)
 
 
 def _omega_lut(volumes, params: WeightCurveParams | None = None,

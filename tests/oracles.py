@@ -292,7 +292,10 @@ def grad_check_reference(kind, gt, pred, step=1e-4, *, max_voxels=None, seed=0,
     checked voxel in order, its flat position and its two values."""
     obj = loss.objective(kind, loss.LOSS_KINDS, **options)
     plan, _preds, _single = loss._prepare(obj, gt, pred)
-    grad = loss._objective_core(obj, plan, True)[1]    # before q is perturbed
+    # the whole gradient, gathered from the checked chunk stream before q
+    # is perturbed
+    totals = loss._objective_core(obj, plan)[0]
+    grad = loss._gradient_at(obj, plan, totals, np.arange(plan.n))
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -304,9 +307,9 @@ def grad_check_reference(kind, gt, pred, step=1e-4, *, max_voxels=None, seed=0,
         for j in start + js:
             q0 = plan.q[j]      # the plan's own copy: perturb in place
             plan.q[j] = q0 + step
-            up = loss._objective_core(obj, plan, False)[0]
+            up = loss._objective_core(obj, plan)[0].value
             plan.q[j] = q0 - step
-            down = loss._objective_core(obj, plan, False)[0]
+            down = loss._objective_core(obj, plan)[0].value
             plan.q[j] = q0
             fd = (up - down) / (2.0 * step)
             a = grad[j]

@@ -205,6 +205,22 @@ class TestExitCodes:
             assert run_quiet(argv + ["--smooth", "1e-200"]) == (
                 2, f"lesionloss: error: {message}\n")
 
+    def test_gradient_past_float32_range_is_a_one_line_data_error(self, tmp_path):
+        # empty truth, zero predictions: the background gradient
+        # 0.3 * s / s**2 is finite in float64 but past float32's range
+        save_mask(Mask.from_array(np.zeros((4, 4, 4), bool)), tmp_path / "gt")
+        save_volume(Volume.from_array(np.zeros((4, 4, 4), np.float32)),
+                    tmp_path / "pred")
+        argv = ["loss", "--kind", "tversky", "--smooth", "1e-150",
+                "--gt", str(tmp_path / "gt.vhdr"),
+                "--pred", str(tmp_path / "pred.vhdr")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_quiet(argv + ["--grad-out", str(tmp_path / "g")]) == (
+                2, "lesionloss: error: loss gradient is non-finite\n")
+        assert not (tmp_path / "g.vhdr").exists()
+        assert run_quiet(argv)[0] == 0    # the value alone is finite
+
     def test_train_has_no_tp_denominator_switch(self, capsys, tmp_path):
         small = ["train", "--epochs", "1", "--train-count", "2",
                  "--dims", "10 10 10", "--small-radius", "1.2 1.5",
@@ -777,6 +793,53 @@ class TestFileErrorsNameTheFile:
             2, f"lesionloss: error: {path}: {key}: {message}\n")
         assert run_quiet(argv + ["--" + key.replace("_", "-"), value]) == (
             2, f"lesionloss: error: {message}\n")
+
+    @pytest.mark.parametrize("command, line, message, library_names_key", [
+        ("gradcheck", "sample_seed=-1", "seed must be >= 0, got -1", False),
+        ("metrics", "hd_percentile=200", "percentile must lie in (0, 100]", False),
+        ("metrics", "kappa_threshold=2", "threshold must lie in [0, 1], got 2.0",
+         False),
+        ("train", "corpus_seed=-1", "corpus seeds -1..38 must lie in [0, 2**64)",
+         False),
+        ("train", "train_count=-1", "corpus count must be >= 0, got -1", False),
+        ("train", "val_count=-1",
+         "validation corpus count must be >= 0, got -1", False),
+        ("synth", "radius_range=0 1",
+         "radius_range_vox must satisfy 0 < min <= max, got 0.0, 1.0", False),
+        ("train", "small_radius=0 1",
+         "radius_range_vox must satisfy 0 < min <= max, got 0.0, 1.0", True),
+        ("train", "large_radius=5 4",
+         "radius_range_vox must satisfy 0 < min <= max, got 5.0, 4.0", True),
+        ("train", "small_lesions=-1", "n_lesions must be >= 0", True),
+        ("train", "large_lesions=-1", "n_lesions must be >= 0", True),
+        ("weights", "w_min=20", "w_max must be >= w_min", False),
+    ])
+    def test_config_value_checked_under_another_name_names_file_and_key(
+            self, tmp_path, command, line, message, library_names_key):
+        # the library checks the value under another name, or names it
+        # itself (make_corpus's size classes); the config file and the key
+        # are named all the same.  Given by flag, the value keeps the
+        # library's message.
+        write_inputs(tmp_path)
+        save_volume(Volume.from_array(np.full((4, 4, 4), 0.5, np.float32)),
+                    tmp_path / "p")
+        m = str(tmp_path / "m.vhdr")
+        argv = [command] + {
+            "gradcheck": ["--gt", m, "--pred", str(tmp_path / "p.vhdr"),
+                          "--kind", "tversky"],
+            "metrics": ["--gt-mask", m, "--pred-mask", m,
+                        "--outcomes", str(tmp_path / "o.csv")],
+            "synth": ["--out", str(tmp_path / "out")],
+            "weights": ["--gt", m, "--out", str(tmp_path / "w")],
+        }.get(command, ["--epochs", "0"])
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        key, value = line.split("=")
+        assert run_quiet(argv + ["--config", str(path)]) == (
+            2, f"lesionloss: error: {path}: {key}: {message}\n")
+        flag_message = f"{key}: {message}" if library_names_key else message
+        assert run_quiet(argv + ["--" + key.replace("_", "-"), value]) == (
+            2, f"lesionloss: error: {flag_message}\n")
 
     def test_wrong_count_flag_is_usage_error_naming_it(self, tmp_path):
         code, err = run_quiet(["synth", "--out", str(tmp_path / "ph"),

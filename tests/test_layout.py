@@ -14,7 +14,8 @@ import pytest
 from scipy import ndimage
 from scipy.special import expit
 
-from lesionloss.components import label_components, labeling_to_volume
+from lesionloss.components import (LesionLabeling, label_components,
+                                   labeling_to_volume)
 from lesionloss.loss import LOSS_KINDS, evaluate_loss
 from lesionloss.synth import PhantomSpec, generate, shrink
 import lesionloss.trainer as trainer_mod
@@ -36,15 +37,16 @@ from lesionloss.volume import (
     save_volume,
     threshold,
 )
-from lesionloss.weighting import build_weight_map, weight_map_to_volume
+from lesionloss.weighting import WeightMap, build_weight_map, weight_map_to_volume
 
 DIMS = (7, 5, 4)
 
 
 def assert_stored(grid):
-    """grid is x-fastest in memory: its flat x-fastest view is free."""
+    """grid is x-fastest in memory, so its flat x-fastest view is free, and
+    read-only."""
     assert grid.ndim == 3
-    assert grid.flags.f_contiguous
+    assert grid.flags.f_contiguous and not grid.flags.writeable
     assert np.shares_memory(grid, grid.ravel(order="F"))
 
 
@@ -88,6 +90,26 @@ def test_threshold_labels_and_weights(pair):
     assert_stored(weights.weights)
     assert_stored(labeling_to_volume(labeling).data)
     assert_stored(weight_map_to_volume(weights).data)
+
+
+@pytest.mark.parametrize("make, field, dtype", [
+    (Volume.from_array, "data", np.float32),
+    (Mask.from_array, "data", bool),
+    (lambda a: WeightMap(GridShape(a.shape), a), "weights", np.float64),
+    (lambda a: LesionLabeling(GridShape(a.shape), a), "labels", np.int32),
+])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_public_constructors_keep_a_copy(make, field, dtype, order):
+    """A grid built by a public constructor is its own copy, even of an
+    array of its dtype and layout: changing the caller's array afterwards
+    changes nothing in it.  (Only grids that the package has just made are
+    handed over without a copy.)"""
+    arr = np.ones(DIMS, dtype=dtype, order=order)
+    grid = getattr(make(arr), field)
+    assert_stored(grid)
+    assert not np.shares_memory(grid, arr)
+    arr[1, 2, 3] = 0
+    assert (grid == 1).all()
 
 
 def test_scores(pair):

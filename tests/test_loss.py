@@ -1,5 +1,7 @@
 import inspect
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +23,10 @@ from lesionloss.loss import (
     evaluate_loss,
     _case_sums,
     _gradient,
+    _gradient_at,
     _objective_core,
     _perturbed_values,
+    _sample,
     _TERMS,
     _prepare,
     _totals,
@@ -840,11 +844,82 @@ class TestPlanBuffers:
                 yielded.append(c)
             assert tuple(yielded) == chunks
             assert plan.q.tobytes() == q.tobytes()
-            _value, grad, _sums = _objective_core(obj, plan, True)
+            # the whole gradient, gathered from the stream, is new memory
+            grad = _gradient_at(obj, plan, _objective_core(obj, plan)[0],
+                                np.arange(plan.n))
             assert grad.shape == (plan.n,)
             assert not np.shares_memory(grad, plan.q)
             assert not np.shares_memory(grad, leaves)
             assert plan.q.tobytes() == q.tobytes()
+
+
+class TestGradientGrids:
+    """The loss API's gradient is one new float32 x-fastest grid per case,
+    cast from phase 2's chunks as they stream: no batch-sized float64
+    gradient is ever held."""
+
+    def test_peak_memory_is_q_and_the_float32_grids(self):
+        # four cases: one under a chunk, three in pieces of 2^16 voxels
+        rng = np.random.default_rng(5)
+        dims = [(48, 48, 48), (40, 40, 40), (56, 56, 56), (30, 20, 10)]
+        gts = [mask(rng.random(d) < 0.01) for d in dims]
+        preds = [vol(rng.uniform(0.05, 0.95, d)) for d in dims]
+        n = sum(math.prod(d) for d in dims)
+        lesions = sum(g.foreground_count for g in gts)
+        evaluate_loss("combined", gts, preds, want_grad=True)    # warm up
+        tracemalloc.start()
+        try:
+            got = evaluate_loss("combined", gts, preds, want_grad=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got.gradient) == len(dims)
+        # q (8 B) and the returned grids (4 B) per voxel, sixteen 8-byte
+        # arrays of the lesion voxels (the plan's and the phases'), the
+        # plan's two float64 chunks, and a slack of four chunk-sized
+        # boolean temporaries and 64 KiB.  A batch-sized float64 gradient
+        # would add 8 B per voxel (2.8 MB here) on top.
+        chunk = reduction._CHUNK
+        bound = 12 * n + 16 * 8 * lesions + 2 * 8 * chunk + 4 * chunk + (64 << 10)
+        assert peak <= bound
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_grids_are_float32_x_fastest_read_only_and_their_own(self, kind):
+        rng = np.random.default_rng(44)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "_CHUNK", 64)    # whole cases and pieces
+            gts, preds = zip(*(random_case(rng, dims) for dims in
+                               ((5, 6, 7), (2, 2, 3), (2, 2, 3), (4, 4, 4))))
+            grads = evaluate_loss(kind, list(gts), list(preds),
+                                  want_grad=True).gradient
+        for g, p in zip(grads, preds):
+            assert g.shape == p.shape
+            assert g.data.dtype == np.float32
+            assert g.data.flags.f_contiguous and not g.data.flags.writeable
+            assert not np.shares_memory(g.data, p.data)
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a.data, b.data)
+
+    def test_gradient_past_float32_range_is_rejected(self):
+        # empty truth, zero predictions: the background gradient
+        # 0.3 * s / s**2 = 3e149 is finite in float64 only.  No numpy
+        # warning on the way, and a non-finite value is still reported
+        # first.
+        gt, pred = mask(np.zeros((4, 4, 4), bool)), vol(np.zeros((4, 4, 4)))
+        options = dict(tversky=TverskyParams(smooth=1e-150))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(evaluate_loss("tversky", gt, pred, **options).value)
+            with pytest.raises(ValueError, match="^loss gradient is non-finite$"):
+                evaluate_loss("tversky", [gt, gt], [pred, pred], want_grad=True,
+                              **options)
+            # lesion sums that overflow make both non-finite
+            data = np.zeros((6, 6, 6), np.uint8)
+            data[1:4, 1:4, 1:4] = 1
+            with pytest.raises(ValueError, match="^loss value is non-finite$"):
+                evaluate_loss("wlt", mask(data), vol(0.1 + 0.7 * data),
+                              want_grad=True, curve=WeightCurveParams(w_max=1e308))
 
 
 # grid lengths at and around multiples of the chunk sizes 8 and 64: a
@@ -967,8 +1042,11 @@ class TestLeafPathGradCheck:
         def leaf_paths():
             obj = objective(kind, **options)
             plan, _, _ = _prepare(obj, gts, preds)
-            sums = _objective_core(obj, plan, True)[2]    # raises as grad_check does
-            got = list(_perturbed_values(obj, plan, step, max_voxels, seed, sums))
+            totals, sums = _objective_core(obj, plan)
+            samples = _sample(plan, max_voxels, seed)
+            # raises as grad_check does
+            _gradient_at(obj, plan, totals, np.arange(plan.n))
+            got = list(_perturbed_values(obj, plan, step, samples, sums))
             return tuple(np.concatenate(x).tobytes() for x in zip(*got))
 
         with pytest.MonkeyPatch.context() as mp:
@@ -995,8 +1073,9 @@ class TestLeafPathGradCheck:
             gt, pred = mask(np.full((1, 1, 1), i % 2)), vol(np.full((1, 1, 1), q))
             obj = objective("ce")
             plan, _, _ = _prepare(obj, gt, pred)
-            sums = _objective_core(obj, plan, True)[2]
-            (_, up, down), = _perturbed_values(obj, plan, 1e-4, None, 0, sums)
+            sums = _objective_core(obj, plan)[1]
+            (_, up, down), = _perturbed_values(obj, plan, 1e-4, _sample(plan, None, 0),
+                                               sums)
             _, _, ref_up, ref_down = grad_check_reference("ce", gt, pred)
             assert (up.tobytes(), down.tobytes()) == (ref_up.tobytes(),
                                                       ref_down.tobytes())
@@ -1029,8 +1108,9 @@ class TestLeafPathGradCheck:
                 obj = objective(kind)
                 plan, _, _ = _prepare(obj, gt, pred)
                 assert len(plan.trees.chunks) == 2
-                sums = _objective_core(obj, plan, True)[2]
-                (js, up, down), = _perturbed_values(obj, plan, 1e-4, None, 0, sums)
+                sums = _objective_core(obj, plan)[1]
+                (js, up, down), = _perturbed_values(obj, plan, 1e-4,
+                                                    _sample(plan, None, 0), sums)
                 assert js.tobytes() == np.arange(plan.n).tobytes()
                 _, sample, ref_up, ref_down = grad_check_reference(
                     kind, gt, pred, max_voxels=12, seed=3)
