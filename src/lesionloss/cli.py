@@ -138,51 +138,49 @@ _IMAGE = ("dims", "spacing", "noise_sigma", "contrast")
 # make_corpus's keyword parameters, each read from its flag of the same name
 _CORPUS = _IMAGE + ("small_radius", "large_radius", "small_lesions",
                     "large_lesions")
+# PhantomSpec's fields, with dims and spacing for its shape and
+# radius_range for radius_range_vox; _phantom_spec reads each from its flag
+_SPEC = _IMAGE + ("n_lesions", "radius_range", "fragmentation_prob",
+                  "fragments_per_lesion", "seed")
 
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _unset(args, key: str) -> bool:
-    """Whether the subcommand declares key and the command line left it
-    unset."""
-    return key in vars(args) and getattr(args, key) is None
-
-
-def _read_config(args) -> dict:
-    """The --config value of each parameter that is _unset, parsed and
-    checked; an error names the file, and the key of a bad value."""
-    with volume._naming(args.config):
-        fields = volume.read_fields(args.config, "config", comments=True)
-        values = {}
-        for key in fields:
-            if key not in _PARAMS:
-                raise ValueError(f"config: unknown parameter {key!r}")
-            if not _unset(args, key):
-                continue
-            parse, _, choices, _ = _PARAMS[key]
-            values[key] = volume._field(fields, key, parse)
-            if choices is not None and values[key] not in choices:
-                raise ValueError(
-                    f"config: {key} must be one of "
-                    f"{', '.join(map(str, choices))}, got {fields[key]!r}"
-                )
-            if key == "threads" and values[key] < 1:
-                raise ValueError("threads must be >= 1")
-        return values
-
-
 def _fill_params(args) -> set[str]:
-    """Give each parameter that is _unset its --config value, else its
-    parsed default; returns the keys the config file gave."""
-    cfg = _read_config(args) if args.config else {}
+    """Give each parameter the subcommand declares its value, in one pass:
+    the flag's, else the --config file's, else its parsed default.  A
+    config value is parsed and checked, and an error names the file, and
+    the key of a bad value.  Returns the keys the config file gave."""
+    unset = {key for key, value in vars(args).items()
+             if key in _PARAMS and value is None}
+    given = set()
+    if args.config:
+        with volume._naming(args.config):
+            fields = volume.read_fields(args.config, "config", comments=True)
+            for key in fields:
+                if key not in _PARAMS:
+                    raise ValueError(f"config: unknown parameter {key!r}")
+                if key not in unset:
+                    continue
+                parse, _, choices, _ = _PARAMS[key]
+                value = volume._field(fields, key, parse)
+                if choices is not None and value not in choices:
+                    raise ValueError(
+                        f"config: {key} must be one of "
+                        f"{', '.join(map(str, choices))}, got {fields[key]!r}"
+                    )
+                if key == "threads" and value < 1:
+                    raise ValueError("threads must be >= 1")
+                setattr(args, key, value)
+                given.add(key)
     for key, (parse, default, _, _) in _PARAMS.items():
-        if _unset(args, key) and (key in cfg or default is not None):
-            setattr(args, key, cfg[key] if key in cfg else parse(default))
+        if key in unset and key not in given and default is not None:
+            setattr(args, key, parse(default))
     if args.threads < 1:
         raise ValueError("--threads must be >= 1")
-    return set(cfg)
+    return given
 
 
 @contextmanager
@@ -199,14 +197,13 @@ def _naming_config(path, keys):
     except ValueError as exc:
         message = str(exc)
         lead = message.partition(" ")[0]
-        if lead.endswith(":") and lead[:-1] in keys:
-            raise ValueError(f"{path}: {message}") from exc
-        named = [lead] + [k for k, starts in _LIBRARY_NAMES.items()
-                          if message.startswith(starts)]
+        named = [lead.removesuffix(":")] + [
+            k for k, starts in _LIBRARY_NAMES.items() if message.startswith(starts)]
         key = next((k for k in named if k in keys), None)
         if key is None:
             raise
-        raise ValueError(f"{path}: {key}: {message}") from exc
+        where = path if lead == f"{key}:" else f"{path}: {key}"
+        raise ValueError(f"{where}: {message}") from exc
 
 
 def _require(args, key):
@@ -326,16 +323,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _phantom_spec(args) -> synth.PhantomSpec:
+    spec = {k: getattr(args, k) for k in _SPEC}
     return synth.PhantomSpec(
-        shape=volume.GridShape(args.dims, args.spacing),
-        n_lesions=args.n_lesions,
-        radius_range_vox=args.radius_range,
-        fragmentation_prob=args.fragmentation_prob,
-        fragments_per_lesion=args.fragments_per_lesion,
-        noise_sigma=args.noise_sigma,
-        contrast=args.contrast,
-        seed=args.seed,
-    )
+        shape=volume.GridShape(spec.pop("dims"), spec.pop("spacing")),
+        radius_range_vox=spec.pop("radius_range"), **spec)
 
 
 def _cmd_synth(args) -> int:
@@ -482,8 +473,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate a phantom")
     p.add_argument("--out", required=True, help="output prefix")
-    _add_params(p, *_IMAGE, "n_lesions", "radius_range", "fragmentation_prob",
-                "fragments_per_lesion", "seed")
+    _add_params(p, *_SPEC)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("shrink", help="shrink a saved phantom's lesions")

@@ -93,7 +93,7 @@ import numpy as np
 from .components import Connectivity, DEFAULT_CONNECTIVITY, _lesion_ids
 from .reduction import ChunkTrees, exact_sum, path_sums, tree_levels
 from .volume import (Mask, ShapeMismatchError, Volume, _adopt, _flat,
-                     require_same_shape)
+                     check_integer, require_same_shape)
 from .weighting import WeightCurveParams, WeightMap, _omega_lut
 
 CE_CLAMP_DEFAULT = 1e-7
@@ -688,6 +688,9 @@ def grad_check(kind: str, gt, pred, step: float = 1e-4, *,
     zero) raises ValueError."""
     if not (np.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be positive and finite, got {step}")
+    if max_voxels is not None:
+        max_voxels = check_integer(max_voxels, "max_voxels")
+    seed = check_integer(seed, "seed")
     if max_voxels is not None and max_voxels < 1:
         raise ValueError(f"max_voxels must be >= 1, got {max_voxels}")
     if seed < 0:

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .volume import Mask, _flat, _naming, check_threshold, require_same_shape
+from .volume import (Mask, _coords, _flat, _naming, check_threshold,
+                     require_same_shape)
 
 
 class UndefinedMetricError(ValueError):
@@ -83,11 +84,9 @@ def dice(a: Mask, b: Mask) -> float:
 
 def _centers(m: Mask) -> np.ndarray:
     """The mm [x, y, z] centers of m's foreground voxels, in x-fastest
-    order: positions from the flat view, split by divmod."""
-    nx, ny, _ = m.shape.dims
-    z, rest = np.divmod(np.flatnonzero(_flat(m.data)), nx * ny)
-    y, x = np.divmod(rest, nx)
-    return np.stack((x, y, z), axis=1) * np.asarray(m.shape.spacing, np.float64)
+    order: positions from the flat view, split into coordinates."""
+    xyz = _coords(np.flatnonzero(_flat(m.data)), m.shape.dims)
+    return np.stack(xyz, axis=1) * np.asarray(m.shape.spacing, np.float64)
 
 
 def hausdorff(a: Mask, b: Mask, percentile: float = 100.0) -> float:

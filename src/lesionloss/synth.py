@@ -27,7 +27,8 @@ import numpy as np
 from scipy import ndimage
 
 from .volume import (GridShape, Mask, Volume, _field, _freeze, _grid, _naming,
-                     _values, read_fields, save_mask, save_volume, write_fields)
+                     _values, check_integer, read_fields, save_mask,
+                     save_volume, write_fields)
 
 _PLACEMENT_STREAM = (0,)
 _NOISE_STREAM = (1,)
@@ -65,8 +66,12 @@ class PhantomSpec:
         )
         object.__setattr__(
             self, "fragments_per_lesion",
-            (int(self.fragments_per_lesion[0]), int(self.fragments_per_lesion[1])),
+            tuple(check_integer(f, f"fragments_per_lesion[{i}]")
+                  for i, f in enumerate(self.fragments_per_lesion)),
         )
+        for name in ("n_lesions", "seed"):
+            object.__setattr__(self, name,
+                               check_integer(getattr(self, name), name))
         rmin, rmax = self.radius_range_vox
         if self.n_lesions < 0:
             raise ValueError("n_lesions must be >= 0")
@@ -84,10 +89,8 @@ class PhantomSpec:
             raise ValueError("noise_sigma must be >= 0 and finite")
         if not 0.0 < self.contrast < np.inf:
             raise ValueError("contrast must be positive and finite")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "n_lesions", int(self.n_lesions))
 
 
 @dataclass(frozen=True)
@@ -324,8 +327,8 @@ def shrink(ph: Phantom, factor: float) -> Phantom:
                     continue
                 centroid = frag.mean(axis=0)
                 d2 = ((frag - centroid) ** 2).sum(axis=1)
-                flat = frag[:, 0] + dims[0] * (frag[:, 1] + dims[1] * frag[:, 2])
-                order = np.lexsort((flat, d2))
+                # nearest first, ties in x-fastest scan order
+                order = np.lexsort((frag[:, 0], frag[:, 1], frag[:, 2], d2))
                 kept.append(_freeze(_scan_sorted(frag[order[:target]])))
             new_geom = LesionGeometry(geom.center, geom.radii, tuple(kept))
         truth[tuple(new_geom.support_voxels(dims).T)] = True

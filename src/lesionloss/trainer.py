@@ -58,7 +58,8 @@ from .loss import (
 from .reduction import exact_sum
 from .synth import Phantom, PhantomSpec, generate
 from .volume import (GridShape, Mask, Volume, _flat, _freeze, _grid, _naming,
-                     _zyx, check_threshold, require_same_shape, threshold)
+                     _zyx, check_integer, check_threshold, require_same_shape,
+                     threshold)
 from .weighting import WeightCurveParams
 
 FEATURE_NAMES = ("raw", "mean3", "mean5", "var3", "bias")
@@ -184,6 +185,9 @@ class TrainConfig:
 
     def __post_init__(self):
         self.objective()    # rejects an unknown loss_kind, ce_weight or clamp
+        for name in ("epochs", "seed", "threads"):
+            object.__setattr__(self, name,
+                               check_integer(getattr(self, name), name))
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 0:
@@ -417,6 +421,8 @@ def make_corpus(count: int, start_seed: int, dims=(24, 24, 24), *,
     A spec's rejection of a size class's value leads with that class's
     parameter ("large_lesions: n_lesions must be >= 0").
     """
+    count = check_integer(count, "count")
+    start_seed = check_integer(start_seed, "start_seed")
     if count < 0:
         raise ValueError(f"corpus count must be >= 0, got {count}")
     if count and not (start_seed >= 0 and start_seed + count <= 2**64):

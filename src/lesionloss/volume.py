@@ -22,8 +22,10 @@ such a flat array.  The layout is spelled in this module alone: _store
 keeps a copy of a grid's array and checks its shape, for every grid type's
 constructor, _adopt hands a grid that the package has just made and
 checked to its type without a copy or a second check, _flat takes its
-flat view, _grid builds a grid from a flat array and _zyx gives scipy's
-view of one.
+flat view, _grid builds a grid from a flat array, _zyx gives scipy's
+view of one and _coords splits flat positions into coordinates.  The
+lesion labeler's padded index (components._lesion_ids), which gives each
+row an empty x column and each plane an empty y row, is the labeler's own.
 
 A file that does not read raises VolumeFormatError naming the file, from
 _read_pair alone; the parsers and checks it runs raise plain ValueError.
@@ -54,6 +56,18 @@ class VolumeFormatError(ValueError):
     """A .vhdr/.vraw pair is malformed or inconsistent."""
 
 
+def check_integer(value, name: str) -> int:
+    """value as an int, rejected unless it equals its int(): Python and
+    numpy integers pass, and so do integral floats such as 24.0."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class GridShape:
     """Voxel counts per axis plus physical spacing in mm per voxel."""
@@ -62,7 +76,8 @@ class GridShape:
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(check_integer(d, f"dims[{i}]")
+                     for i, d in enumerate(self.dims))
         spacing = tuple(float(s) for s in self.spacing)
         if len(dims) != 3 or len(spacing) != 3:
             raise ValueError("dims and spacing must each have three entries")
@@ -119,6 +134,14 @@ def _flat(grid: np.ndarray) -> np.ndarray:
 def _grid(flat: np.ndarray, dims) -> np.ndarray:
     """The [x, y, z] grid view of dims over an x-fastest flat array."""
     return flat.reshape(dims, order="F")
+
+
+def _coords(pos: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y and z coordinates of the flat x-fastest positions pos in a
+    grid of dims, by two divmods (np.unravel_index is slower)."""
+    z, rest = np.divmod(pos, dims[0] * dims[1])
+    y, x = np.divmod(rest, dims[0])
+    return x, y, z
 
 
 def _zyx(flat: np.ndarray, dims) -> np.ndarray:

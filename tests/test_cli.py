@@ -3,6 +3,8 @@ import dataclasses
 import enum
 import inspect
 import io
+import runpy
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -266,6 +268,30 @@ class TestExitCodes:
         assert err == (f"lesionloss: error: corpus seeds {seeds} must lie in "
                        "[0, 2**64)\n")
 
+    def test_validation_corpus_spec_error_keeps_its_message(self, capsys):
+        code, out, err = run(capsys, "train", "--val-count", "2",
+                             "--noise-sigma", "-1")
+        assert code == 2 and out == ""
+        assert err == "lesionloss: error: noise_sigma must be >= 0 and finite\n"
+
+    @pytest.mark.parametrize("mask, code, out, err", [
+        ("cube.vhdr", 0, "lesions=1\nvolumes=8\n", ""),
+        ("none.vhdr", 2, "", "lesionloss: error: "),
+    ])
+    def test_module_runs_as_a_script(self, capsys, monkeypatch, tmp_path,
+                                     mask, code, out, err):
+        """python -m lesionloss.cli exits with main's code."""
+        write_eight_voxel_lesion(tmp_path)
+        monkeypatch.setattr(sys, "argv", ["lesionloss", "label", "--mask",
+                                          str(tmp_path / mask)])
+        # run afresh, as -m does, not over the imported module
+        monkeypatch.delitem(sys.modules, "lesionloss.cli")
+        with pytest.raises(SystemExit) as exit_:
+            runpy.run_module("lesionloss.cli", run_name="__main__")
+        assert exit_.value.code == code
+        captured = capsys.readouterr()
+        assert captured.out == out and captured.err.startswith(err)
+
 
 class TestLabelWeights:
     def test_label_output(self, capsys, tmp_path):
@@ -496,6 +522,60 @@ def test_corpus_flags_are_make_corpus_keywords():
 def test_curve_flags_are_the_curve_fields_in_order():
     assert cli_mod._CURVE == tuple(f.name for f in
                                    dataclasses.fields(WeightCurveParams))
+
+
+def test_spec_flags_are_the_phantom_spec_fields():
+    """synth passes PhantomSpec each of its fields from the flag of the
+    same name, its shape from dims and spacing and radius_range_vox from
+    radius_range, and nothing else."""
+    grid = [f.name for f in dataclasses.fields(GridShape)]
+    assert grid == ["dims", "spacing"]
+    spec = [f.name for f in dataclasses.fields(PhantomSpec)
+            if f.name not in ("shape", "radius_range_vox")]
+    assert sorted(cli_mod._SPEC) == sorted(grid + spec + ["radius_range"])
+
+
+# a value of each parser's that is no parameter's default
+SAMPLE = {"int": "5", "float": "0.25", "_switch": "1", "3-int": "7 8 9",
+          "3-float": "0.5 1.5 2.5", "2-int": "3 5", "2-float": "1.25 2.5"}
+# each subcommand's required flags
+REQUIRED = {
+    "label": ["--mask", "m"], "weights": ["--gt", "m", "--out", "w"],
+    "loss": ["--gt", "m", "--pred", "p"], "gradcheck": ["--gt", "m", "--pred", "p"],
+    "metrics": [], "synth": ["--out", "o"], "shrink": ["--in", "i", "--out", "o"],
+    "train": [], "eval": ["--model", "s", "--phantom", "ph"],
+}
+
+
+@pytest.mark.parametrize("command", REQUIRED)
+def test_config_line_and_flag_resolve_alike(tmp_path, command):
+    """For every parameter a subcommand declares, a config line and the
+    equivalent flag give every parameter the same value, and one other
+    than when neither is given."""
+    assert REQUIRED.keys() == build_parser().commands.keys()
+
+    def resolved(*extra):
+        args = build_parser().parse_args([command, *REQUIRED[command], *extra])
+        given = cli_mod._fill_params(args)
+        del args.config
+        return vars(args), given
+
+    unset, _ = resolved()
+    declared = unset.keys() & _PARAMS.keys()
+    assert "threads" in declared
+    for key in declared:
+        parse, default, choices, _ = _PARAMS[key]
+        text = (SAMPLE[parse.__name__] if choices is None else
+                next(str(c) for c in choices if str(c) != str(default)))
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key}={text}\n")
+        by_config, given = resolved("--config", str(cfg))
+        by_flag, _ = resolved(_flag(key), *([] if parse is _switch else [text]))
+        assert given == {key}
+        if parse is _switch:  # its flag stores True, its config line 1
+            by_config[key] = bool(by_config[key])
+        assert by_config == by_flag, key
+        assert by_flag[key] != unset[key], key
 
 
 class TestMetricsCommand:

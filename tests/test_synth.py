@@ -6,11 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lesionloss.synth as synth_mod
 from lesionloss.components import Connectivity, label_components
 from lesionloss.synth import (
     LesionGeometry,
     PhantomSpec,
     _ellipsoid_voxels,
+    _grow_blob,
     _halo,
     _pick_seeds,
     generate,
@@ -254,6 +256,54 @@ class TestPinnedBytes:
             h.update(p.image.data.tobytes(order="F"))
             h.update(p.truth.data.tobytes(order="F"))
         assert h.hexdigest() == digest
+
+
+class TestRetries:
+    """generate draws a lesion again when its ellipsoid covers no voxel
+    centre and when a fragment gets boxed in; the phantom's image and
+    truth bytes are pinned."""
+
+    @staticmethod
+    def digest(ph):
+        h = hashlib.sha256()
+        h.update(ph.image.data.tobytes(order="F"))
+        h.update(ph.truth.data.tobytes(order="F"))
+        return h.hexdigest()
+
+    def test_boxed_in_blob_is_none(self):
+        allowed = np.zeros((3, 3, 3), dtype=bool)
+        allowed[1, 1, 1:] = True
+        assert _grow_blob(np.random.default_rng(0), (1, 1, 1), 3, allowed) is None
+        assert not allowed.any()
+
+    def test_empty_support_is_drawn_again(self, monkeypatch):
+        sizes = []
+
+        def voxels(*args):
+            sizes.append(len(_ellipsoid_voxels(*args)))
+            return _ellipsoid_voxels(*args)
+
+        monkeypatch.setattr(synth_mod, "_ellipsoid_voxels", voxels)
+        ph = generate(spec(dims=(6, 6, 6), n=1, radius=(0.3, 0.6), seed=2))
+        assert 0 in sizes
+        assert ph.truth.foreground_count == 1
+        assert self.digest(ph) == ("26fe23131566355c97483785b95fb0e8"
+                                   "55a5465076b2d021d089c1c132a0500f")
+
+    def test_boxed_in_fragments_are_drawn_again(self, monkeypatch):
+        blobs = []
+
+        def grow(*args):
+            blobs.append(_grow_blob(*args))
+            return blobs[-1]
+
+        monkeypatch.setattr(synth_mod, "_grow_blob", grow)
+        ph = generate(spec(dims=(7, 7, 7), n=1, radius=(2.8, 3.0), seed=1,
+                           fragmentation_prob=1.0, fragments_per_lesion=(4, 4)))
+        assert any(b is None for b in blobs)
+        assert [len(f) for f in ph.lesions[0].fragments] == [23, 23, 23, 22]
+        assert self.digest(ph) == ("f6abe279046b5447cd34b7a351f1c6f3"
+                                   "5c4e53551b7825ed2e67fadccd0b208c")
 
 
 class TestShrink:

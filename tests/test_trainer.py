@@ -308,6 +308,20 @@ class TestTrain:
                                r"loss=-0\.15\d*, gradient is non-finite$"):
                 train(cfg)
 
+    def test_divergence_after_the_final_update(self):
+        """An update that overflows the weights leaves every epoch's loss
+        finite and the loss after it NaN."""
+        cfg = TrainConfig(loss_kind="tversky", learning_rate=1.7e308, epochs=1,
+                          train_specs=make_corpus(
+                              2, 0, dims=(8, 8, 8), small_radius=(1.2, 1.5),
+                              large_radius=(1.8, 2.2), noise_sigma=10.0))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow encountered in multiply",
+                                    RuntimeWarning)
+            with pytest.raises(RuntimeError, match=r"^training diverged after "
+                               r"final update: loss=nan$"):
+                train(cfg)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             train(TrainConfig(train_specs=()))
@@ -329,6 +343,11 @@ class TestTrain:
         with pytest.raises(ValueError, match="corpus count must be >= 0"):
             make_corpus(-1, 0)
         assert make_corpus(0, 0) == ()
+
+    def test_corpus_passes_on_a_spec_error_of_both_size_classes(self):
+        with pytest.raises(ValueError,
+                           match=r"^noise_sigma must be >= 0 and finite$"):
+            make_corpus(2, 0, noise_sigma=-1)
 
 
 def shard_corpus():

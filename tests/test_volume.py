@@ -6,6 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lesionloss.components import LesionLabeling
+from lesionloss.loss import grad_check
+from lesionloss.synth import PhantomSpec
+from lesionloss.trainer import TrainConfig, make_corpus
 from lesionloss.volume import (
     GridShape,
     Mask,
@@ -19,6 +22,34 @@ from lesionloss.volume import (
     threshold,
 )
 from lesionloss.weighting import WeightMap
+
+_CUBE = (Mask.from_array(np.zeros((4, 4, 4), bool)),
+         Volume.from_array(np.full((4, 4, 4), 0.5, np.float32)))
+
+
+def _spec(**fields):
+    return PhantomSpec(**{"shape": GridShape((16, 16, 16)), "n_lesions": 1,
+                          "radius_range_vox": (1.5, 2.0), **fields})
+
+
+# each integer parameter that check_integer guards -> (the call with v as
+# its value, the name its message gives)
+_INTEGERS = {
+    "GridShape.dims": (lambda v: GridShape((24, v, 24)), "dims[1]"),
+    **{f"PhantomSpec.{name}": (lambda v, name=name: _spec(**{name: v}), name)
+       for name in ("n_lesions", "seed")},
+    "PhantomSpec.fragments_per_lesion[0]": (
+        lambda v: _spec(fragments_per_lesion=(v, 4)), "fragments_per_lesion[0]"),
+    "PhantomSpec.fragments_per_lesion[1]": (
+        lambda v: _spec(fragments_per_lesion=(2, v)), "fragments_per_lesion[1]"),
+    "make_corpus.count": (lambda v: make_corpus(v, 0), "count"),
+    "make_corpus.start_seed": (lambda v: make_corpus(2, v), "start_seed"),
+    **{f"TrainConfig.{name}": (lambda v, name=name: TrainConfig(**{name: v}), name)
+       for name in ("epochs", "seed", "threads")},
+    **{f"grad_check.{name}": (
+        lambda v, name=name: grad_check("tversky", *_CUBE, **{name: v}), name)
+       for name in ("max_voxels", "seed")},
+}
 
 # each grid type with an array of valid values, for its shape check
 _GRIDS = {Volume: np.zeros, Mask: lambda s: np.zeros(s, bool),
@@ -41,6 +72,23 @@ class TestGridShape:
     def test_bad_spacing_rejected(self, spacing):
         with pytest.raises(ValueError):
             GridShape((2, 2, 2), spacing)
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize("value", [2.5, -0.5, float("nan"), float("inf"),
+                                       "3", 3 + 0j])
+    @pytest.mark.parametrize("call", _INTEGERS)
+    def test_non_integral_value_rejected_by_name(self, call, value):
+        make, name = _INTEGERS[call]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be an integer, got {value!r}") + "$"):
+            make(value)
+
+    @pytest.mark.parametrize("convert", [float, np.float32, np.int64, np.uint8])
+    @pytest.mark.parametrize("call", _INTEGERS)
+    def test_integral_value_gives_the_int_result(self, call, convert):
+        make, _ = _INTEGERS[call]
+        assert repr(make(convert(3))) == repr(make(3))
 
 
 class TestVolumeType:

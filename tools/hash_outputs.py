@@ -49,8 +49,11 @@ exactly the named ones, so a deliberate bit move is a checked statement.
     phantoms   generate and one shrink of 128 seeded random specs (grid
                sides 10-40, random radius ranges, fragmentation 0, 0.5 or
                1, 1-6 fragments per lesion; the message when placement
-               fails) and of five specs shaped like the benchmark's: two
-               96^3 with 24 lesions, three 48^3 with 8
+               fails), of five specs shaped like the benchmark's: two
+               96^3 with 24 lesions, three 48^3 with 8, and of two specs
+               that generate draws again, a 6^3 one whose first ellipsoid
+               covers no voxel centre and a 7^3 one whose fragment gets
+               boxed in
     labels     label_components ids and volumes and build_weight_map bytes
                (unit volume scale, and mm^3 scale on an anisotropic
                spacing) for every connectivity, on 120 seeded random masks
@@ -422,6 +425,16 @@ def _bench_specs(ll):
             for s in seeds]
 
 
+def _retry_specs(ll):
+    """Two specs whose lesion generate draws again: a 6^3 one whose first
+    ellipsoid covers no voxel centre and a 7^3 one whose fragment gets
+    boxed in."""
+    spec, shape = ll.synth.PhantomSpec, ll.volume.GridShape
+    return [spec(shape((6, 6, 6)), 1, (0.3, 0.6), seed=2),
+            spec(shape((7, 7, 7)), 1, (2.8, 3.0), fragmentation_prob=1.0,
+                 fragments_per_lesion=(4, 4), seed=1)]
+
+
 def _phantoms(ll, g):
     rng = np.random.default_rng(20242)
     specs = []
@@ -435,7 +448,7 @@ def _phantoms(ll, g):
             fragmentation_prob=float(rng.choice([0.0, 0.5, 1.0])),
             fragments_per_lesion=(fmin, int(rng.integers(fmin, 7))),
             noise_sigma=0.3, seed=int(rng.integers(2**32))))
-    for spec in specs + _bench_specs(ll):
+    for spec in specs + _bench_specs(ll) + _retry_specs(ll):
         factor = float(rng.uniform(0.05, 1.0))
         try:
             ph = ll.synth.generate(spec)
