@@ -27,7 +27,7 @@ import numpy as np
 from scipy import ndimage
 
 from .volume import (GridShape, Mask, Volume, _field, _freeze, _grid, _naming,
-                     _values, check_integer, read_fields, save_mask,
+                     _values, check_integer, check_real, read_fields, save_mask,
                      save_volume, write_fields)
 
 _PLACEMENT_STREAM = (0,)
@@ -62,8 +62,11 @@ class PhantomSpec:
                              "two values each")
         object.__setattr__(
             self, "radius_range_vox",
-            (float(self.radius_range_vox[0]), float(self.radius_range_vox[1])),
+            tuple(check_real(r, f"radius_range_vox[{i}]")
+                  for i, r in enumerate(self.radius_range_vox)),
         )
+        for name in ("fragmentation_prob", "noise_sigma", "contrast"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         object.__setattr__(
             self, "fragments_per_lesion",
             tuple(check_integer(f, f"fragments_per_lesion[{i}]")

@@ -305,7 +305,8 @@ def train(cfg: TrainConfig) -> tuple[VoxelScorer, list[float]]:
                     + (", gradient is non-finite" if np.isfinite(value) else "")
                 )
             curve.append(value)
-            theta = theta - cfg.learning_rate * gtheta
+            with _quiet():    # an overflow shows in the next loss, reported below
+                theta = theta - cfg.learning_rate * gtheta
         final_value, _ = _batch_eval(prep, theta, False)
     if not np.isfinite(final_value):
         raise RuntimeError(f"training diverged after final update: loss={final_value}")

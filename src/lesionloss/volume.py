@@ -34,6 +34,7 @@ _read_pair alone; the parsers and checks it runs raise plain ValueError.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +69,15 @@ def check_integer(value, name: str) -> int:
     return n
 
 
+def check_real(value, name: str) -> float:
+    """value as a float, rejected unless it is a real number: Python and
+    numpy integers and floats pass; strings, bools, complex numbers and
+    None do not, where float() would take or fail on them."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class GridShape:
     """Voxel counts per axis plus physical spacing in mm per voxel."""
@@ -78,7 +88,8 @@ class GridShape:
     def __post_init__(self):
         dims = tuple(check_integer(d, f"dims[{i}]")
                      for i, d in enumerate(self.dims))
-        spacing = tuple(float(s) for s in self.spacing)
+        spacing = tuple(check_real(s, f"spacing[{i}]")
+                        for i, s in enumerate(self.spacing))
         if len(dims) != 3 or len(spacing) != 3:
             raise ValueError("dims and spacing must each have three entries")
         if any(d < 1 for d in dims):

@@ -5,9 +5,11 @@ KD-trees, vectorized counting) so that agreement is a genuine
 cross-check rather than a tautology.  grad_check_reference alone runs the
 library's evaluation: it is the brute-force loop that grad_check's
 leaf-path values must match bit for bit.  hausdorff_default_trees alone
-builds KD-trees: it is hausdorff with scipy's default trees, whose bits
-the cheaper trees hausdorff builds must give.  walk and serpentine draw the
-thin, winding masks that the labeling tests feed both sides.
+builds KD-trees: it is hausdorff with scipy's default trees over every
+voxel, whose bits the cheaper boundary trees hausdorff builds must give.
+boundary_reference checks each voxel's six face neighbours one by one.
+walk and serpentine draw the thin, winding masks that the labeling tests
+feed both sides.
 """
 
 import math
@@ -16,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import ndimage
 
-from lesionloss import loss, metrics
+from lesionloss import loss
 from lesionloss.components import Connectivity
 
 OFFSETS = {
@@ -135,6 +137,18 @@ def dice_reference(a: np.ndarray, b: np.ndarray) -> float:
     return float(Fraction(2 * inter, na + nb))
 
 
+def boundary_reference(data: np.ndarray) -> np.ndarray:
+    """The 6-boundary of a binary grid: its voxels with a face neighbour
+    off the grid or not in it, checked one voxel and offset at a time."""
+    out = np.zeros(data.shape, bool)
+    for p in np.argwhere(data):
+        for off in OFFSETS[Connectivity.SIX]:
+            q = tuple(p + off)
+            if not all(0 <= c < n for c, n in zip(q, data.shape)) or not data[q]:
+                out[tuple(p)] = True
+    return out
+
+
 def hausdorff_reference(a: np.ndarray, b: np.ndarray, spacing,
                         percentile: float = 100.0) -> float:
     """Every point's distance to its nearest in the other set, by brute
@@ -152,10 +166,12 @@ def hausdorff_reference(a: np.ndarray, b: np.ndarray, spacing,
 
 def hausdorff_default_trees(a, b, percentile: float = 100.0) -> float:
     """metrics.hausdorff of two Masks with scipy's default KD-trees
-    (balanced, with shrunk node boxes) over the same voxel centers."""
+    (balanced, with shrunk node boxes) over every voxel center of each
+    mask, index times spacing in float64 as hausdorff computes them."""
     from scipy.spatial import cKDTree
 
-    pa, pb = metrics._centers(a), metrics._centers(b)
+    pa, pb = (np.argwhere(m.data) * np.asarray(m.shape.spacing, np.float64)
+              for m in (a, b))
     d_ab = cKDTree(pb).query(pa)[0]
     d_ba = cKDTree(pa).query(pb)[0]
     if percentile == 100.0:

@@ -3,7 +3,9 @@ import dataclasses
 import enum
 import inspect
 import io
+import os
 import runpy
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -222,6 +224,22 @@ class TestExitCodes:
                 2, "lesionloss: error: loss gradient is non-finite\n")
         assert not (tmp_path / "g.vhdr").exists()
         assert run_quiet(argv)[0] == 0    # the value alone is finite
+
+    def test_overflowing_update_is_a_one_line_data_error(self):
+        # every epoch's loss is finite, and the update overflows the weights;
+        # run as a user would, where numpy's warnings print to stderr
+        argv = ["train", "--loss", "tversky", "--learning-rate", "1.7e308",
+                "--epochs", "1", "--train-count", "2", "--dims", "8 8 8",
+                "--small-radius", "1.2 1.5", "--large-radius", "1.8 2.2",
+                "--noise-sigma", "10"]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli_mod.__file__).parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run([sys.executable, "-m", "lesionloss.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            2, "", "lesionloss: error: training diverged after final update: "
+                   "loss=nan\n")
 
     def test_train_has_no_tp_denominator_switch(self, capsys, tmp_path):
         small = ["train", "--epochs", "1", "--train-count", "2",

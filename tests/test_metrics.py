@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import (auc_reference, dice_reference, hausdorff_default_trees,
-                     hausdorff_reference, kappa_reference)
+from oracles import (auc_reference, boundary_reference, dice_reference,
+                     hausdorff_default_trees, hausdorff_reference,
+                     kappa_reference)
 
 import lesionloss
+from lesionloss import metrics
 from lesionloss.loss import TverskyParams, tversky_loss
 from lesionloss.metrics import (
     CaseOutcome,
@@ -34,6 +36,40 @@ def mask(arr, spacing=(1.0, 1.0, 1.0)):
 
 def random_mask(rng, dims=(6, 6, 6), fg=0.3, spacing=(1.0, 1.0, 1.0)):
     return mask(rng.random(dims) < fg, spacing)
+
+
+def ball(dims, center, radius):
+    x, y, z = np.indices(dims)
+    return ((x - center[0]) ** 2 + (y - center[1]) ** 2
+            + (z - center[2]) ** 2 <= radius ** 2)
+
+
+def _boundary_pairs():
+    """Mask pairs whose directed distances come from boundaries in every
+    way: nested either way, full grids, single voxels, one-voxel shells
+    around a solid interior, and parallel slabs whose nearest voxels lie
+    across z faces."""
+    dims = (9, 10, 11)
+    rng = np.random.default_rng(33)
+    noise = rng.random(dims) < 0.3
+    solid, inner = ball(dims, (4, 5, 5), 3.6), ball(dims, (4, 5, 5), 2.6)
+    small = ball(dims, (3, 4, 6), 1.5)
+    full = np.ones(dims, bool)
+    one, other = np.zeros(dims, bool), np.zeros(dims, bool)
+    one[4, 5, 5] = other[0, 9, 2] = True
+    shell = solid & ~inner
+    core = ball(dims, (4, 5, 5), 1.5)
+    low, high = np.zeros(dims, bool), np.zeros(dims, bool)
+    low[:, :, :2] = high[:, :, 4:8] = True
+    return {
+        "small-in-solid": (small, solid), "solid-around-small": (solid, small),
+        "full-noise": (full, noise), "noise-full": (noise, full),
+        "full-full": (full, full), "one-other": (one, other),
+        "one-noise": (one, noise), "one-full": (one, full),
+        "shell-solid": (shell, solid), "core-shell": (core, shell),
+        "solid-shifted": (solid, np.roll(solid, (2, -1, 3), axis=(0, 1, 2))),
+        "slab-slab": (low, high),
+    }
 
 
 def outcomes_from(scores, labels):
@@ -176,6 +212,27 @@ class TestHausdorff:
         assume(a.data.any() and b.data.any())
         got = hausdorff(a, b, percentile)
         assert got.hex() == hausdorff_default_trees(a, b, percentile).hex()
+
+    @pytest.mark.parametrize("pair", sorted(_boundary_pairs()))
+    def test_bits_of_the_default_trees_on_boundary_cases(self, pair):
+        a, b = _boundary_pairs()[pair]
+        for spacing in ((1.0, 1.0, 1.0), (1e-3, 1.0, 1e3), (1e3, 1e-3, 1.0)):
+            ma, mb = mask(a, spacing), mask(b, spacing)
+            for percentile in (100.0, 95.0, 50.0):
+                got = hausdorff(ma, mb, percentile)
+                ref = hausdorff_default_trees(ma, mb, percentile)
+                assert got.hex() == ref.hex(), (spacing, percentile)
+
+    @given(dims=st.tuples(*[st.integers(1, 7)] * 3),
+           density=st.sampled_from([0.1, 0.5, 0.9, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_boundary_matches_brute_force(self, dims, density, seed):
+        m = mask(np.random.default_rng(seed).random(dims) < density)
+        pos, _centers, edge = metrics._voxels(m)
+        flat = m.data.ravel(order="F")
+        assert np.array_equal(pos, np.flatnonzero(flat))
+        assert np.array_equal(edge, boundary_reference(m.data).ravel(order="F")[pos])
 
     def test_symmetry_and_triangle_inequality(self):
         rng = np.random.default_rng(7)

@@ -51,6 +51,19 @@ _INTEGERS = {
        for name in ("max_voxels", "seed")},
 }
 
+# each float parameter that check_real guards -> (the call with v as its
+# value, the name its message gives); 1 is a valid value of each
+_REALS = {
+    "GridShape.spacing": (lambda v: GridShape((4, 4, 4), (1.0, v, 1.0)),
+                          "spacing[1]"),
+    "PhantomSpec.radius_range_vox[0]": (
+        lambda v: _spec(radius_range_vox=(v, 2.0)), "radius_range_vox[0]"),
+    "PhantomSpec.radius_range_vox[1]": (
+        lambda v: _spec(radius_range_vox=(1.0, v)), "radius_range_vox[1]"),
+    **{f"PhantomSpec.{name}": (lambda v, name=name: _spec(**{name: v}), name)
+       for name in ("fragmentation_prob", "noise_sigma", "contrast")},
+}
+
 # each grid type with an array of valid values, for its shape check
 _GRIDS = {Volume: np.zeros, Mask: lambda s: np.zeros(s, bool),
           WeightMap: np.ones, LesionLabeling: lambda s: np.zeros(s, np.int32)}
@@ -89,6 +102,23 @@ class TestIntegerParameters:
     def test_integral_value_gives_the_int_result(self, call, convert):
         make, _ = _INTEGERS[call]
         assert repr(make(convert(3))) == repr(make(3))
+
+
+class TestRealParameters:
+    @pytest.mark.parametrize("value", ["1", True, np.True_, 1 + 0j,
+                                       np.complex128(1), None])
+    @pytest.mark.parametrize("call", _REALS)
+    def test_non_real_value_rejected_by_name(self, call, value):
+        make, name = _REALS[call]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be a real number, got {value!r}") + "$"):
+            make(value)
+
+    @pytest.mark.parametrize("convert", [int, np.float32, np.int64, np.uint8])
+    @pytest.mark.parametrize("call", _REALS)
+    def test_real_value_gives_the_float_result(self, call, convert):
+        make, _ = _REALS[call]
+        assert repr(make(convert(1))) == repr(make(1.0))
 
 
 class TestVolumeType:

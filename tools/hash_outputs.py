@@ -74,10 +74,13 @@ exactly the named ones, so a deliberate bit move is a checked statement.
                and the type and message of the error each of load_volume
                and load_mask raises on 13 malformed header+raw pairs (the
                temporary directory replaced by a fixed token)
-    metrics    dice, and hausdorff at percentiles 100, 95 and 50, at unit
-               and (0.5, 1.25, 3.0) spacing on seeded same-shape mask
-               pairs (random masks, thin slabs, single voxels; the message
-               for an empty mask); auc, and kappa at thresholds 0, 0.5 and
+    metrics    dice, and hausdorff at percentiles 100, 95 and 50, at unit,
+               (0.5, 1.25, 3.0) and (1e-3, 1, 1e3) spacing on seeded
+               same-shape mask pairs (random masks, thin slabs, single
+               voxels, a ball nested in another, a ball against a shifted
+               ball, a 48^3 truth against its thresholded score shaped like
+               the benchmark's loss-api pairs; the message for an empty
+               mask); auc, and kappa at thresholds 0, 0.5 and
                1, on seeded outcome lists with tied scores; the bytes
                write_outcomes writes and what read_outcomes reads back
     help       the top-level and every subcommand's --help text, formatted
@@ -645,9 +648,11 @@ def _files(ll, g):
         _load_errors(ll, g, tmp)
 
 
-def _mask_pairs(rng):
+def _mask_pairs(ll, rng):
     """Same-shape mask pairs: random masks, 1-voxel-thick slabs, single
-    voxels, and pairs with empty masks."""
+    voxels, pairs with empty masks, a ball nested in another, a ball against
+    a shifted ball, and a 48^3 truth against its thresholded score, shaped
+    like the benchmark's loss-api pairs."""
     pairs = []
     for _ in range(40):
         dims = tuple(int(d) for d in rng.integers(1, 17, 3))
@@ -659,14 +664,25 @@ def _mask_pairs(rng):
     one[1, 2, 3] = other[4, 0, 1] = True
     empty = np.zeros((6, 5, 4), bool)
     pairs += [(one, other), (one, one), (empty, one), (empty, empty)]
+    xyz = np.indices((14, 15, 16))
+
+    def ball(center, radius):
+        return sum((c - x) ** 2 for c, x in zip(xyz, center)) <= radius ** 2
+
+    big = ball((7, 7, 8), 5.5)
+    pairs += [(ball((6, 8, 7), 2.5), big), (big, ball((5, 9, 10), 4.2))]
+    ph = ll.synth.generate(_bench_specs(ll)[2])
+    score = ll.trainer.VoxelScorer(np.array([0.0, 6.0, 0.0, 0.0, -1.8]))
+    pairs.append((ph.truth.data,
+                  ll.volume.threshold(score.score_volume(ph.image), 0.5).data))
     return pairs
 
 
 def _metrics(ll, g):
     rng = np.random.default_rng(20245)
     m = ll.metrics
-    for a, b in _mask_pairs(rng):
-        for sp in ((1.0, 1.0, 1.0), (0.5, 1.25, 3.0)):
+    for a, b in _mask_pairs(ll, rng):
+        for sp in ((1.0, 1.0, 1.0), (0.5, 1.25, 3.0), (1e-3, 1.0, 1e3)):
             ma = ll.volume.Mask.from_array(a, spacing=sp)
             mb = ll.volume.Mask.from_array(b, spacing=sp)
             g.add(sp, m.dice(ma, mb))
