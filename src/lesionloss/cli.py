@@ -386,9 +386,9 @@ def _cmd_train(args) -> int:
             for e, v in enumerate(curve):
                 fh.write(f"{e},{v!r}\n")
     if val_specs:
-        phantoms = [synth.generate(s) for s in val_specs]
         rep = trainer.evaluate_lesionwise(
-            model, phantoms, args.threshold, cfg.connectivity
+            model, (synth.generate(s) for s in val_specs), args.threshold,
+            cfg.connectivity
         )
         sys.stdout.write(rep.to_text())
     return 0
@@ -396,12 +396,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = trainer.load_scorer(args.model)
-    cases = []
-    for prefix in args.phantom:
-        cases.append(
-            (volume.load_volume(prefix + ".image"),
-             volume.load_mask(prefix + ".truth"))
-        )
+    cases = ((volume.load_volume(prefix + ".image"),
+              volume.load_mask(prefix + ".truth")) for prefix in args.phantom)
     rep = trainer.evaluate_lesionwise(model, cases, args.threshold,
                                       args.connectivity)
     sys.stdout.write(rep.to_text())

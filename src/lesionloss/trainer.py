@@ -29,6 +29,12 @@ memory, and shard-sized buffers freed every epoch can be handed back to
 the system and faulted in again the next.  No sum crosses a case before
 the exact sum, so the trained weights and curve are bit-identical for
 every thread count.
+
+train streams its corpus: it generates one phantom at a time, keeps its
+feature matrix and truth mask, and drops the phantom (and so its image)
+before it generates the next.  The truth masks are dropped once the plans
+are built, so the epochs hold only the features, each plan's q and its
+lesion-voxel arrays.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 from scipy import ndimage
@@ -210,18 +217,35 @@ def _shard_bounds(cases: int, k: int) -> list[tuple[int, int]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def _case(ph: Phantom):
+    """What training keeps of a phantom: its 5 x n features and its truth."""
+    return extract_features(ph.image).T, ph.truth
+
+
+def _shards(obj: Objective, threads: int, phantoms) -> list:
+    """min(threads, cases) contiguous shards of the phantoms, each (features,
+    plan).  phantoms is read once, in order; map drops each phantom as soon
+    as its features exist, before it reads the next.  The truth masks live
+    until the plans are built, and none of them outlives this call."""
+    cases = list(map(_case, phantoms))
+    shards = []
+    for first, stop in _shard_bounds(len(cases), min(threads, len(cases))):
+        xs, truths = zip(*cases[first:stop])
+        shards.append((list(xs), _truth(obj, truths)))
+    return shards
+
+
 @contextmanager
 def _prepare_batch(cfg: TrainConfig, phantoms):
-    """The batch of phantoms as (cfg's objective, shards, pool):
-    min(cfg.threads, cases) contiguous shards, each (features, plan) with one
-    5 x n matrix per case as extract_features wrote it, and the pool that runs
-    shards 1 onwards, shut down when the block exits, on return or on error."""
-    obj, n = cfg.objective(), len(phantoms)
-    shards = []
-    for first, stop in _shard_bounds(n, min(cfg.threads, n)):
-        cases = phantoms[first:stop]
-        plan = _truth(obj, [ph.truth for ph in cases])
-        shards.append(([extract_features(ph.image).T for ph in cases], plan))
+    """The batch of phantoms, any iterable read once, as (cfg's objective,
+    shards, pool): _shards' shards, each with one 5 x n matrix per case as
+    extract_features wrote it, and the pool that runs shards 1 onwards, shut
+    down when the block exits, on return or on error.  The shards are built
+    in _shards' frame, not here: a local of this generator would stay bound
+    while it waits at its yield, for the whole run, and keep the cases and
+    truth masks alive.  An exhausted generator of phantoms holds none."""
+    obj = cfg.objective()
+    shards = _shards(obj, cfg.threads, phantoms)
     # the pool starts no thread until a second shard is submitted
     with ThreadPoolExecutor(max(1, len(shards) - 1)) as pool:
         yield obj, shards, pool
@@ -289,14 +313,16 @@ def train(cfg: TrainConfig) -> tuple[VoxelScorer, list[float]]:
     """Full-batch gradient descent over the configured phantom corpus.
 
     Returns the trained scorer and the loss curve: entry e is the batch
-    loss after e updates (entry 0 is the loss at initialization).
+    loss after e updates (entry 0 is the loss at initialization).  Each
+    phantom is generated in turn and dropped as soon as its features exist,
+    before the next is generated; its truth mask lives until the plans are
+    built, before the first epoch.
     """
     if not cfg.train_specs:
         raise ValueError("train_specs must not be empty")
-    phantoms = [generate(s) for s in cfg.train_specs]
     theta = initial_scorer(cfg.seed).weights.copy()
     curve: list[float] = []
-    with _prepare_batch(cfg, phantoms) as prep:
+    with _prepare_batch(cfg, (generate(s) for s in cfg.train_specs)) as prep:
         for epoch in range(cfg.epochs):
             value, gtheta = _batch_eval(prep, theta, True)
             if not (np.isfinite(value) and np.isfinite(gtheta).all()):
@@ -361,6 +387,35 @@ def _bucket_of(voxels: int) -> int:
     return 1
 
 
+def _lesions_found(model: VoxelScorer, thresh: float, connectivity: Connectivity,
+                   case) -> list[tuple[int, bool]]:
+    """(voxels, detected) of each truth lesion of one case, in label order."""
+    if isinstance(case, Phantom):
+        case = case.image, case.truth
+    if not (isinstance(case, Sequence) and len(case) == 2
+            and isinstance(case[0], Volume) and isinstance(case[1], Mask)):
+        raise TypeError("cases must be Phantoms or (Volume, Mask) pairs")
+    image, truth = case
+    pred = model.score_volume(image)
+    require_same_shape(pred, truth)
+    dims = truth.shape.dims
+    fg, hit = _flat(truth.data), _flat(threshold(pred, thresh).data)
+    at, hit_at = np.flatnonzero(fg), np.flatnonzero(hit)
+    t = _lesion_ids(at, dims, connectivity)
+    # the predicted id of each truth voxel, by its rank among the
+    # predicted voxels; 0 where the prediction misses it
+    on = hit[at]
+    p = np.zeros(at.size, dtype=np.intp)
+    p[on] = _lesion_ids(hit_at, dims, connectivity)[
+        np.searchsorted(hit_at, at[on])]
+    found = []
+    for lesion_id, vol in enumerate(np.bincount(t)[1:].tolist(), start=1):
+        counts = np.bincount(p[t == lesion_id])
+        best = int(counts[1:].max()) if counts.size > 1 else 0
+        found.append((vol, 2 * best >= vol))
+    return found
+
+
 def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
                         connectivity: Connectivity = DEFAULT_CONNECTIVITY
                         ) -> LesionRecallReport:
@@ -368,36 +423,20 @@ def evaluate_lesionwise(model: VoxelScorer, cases, thresh: float = 0.5,
     predicted component covers at least half of its voxels.  A case whose
     scores and truth differ in grid raises ShapeMismatchError.  Both
     labelings are read at the truth voxels only, the predicted one by
-    position."""
+    position.
+
+    cases is any iterable of Phantoms or (Volume, Mask) pairs, read once,
+    in order.  Each case is dropped once its lesions are counted, before
+    the next is read, so a generator of cases keeps one alive at a time."""
     thresh = check_threshold(thresh)    # also when cases is empty
     connectivity = Connectivity(connectivity)
     tally = [[0, 0] for _ in fields(LesionRecallReport)]    # [lesions, detected]
-    for case in cases:
-        if isinstance(case, Phantom):
-            case = case.image, case.truth
-        if not (isinstance(case, Sequence) and len(case) == 2
-                and isinstance(case[0], Volume) and isinstance(case[1], Mask)):
-            raise TypeError("cases must be Phantoms or (Volume, Mask) pairs")
-        image, truth = case
-        pred = model.score_volume(image)
-        require_same_shape(pred, truth)
-        dims = truth.shape.dims
-        fg, hit = _flat(truth.data), _flat(threshold(pred, thresh).data)
-        at, hit_at = np.flatnonzero(fg), np.flatnonzero(hit)
-        t = _lesion_ids(at, dims, connectivity)
-        # the predicted id of each truth voxel, by its rank among the
-        # predicted voxels; 0 where the prediction misses it
-        on = hit[at]
-        p = np.zeros(at.size, dtype=np.intp)
-        p[on] = _lesion_ids(hit_at, dims, connectivity)[
-            np.searchsorted(hit_at, at[on])]
-        for lesion_id, vol in enumerate(np.bincount(t)[1:].tolist(), start=1):
-            counts = np.bincount(p[t == lesion_id])
-            best = int(counts[1:].max()) if counts.size > 1 else 0
+    count = partial(_lesions_found, model, thresh, connectivity)
+    for found in map(count, cases):
+        for vol, detected in found:
             bucket = tally[_bucket_of(vol)]
             bucket[0] += 1
-            if 2 * best >= vol:
-                bucket[1] += 1
+            bucket[1] += detected
     return LesionRecallReport(*(BucketRecall(n, d) for n, d in tally))
 
 

@@ -694,6 +694,33 @@ class TestSynthShrinkEval:
         assert code == 2 and out == ""
         assert "grid shapes differ" in err and "Traceback" not in err
 
+    def test_eval_names_a_corrupt_second_phantom(self, capsys, tmp_path,
+                                                 monkeypatch):
+        """The cases stream: the first is scored before the second is read,
+        and the second's load error still exits 2 with no report."""
+        events = []
+        load, score = cli_mod.volume.load_volume, VoxelScorer.score_volume
+        monkeypatch.setattr(cli_mod.volume, "load_volume",
+                            lambda path: events.append(path) or load(path))
+        monkeypatch.setattr(VoxelScorer, "score_volume", lambda self, image:
+                            events.append("score") or score(self, image))
+        save_scorer(VoxelScorer(np.zeros(5)), tmp_path / "m.vec")
+        for name, seed in (("a", 1), ("b", 2)):
+            save_phantom(generate(PhantomSpec(GridShape((8, 8, 8)), 1, (1.0, 1.5),
+                                              seed=seed)), tmp_path / name)
+        raw = tmp_path / "b.image.vraw"
+        raw.write_bytes(np.float32(np.nan).tobytes() + raw.read_bytes()[4:])
+        code, out, err = run(capsys, "eval", "--model", str(tmp_path / "m.vec"),
+                             "--phantom", str(tmp_path / "a"),
+                             "--phantom", str(tmp_path / "b"),
+                             "--report-out", str(tmp_path / "r.txt"))
+        assert code == 2 and out == ""
+        assert str(tmp_path / "b.image") in err and "non-finite values" in err
+        assert str(tmp_path / "a.") not in err and "Traceback" not in err
+        assert not (tmp_path / "r.txt").exists()
+        assert events == [str(tmp_path / "a.image"), "score",
+                          str(tmp_path / "b.image")]
+
     def test_train_checks_threshold_before_training(self, capsys, tmp_path):
         model, log = tmp_path / "m.vec", tmp_path / "l.csv"
         code, out, err = run(capsys, "train", "--epochs", "3",

@@ -1,6 +1,7 @@
 import threading
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -446,16 +447,15 @@ class TestShardedEpoch:
                 runs.add((value.hex(), grad.tobytes()))
         assert len(runs) == 1
 
-    def test_train_peaks_at_features_scores_and_phantoms(self):
+    def test_train_peaks_at_features_scores_and_truth(self):
         """A 1-epoch train on 4 x 64^3 phantoms holds the features (40 B
-        a voxel), the scores q (8 B) and the phantoms (5 B), plus at most
-        four chunks of float64 for every other buffer and temporary: a
-        batch-sized scratch (8 MiB here) does not fit."""
+        a voxel), the scores q (8 B) and, while the plans are built, the
+        truth masks (1 B), plus at most four chunks of float64 for every
+        other buffer and temporary: the phantoms' images (4 B a voxel, 4 MiB
+        here) do not fit, nor does a batch-sized scratch (8 MiB)."""
         specs = make_corpus(4, 300, dims=(64, 64, 64))
-        phantoms = [generate(s) for s in specs]
-        n = sum(ph.truth.data.size for ph in phantoms)
-        held = sum(ph.image.data.nbytes + ph.truth.data.nbytes for ph in phantoms)
-        budget = n * (len(FEATURE_NAMES) * 8 + 8) + held + 4 * reduction._CHUNK * 8
+        n = sum(s.shape.voxel_count for s in specs)
+        budget = n * (len(FEATURE_NAMES) * 8 + 8 + 1) + 4 * reduction._CHUNK * 8
         tracemalloc.start()
         try:
             train(TrainConfig(loss_kind="wlt-combined", epochs=1, train_specs=specs))
@@ -463,6 +463,30 @@ class TestShardedEpoch:
         finally:
             tracemalloc.stop()
         assert peak < budget
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_image_outlives_its_features(self, monkeypatch, threads):
+        """By the first epoch, every phantom train generated is gone."""
+        images = []
+
+        def tracked(spec):
+            ph = generate(spec)
+            images.append(weakref.ref(ph.image))
+            return ph
+
+        live = []
+        real = trainer_mod._batch_eval
+
+        def counting(prep, theta, want_grad):
+            if not live:
+                live.append(sum(ref() is not None for ref in images))
+            return real(prep, theta, want_grad)
+
+        monkeypatch.setattr(trainer_mod, "generate", tracked)
+        monkeypatch.setattr(trainer_mod, "_batch_eval", counting)
+        train(TrainConfig(loss_kind="wlt-combined", epochs=1,
+                          train_specs=tiny_corpus(3), threads=threads))
+        assert len(images) == 3 and live == [0]
 
     def test_no_thread_outlives_train(self, monkeypatch):
         before = threading.active_count()
